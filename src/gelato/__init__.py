@@ -20,7 +20,7 @@ from .io import (load_graph, read_attributes, read_edge_list,
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, read_split, sample_negatives,
                      split_edges, write_split)
-from .heuristics import (AcParams, ScoreBlock, autocovariance_pairs,
+from .heuristics import (AcParams, autocovariance_pairs,
                          autocovariance_rows, local_heuristic,
                          local_heuristic_rows)
 from .enhancer import (EnhancedGraph, EnhancerConfig, MlpParams,

@@ -10,61 +10,47 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, TRAINED_MODES, config_to_text,
-                     load_config)
-from .enhancer import (EnhancerConfig, load_params, save_params,
-                       select_augmentation_pairs, assemble_enhanced)
+from .config import (ExperimentConfig, TRAINED_MODES, TUPLE_TYPES,
+                     config_to_text, load_config)
+from .enhancer import build_enhanced_graph, load_params, save_params
 from .errors import ConfigError, DataError, GelatoError, NumericError
 from .evaluator import (biased_sample_metrics, compute_report, rank_summary,
                         report_to_json, write_pr_csv)
-from .graph import Graph, add_self_loops, build_graph
+from .graph import add_self_loops
 from .io import load_graph, read_attributes
 from .scorers import (AutocovarianceScorer, CosineScorer,
                       LocalHeuristicScorer, MlpScorer)
 from .splits import (negative_pool_size, read_split, split_edges,
-                     write_split)
-from .trainer import TrainConfig, train
-
-_OVERRIDE_FLAGS = [
-    ("edges", str), ("attributes", str), ("split", str),
-    ("split_seed", int), ("eta", float), ("alpha", float), ("beta", float),
-    ("self_loop_mode", str), ("self_loop_weight", float), ("hidden", int),
-    ("mode", str), ("loss", str), ("regime", str), ("lr", float),
-    ("epochs", int), ("batch_count", int), ("neg_cap", int),
-    ("dropout", float), ("t", int), ("seed", int),
-    ("valid_subsample", int), ("phase", str), ("biased_neg_per_pos", int),
-    ("eval_seed", int), ("block_size", int), ("workers", int),
-]
+                     train_graph, write_split)
+from .trainer import train
 
 
 def _add_common(parser):
+    """--config plus one override flag per ExperimentConfig field."""
     parser.add_argument("--config", help="key-value config file")
-    for name, kind in _OVERRIDE_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=kind, default=None)
-    parser.add_argument("--ratios", nargs=3, type=float, default=None)
-    parser.add_argument("--prec", nargs="+", type=float, default=None,
-                        help="prec@k fractions to report")
-    parser.add_argument("--hits", nargs="+", type=int, default=None,
-                        help="hits@k ranks to report")
+    for f in fields(ExperimentConfig):
+        flag = f"--{f.name.replace('_', '-')}"
+        if f.name in TUPLE_TYPES:
+            parser.add_argument(flag, type=TUPLE_TYPES[f.name], default=None,
+                                nargs=3 if f.name == "ratios" else "+")
+        else:
+            parser.add_argument(flag, type=type(f.default), default=None)
 
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    for name, _ in _OVERRIDE_FLAGS:
-        value = getattr(args, name, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, name, value)
-    for name in ("ratios", "prec", "hits"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, tuple(value))
+            setattr(cfg, f.name,
+                    tuple(value) if isinstance(value, list) else value)
     return cfg.validate()
 
 
@@ -95,27 +81,6 @@ def _load_split(cfg, g):
     return split
 
 
-def _train_graph(g, split) -> Graph:
-    return build_graph(
-        np.column_stack([split.train_pos, g.pair_weights(split.train_pos)]),
-        split.n, undirected=True)
-
-
-def _enhancer_cfg(cfg) -> EnhancerConfig:
-    return EnhancerConfig(eta=cfg.eta, alpha=cfg.alpha, beta=cfg.beta,
-                          self_loop_mode=cfg.self_loop_mode,
-                          self_loop_weight=cfg.self_loop_weight)
-
-
-def _train_cfg(cfg, direct_mlp=False) -> TrainConfig:
-    return TrainConfig(loss=cfg.loss, regime=cfg.regime, lr=cfg.lr,
-                       epochs=cfg.epochs, batch_count=cfg.batch_count,
-                       neg_cap=cfg.neg_cap, seed=cfg.seed,
-                       dropout=cfg.dropout, ac_t=cfg.t, hidden=cfg.hidden,
-                       valid_subsample=cfg.valid_subsample,
-                       direct_mlp=direct_mlp)
-
-
 def _needs_attributes(mode: str) -> bool:
     return mode not in ("ac-only", "heuristic:cn", "heuristic:aa",
                         "heuristic:ra")
@@ -123,7 +88,7 @@ def _needs_attributes(mode: str) -> bool:
 
 def _build_scorer(cfg, g, X, split, checkpoint):
     """(scorer, structure graph) over the training edges, per mode."""
-    g_train = _train_graph(g, split)
+    g_train = train_graph(g, split)
     mode = cfg.mode
     if mode.startswith("heuristic:"):
         kind = mode.split(":", 1)[1]
@@ -135,24 +100,20 @@ def _build_scorer(cfg, g, X, split, checkpoint):
                                 cfg.self_loop_weight)
         return AutocovarianceScorer(looped, cfg.t), looped
 
-    enh = _enhancer_cfg(cfg)
     params = None
     if mode in TRAINED_MODES:
         if not checkpoint:
             raise ConfigError(f"mode {mode} needs --checkpoint")
         params = load_params(checkpoint)
+        if params.r != X.r:
+            raise DataError(f"checkpoint r ({params.r}) != attribute "
+                            f"width ({X.r})")
     if mode == "mlp-only":
         return MlpScorer(params, X), g_train
+    enh = cfg.enhancer()
     if mode == "cos-ac":
-        enh = EnhancerConfig(eta=cfg.eta, alpha=cfg.alpha, beta=0.0,
-                             self_loop_mode=cfg.self_loop_mode,
-                             self_loop_weight=cfg.self_loop_weight)
-    added = np.empty((0, 2), dtype=np.int64)
-    if enh.eta > 0.0:
-        added, _ = select_augmentation_pairs(X, g_train, enh.eta)
-    base_pairs, base_weights = g_train.edge_pairs(return_weights=True)
-    eg = assemble_enhanced(X, params, enh, g.n, base_pairs, base_weights,
-                           added, training=False)
+        enh = replace(enh, beta=0.0)
+    eg = build_enhanced_graph(g_train, X, params, enh)
     return AutocovarianceScorer(eg.graph, cfg.t), eg.graph
 
 
@@ -180,9 +141,7 @@ def cmd_train(args) -> int:
         return 0
     g, X = _load_inputs(cfg, need_attrs=True)
     split = _load_split(cfg, g)
-    direct = cfg.mode in ("mlp-only", "mlp-ac-two-stage")
-    params, history = train(g, X, split, _enhancer_cfg(cfg),
-                            _train_cfg(cfg, direct_mlp=direct))
+    params, history = train(g, X, split, cfg.enhancer(), cfg.trainer())
     save_params(args.out_checkpoint, params)
     lines = ["# epoch loss valid_prec skipped"]
     for rec in history:

@@ -2,14 +2,18 @@
 
 A config file holds one "key value" pair per line ('#' comments allowed).
 Unknown keys are rejected. Flags given on the command line win over file
-values. parse -> serialize -> parse is the identity.
+values. parse -> serialize -> parse is the identity. ExperimentConfig
+declares every field once: the CLI flags and the enhancer and trainer
+settings are derived from its fields by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .enhancer import EnhancerConfig
 from .errors import ConfigError
+from .trainer import TrainConfig
 
 MODES = ("gelato", "ac-only", "mlp-only", "cos-ac", "mlp-ac-two-stage",
          "heuristic:cn", "heuristic:aa", "heuristic:ra", "heuristic:cos")
@@ -61,15 +65,33 @@ class ExperimentConfig:
                               f"expected one of {MODES}")
         if self.phase not in ("train", "valid", "test"):
             raise ConfigError(f"unknown phase {self.phase!r}")
+        self.enhancer()
+        self.trainer()
         return self
 
+    def enhancer(self) -> EnhancerConfig:
+        return _pick(EnhancerConfig, self)
 
-_TUPLE_TYPES = {"ratios": float, "prec": float, "hits": int}
+    def trainer(self) -> TrainConfig:
+        """The trainer settings; `t` is the walk length ac_t, and the
+        mlp-only and two-stage modes score pairs with the MLP directly."""
+        return _pick(TrainConfig, self, ac_t=self.t, direct_mlp=self.mode
+                     in ("mlp-only", "mlp-ac-two-stage"))
+
+
+def _pick(cls, cfg, **extra):
+    """A `cls` built from the fields of `cfg` with the same names."""
+    names = {f.name for f in fields(cfg)}
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)
+                  if f.name in names}, **extra)
+
+
+TUPLE_TYPES = {"ratios": float, "prec": float, "hits": int}
 
 
 def _parse_value(name, kind, text):
-    if name in _TUPLE_TYPES:
-        return tuple(_TUPLE_TYPES[name](x) for x in text.split())
+    if name in TUPLE_TYPES:
+        return tuple(TUPLE_TYPES[name](x) for x in text.split())
     if kind is int:
         return int(text)
     if kind is float:

@@ -255,18 +255,10 @@ class EnhancedGraph:
     graph: Graph
     pairs: np.ndarray
     pair_weights: np.ndarray
-    added_pairs: np.ndarray
-    base_weights: np.ndarray      # A_uv per pair (0 for added pairs)
-    cos: np.ndarray               # s(x_u, x_v) per pair
-    trained: np.ndarray           # w_uv per pair
     active: np.ndarray            # combined weight > 0 (kept in structure)
     arc_positions: np.ndarray     # (n_active, 2) data indices of both arcs
     alpha: float
     beta: float
-    pair_ids: np.ndarray | None = None
-    dropout_key: int = 0
-    dropout_rate: float = 0.0
-    training: bool = False
     mlp_cache: dict | None = None  # Z, Hpre mask, Hd kept for backward
 
 
@@ -343,12 +335,9 @@ def assemble_enhanced(X: AttributeMatrix, params: MlpParams | None,
     arc_positions = np.column_stack([position[:k], position[k:2 * k]])
 
     return EnhancedGraph(
-        graph=graph, pairs=pairs, pair_weights=weights,
-        added_pairs=added_pairs, base_weights=a_w, cos=cos, trained=w,
-        active=active, arc_positions=arc_positions,
-        alpha=cfg.alpha, beta=cfg.beta, pair_ids=pair_ids,
-        dropout_key=dropout_key, dropout_rate=dropout_rate,
-        training=training, mlp_cache=mlp_cache or None)
+        graph=graph, pairs=pairs, pair_weights=weights, active=active,
+        arc_positions=arc_positions, alpha=cfg.alpha, beta=cfg.beta,
+        mlp_cache=mlp_cache or None)
 
 
 def build_enhanced_graph(g: Graph, X: AttributeMatrix,

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .heuristics import pair_scores
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
-
-TIE_POLICIES = ("pessimistic",)
 
 
 @dataclass
@@ -36,7 +35,6 @@ class RankSummary:
     neg_above: np.ndarray       # (P,) strictly higher-scored negatives
     neg_tied: np.ndarray        # (P,) equal-scored negatives
     total_negatives: int
-    tie_policy: str = "pessimistic"
 
     def __post_init__(self):
         self.pos_scores = np.asarray(self.pos_scores, dtype=np.float64)
@@ -64,34 +62,30 @@ def counts_against(sorted_neg_scores: np.ndarray,
     return above.astype(np.int64), (right - left).astype(np.int64)
 
 
-def _score_pairs(scorer, pairs: np.ndarray, block_size: int = 256) -> np.ndarray:
+def _score_pairs(scorer, pairs: np.ndarray) -> np.ndarray:
     """Score explicit pairs via the scorer's row interface, grouped by source."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) == 0:
-        return np.empty(0)
-    uniq, inverse = np.unique(pairs[:, 0], return_inverse=True)
-    out = np.empty(len(pairs))
-    for start in range(0, len(uniq), block_size):
-        blk = uniq[start:start + block_size]
-        rows = scorer.rows(blk)
-        sel = (inverse >= start) & (inverse < start + len(blk))
-        out[sel] = rows[inverse[sel] - start, pairs[sel, 1]]
+    out = pair_scores(scorer.rows, pairs)
     if not np.isfinite(out).all():
         raise NumericError("scorer returned non-finite pair scores")
     return out
 
 
+def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
+    """Rank positives against an explicit (sampled) negative set."""
+    pos_scores = _score_pairs(scorer, positives)
+    above, tied = counts_against(np.sort(_score_pairs(scorer, negatives)),
+                                 pos_scores)
+    return RankSummary(pos_scores, above, tied, len(negatives))
+
+
 def rank_summary(scorer, g, split: EdgeSplit, phase: str,
-                 tie_policy: str = "pessimistic", block_size: int = 1024,
-                 workers: int = 1) -> RankSummary:
+                 block_size: int = 1024, workers: int = 1) -> RankSummary:
     """Stream the phase's negative pool and count (above, tied) per positive.
 
     The scorer must expose rows(sources) -> (len(sources), n) float64.
     Block results are combined by integer addition, so counts are
     deterministic under any worker schedule.
     """
-    if tie_policy not in TIE_POLICIES:
-        raise ConfigError(f"unknown tie policy {tie_policy!r}")
     positives = split.positives(phase)
     pos_scores = _score_pairs(scorer, positives)
 
@@ -133,7 +127,7 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     if streamed != pool:
         raise NumericError(
             f"streamed {streamed} pool pairs but expected {pool}")
-    return RankSummary(pos_scores, above, tied, pool, tie_policy)
+    return RankSummary(pos_scores, above, tied, pool)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -226,7 +220,7 @@ def compute_report(rs: RankSummary, prec_fractions=(0.25, 0.5, 1.0),
                    hits_ks=(100, 1000), biased: bool = False,
                    meta: dict | None = None) -> MetricsReport:
     meta = dict(meta or {})
-    meta.setdefault("tie_policy", rs.tie_policy)
+    meta.setdefault("tie_policy", "pessimistic")
     meta.setdefault("k_rounding", "half-up")
     meta.setdefault("num_positives", rs.num_positives)
     meta.setdefault("num_negatives", rs.total_negatives)
@@ -254,12 +248,9 @@ def biased_sample_metrics(scorer, g, split: EdgeSplit, neg_per_pos: int,
     if neg_per_pos < 1:
         raise ConfigError("neg_per_pos must be >= 1")
     positives = split.positives(phase)
-    count = neg_per_pos * len(positives)
-    negatives = sample_negatives(g, split, phase, count, seed)
-    pos_scores = _score_pairs(scorer, positives)
-    neg_scores = np.sort(_score_pairs(scorer, negatives))
-    above, tied = counts_against(neg_scores, pos_scores)
-    rs = RankSummary(pos_scores, above, tied, count)
+    negatives = sample_negatives(g, split, phase,
+                                 neg_per_pos * len(positives), seed)
+    rs = sampled_rank_summary(scorer, positives, negatives)
     return compute_report(rs, prec_fractions, hits_ks, biased=True,
                           meta={"neg_per_pos": neg_per_pos, "seed": seed,
                                 "phase": phase})

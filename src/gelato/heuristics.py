@@ -38,12 +38,6 @@ class AcParams:
             raise ConfigError("walk length t must be >= 0")
 
 
-@dataclass
-class ScoreBlock:
-    sources: np.ndarray
-    scores: np.ndarray  # (len(sources), n)
-
-
 def transition_matrix(g: Graph) -> sparse.csr_matrix:
     """Row-stochastic P = D^-1 A; every row must have positive degree.
 
@@ -60,54 +54,59 @@ def transition_matrix(g: Graph) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int,
-               keep_steps: bool = False):
-    """Rows of P^t for the given sources: (len(sources), n) dense.
-
-    With keep_steps, also returns [X_0, ..., X_{t-1}] (X_k = rows of P^k)
-    for reverse-mode replay.
-    """
-    n = P.shape[0]
-    steps = []
-    X = np.zeros((len(sources), n))
+def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int):
+    """Rows of P^t for the given sources: (len(sources), n) dense."""
+    X = np.zeros((len(sources), P.shape[0]))
     X[np.arange(len(sources)), sources] = 1.0
     for _ in range(t):
-        if keep_steps:
-            steps.append(X)
         X = X @ P
-    return (X, steps) if keep_steps else X
+    return X
 
 
-def autocovariance_rows(g: Graph, sources, params: AcParams) -> ScoreBlock:
-    """Autocovariance rows R[u, :] for each source u."""
+def source_blocks(sources, block_size: int = 256):
+    """Group entries by source node, `block_size` distinct sources at a time.
+
+    Yields (block, sel, row): the block's sorted distinct sources, the
+    mask of entries whose source is in the block, and each selected
+    entry's row in the block. Bounds row computations at block_size * n.
+    """
+    uniq, inverse = np.unique(sources, return_inverse=True)
+    for start in range(0, len(uniq), block_size):
+        block = uniq[start:start + block_size]
+        sel = (inverse >= start) & (inverse < start + len(block))
+        yield block, sel, inverse[sel] - start
+
+
+def pair_scores(rows, pairs, block_size: int = 256, blocks=None
+                ) -> np.ndarray:
+    """Scores of explicit pairs from a rows(sources) -> (len, n) function.
+
+    One rows() call is shared by all pairs with the same source; `blocks`
+    reuses a grouping of pairs[:, 0] made earlier by source_blocks.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if blocks is None:
+        blocks = source_blocks(pairs[:, 0], block_size)
+    out = np.empty(len(pairs))
+    for block, sel, row in blocks:
+        out[sel] = rows(block)[row, pairs[sel, 1]]
+    return out
+
+
+def autocovariance_rows(g: Graph, sources, params: AcParams) -> np.ndarray:
+    """Autocovariance rows R[u, :] for each source u: (len(sources), n)."""
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     d = g.degrees
     vol = g.volume
-    P = transition_matrix(g)
-    T = _walk_hits(P, sources, params.t)
-    scores = (d[sources] / vol)[:, None] * T - np.outer(d[sources], d) / vol ** 2
-    return ScoreBlock(sources=sources, scores=scores)
+    T = _walk_hits(transition_matrix(g), sources, params.t)
+    return (d[sources] / vol)[:, None] * T - np.outer(d[sources], d) / vol ** 2
 
 
 def autocovariance_pairs(g: Graph, pairs, params: AcParams,
                          block_size: int = 256) -> np.ndarray:
-    """Autocovariance scores for explicit pairs, grouped by source node.
-
-    One row computation is shared by all pairs with the same source, and
-    distinct sources are processed in blocks of `block_size` to bound
-    memory at block_size * n floats.
-    """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) == 0:
-        return np.empty(0)
-    uniq, inverse = np.unique(pairs[:, 0], return_inverse=True)
-    out = np.empty(len(pairs))
-    for start in range(0, len(uniq), block_size):
-        blk = uniq[start:start + block_size]
-        block = autocovariance_rows(g, blk, params)
-        in_blk = (inverse >= start) & (inverse < start + len(blk))
-        out[in_blk] = block.scores[inverse[in_blk] - start, pairs[in_blk, 1]]
-    return out
+    """Autocovariance scores for explicit pairs, grouped by source node."""
+    return pair_scores(lambda s: autocovariance_rows(g, s, params), pairs,
+                       block_size)
 
 
 # -- local heuristics -------------------------------------------------------

@@ -35,9 +35,11 @@ def read_edge_list(path):
                     continue
                 parts = line.split()
                 if n_header is None and not entries and parts[0] == "n":
-                    if len(parts) != 2:
-                        raise DataError(f"{path}:{lineno}: bad header line")
-                    n_header = int(parts[1])
+                    try:
+                        (n_header,) = map(int, parts[1:])
+                    except ValueError as exc:
+                        raise DataError(
+                            f"{path}:{lineno}: bad header line") from exc
                     continue
                 if len(parts) not in (2, 3):
                     raise DataError(
@@ -93,9 +95,9 @@ def read_attributes(path) -> AttributeMatrix:
                     raise DataError(f"{path}: truncated attribute header")
                 n, r = struct.unpack("<QQ", meta)
                 payload = fh.read()
-                values = np.frombuffer(payload, dtype="<f4", count=n * r)
-                if values.size != n * r:
+                if len(payload) < 4 * n * r:
                     raise DataError(f"{path}: truncated attribute payload")
+                values = np.frombuffer(payload, dtype="<f4", count=n * r)
                 return AttributeMatrix(values.reshape(n, r))
     except OSError as exc:
         raise DataError(f"cannot read attributes {path}: {exc}") from exc

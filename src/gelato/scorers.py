@@ -1,8 +1,8 @@
 """Scorer adapters for the streaming evaluator.
 
-A scorer exposes rows(sources) -> dense (len(sources), n) float64 block;
-pairs(pairs) scores explicit pairs through the same code path so pair and
-pool scores are bitwise consistent.
+A scorer exposes rows(sources) -> dense (len(sources), n) float64 block.
+The evaluator scores explicit pairs by slicing these rows
+(heuristics.pair_scores), so pair and pool scores are bitwise consistent.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .enhancer import MlpParams, mlp_forward, pair_features
-from .evaluator import _score_pairs
 from .graph import AttributeMatrix, Graph
 from .heuristics import AcParams, autocovariance_rows, local_heuristic_rows
 
@@ -23,10 +22,7 @@ class AutocovarianceScorer:
         self.params = AcParams(t=t)
 
     def rows(self, sources) -> np.ndarray:
-        return autocovariance_rows(self.graph, sources, self.params).scores
-
-    def pairs(self, pairs) -> np.ndarray:
-        return _score_pairs(self, pairs)
+        return autocovariance_rows(self.graph, sources, self.params)
 
 
 class LocalHeuristicScorer:
@@ -39,9 +35,6 @@ class LocalHeuristicScorer:
     def rows(self, sources) -> np.ndarray:
         return local_heuristic_rows(self.kind, self.graph, sources)
 
-    def pairs(self, pairs) -> np.ndarray:
-        return _score_pairs(self, pairs)
-
 
 class CosineScorer:
     """Attribute cosine similarity rows."""
@@ -52,9 +45,6 @@ class CosineScorer:
     def rows(self, sources) -> np.ndarray:
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
         return self.unit[sources] @ self.unit.T
-
-    def pairs(self, pairs) -> np.ndarray:
-        return _score_pairs(self, pairs)
 
 
 class MlpScorer:
@@ -73,9 +63,3 @@ class MlpScorer:
             pairs = np.column_stack([np.full(n, u, dtype=np.int64), cols])
             out[i] = mlp_forward(self.params, pair_features(self.X, pairs))
         return out
-
-    def pairs(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if len(pairs) == 0:
-            return np.empty(0)
-        return mlp_forward(self.params, pair_features(self.X, pairs))

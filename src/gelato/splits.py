@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph
+from .graph import Graph, build_graph
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -73,6 +73,13 @@ def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
     """Encode canonical pairs as u * n + v for set arithmetic."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0] * n + pairs[:, 1]
+
+
+def train_graph(g: Graph, split: EdgeSplit) -> Graph:
+    """The graph of the training positives, with their weights in `g`."""
+    return build_graph(
+        np.column_stack([split.train_pos, g.pair_weights(split.train_pos)]),
+        split.n, undirected=True)
 
 
 def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
@@ -245,13 +252,19 @@ def read_split(path) -> EdgeSplit:
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"bad split header in {path}: {exc}") from exc
     sections = {}
-    while i < len(lines):
-        name, count = lines[i].split()
-        count = int(count)
-        rows = [tuple(map(int, lines[j].split()))
-                for j in range(i + 1, i + 1 + count)]
-        sections[name] = np.asarray(rows, dtype=np.int64).reshape(count, 2)
-        i += 1 + count
+    try:
+        while i < len(lines):
+            name, count = lines[i].split()
+            count = int(count)
+            if count < 0 or i + 1 + count > len(lines):
+                raise DataError(f"{path}: section {name} declares {count} "
+                                f"pairs but {len(lines) - i - 1} lines follow")
+            rows = [tuple(map(int, lines[j].split()))
+                    for j in range(i + 1, i + 1 + count)]
+            sections[name] = np.asarray(rows, dtype=np.int64).reshape(count, 2)
+            i += 1 + count
+    except ValueError as exc:
+        raise DataError(f"bad split section in {path}: {exc}") from exc
     for name in ("TRAIN", "VALID", "TEST"):
         if name not in sections:
             raise DataError(f"split file {path} missing section {name}")

@@ -32,13 +32,13 @@ from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
                        dropout_masks, init_mlp_params, mlp_forward,
                        pair_features, select_augmentation_pairs)
 from .errors import ConfigError
-from .evaluator import RankSummary, counts_against, precision_at_k, \
-    rank_summary, _score_pairs
-from .graph import AttributeMatrix, Graph, build_graph
-from .heuristics import transition_matrix, _walk_hits
+from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
+from .graph import AttributeMatrix, Graph
+from .heuristics import (pair_scores, source_blocks, transition_matrix,
+                         _walk_hits)
 from .rng import derive
-from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
-                     positive_masking_batches, sample_negatives)
+from .splits import (EdgeSplit, MaskedBatch, negative_pool_size, pair_codes,
+                     positive_masking_batches, sample_negatives, train_graph)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -182,11 +182,8 @@ class Tape:
     stored, which bounds memory at block_size * n per step.
     """
 
-    def __init__(self, *, X, params, cfg, eg, scored, group_sizes, labels,
-                 head, raw, z, mu, sigma, floored, ac=None,
-                 direct_ids=None, direct_key=0, direct_training=False,
-                 direct_cache=None, block_size=256):
-        self.X = X
+    def __init__(self, *, params, cfg, eg, scored, group_sizes, labels,
+                 head, z, sigma, floored, ac, mlp_cache):
         self.params = params
         self.cfg = cfg
         self.eg = eg
@@ -194,17 +191,11 @@ class Tape:
         self.group_sizes = group_sizes
         self.labels = labels
         self.head = head
-        self.raw = raw
         self.z = z
-        self.mu = mu
         self.sigma = sigma
         self.floored = floored
         self.ac = ac                  # dict of AC-stage records, None if direct
-        self.direct_ids = direct_ids
-        self.direct_key = direct_key
-        self.direct_training = direct_training
-        self.direct_cache = direct_cache
-        self.block_size = block_size
+        self.mlp_cache = mlp_cache    # mlp_forward intermediates, if it ran
 
     # gradient of the loss w.r.t. the standardized scores
     def _loss_backward(self):
@@ -266,17 +257,14 @@ class Tape:
         # an n x n temp for the sparse one-hop shortcut is fine up to here
         dense_ok = graph.n <= 4096
         if t >= 1:
-            uniq, inverse = rec["uniq"], rec["inverse"]
-            for start in range(0, len(uniq), self.block_size):
-                blk = uniq[start:start + self.block_size]
+            for blk, sel, row in rec["blocks"]:
                 one_hop = P[blk] if t > 1 else None
                 if t > 2 or (t == 2 and not dense_ok):
                     steps = [None, one_hop.toarray()]
                     for _ in range(t - 2):
                         steps.append(steps[-1] @ P)
-                sel = (inverse >= start) & (inverse < start + len(blk))
                 Y = np.zeros((len(blk), graph.n))
-                np.add.at(Y, (inverse[sel] - start, v[sel]), gT[sel])
+                np.add.at(Y, (row, v[sel]), gT[sel])
                 for k in range(t, 0, -1):
                     if k == 1:
                         # X_0 is the source selector: only arcs leaving a
@@ -309,33 +297,18 @@ class Tape:
         gpair[eg.active] = gA[ap[:, 0]] + gA[ap[:, 1]]
         return gpair * (1.0 - eg.alpha) * eg.beta
 
-    def _mlp_backward(self, pairs, pair_ids, g_w, cache=None):
-        """Backprop g_w through the MLP. Uses the forward cache when one
-        was kept; otherwise the forward is recomputed (the dropout mask is
-        counter-keyed and therefore identical either way)."""
+    def _mlp_backward(self, g_w):
+        """Backprop g_w through the MLP from its forward cache. With no
+        cache the MLP did not feed the scores (alpha=1 or beta=0), so
+        every gradient is zero."""
         params = self.params
-        if cache is not None:
-            Z, relu_support, Hd = cache["Z"], cache["relu_support"], \
-                cache["Hd"]
-            mask, rate, w = cache["keep_mask"], cache["rate"], cache["w"]
-        else:
-            Z = pair_features(self.X, pairs)
-            Hpre = Z @ params.W1.T + params.b1
-            H = np.maximum(Hpre, 0.0)
-            if self.ac is None:
-                rate, training, key = (self.cfg.dropout,
-                                       self.direct_training, self.direct_key)
-            else:
-                rate, training, key = (self.eg.dropout_rate,
-                                       self.eg.training, self.eg.dropout_key)
-            mask = None
-            if training and rate > 0.0:
-                mask = dropout_masks(params.hidden, pair_ids, rate, key)
-                Hd = H * (mask / (1.0 - rate))
-            else:
-                Hd = H
-            relu_support = Hpre > 0.0
-            w = expit(Hd @ params.W2 + params.b2)
+        cache = self.mlp_cache
+        if cache is None:
+            return {"W1": np.zeros_like(params.W1),
+                    "b1": np.zeros_like(params.b1),
+                    "W2": np.zeros_like(params.W2), "b2": 0.0}
+        Z, relu_support, Hd = cache["Z"], cache["relu_support"], cache["Hd"]
+        mask, rate, w = cache["keep_mask"], cache["rate"], cache["w"]
         gpre = g_w * w * (1.0 - w)
         gW2 = Hd.T @ gpre
         gb2 = float(gpre.sum())
@@ -352,13 +325,8 @@ class Tape:
     def backward(self) -> dict:
         gz, head_grads = self._loss_backward()
         g_raw = self._standardize_backward(gz)
-        if self.ac is not None:
-            g_w = self._ac_backward(g_raw)
-            grads = self._mlp_backward(self.eg.pairs, self.eg.pair_ids, g_w,
-                                       cache=self.eg.mlp_cache)
-        else:
-            grads = self._mlp_backward(self.scored, self.direct_ids, g_raw,
-                                       cache=self.direct_cache)
+        g_w = self._ac_backward(g_raw) if self.ac is not None else g_raw
+        grads = self._mlp_backward(g_w)
         grads.update(head_grads)
         return grads
 
@@ -380,15 +348,14 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(negs))])
     drop_key = derive(cfg.seed, _DROP_TAG, epoch)
 
-    direct_cache = None
     if cfg.direct_mlp:
-        ids = np.arange(len(scored))
         mask = None
         if training and cfg.dropout > 0.0:
-            mask = dropout_masks(params.hidden, ids, cfg.dropout, drop_key)
-        direct_cache = {} if want_tape else None
+            mask = dropout_masks(params.hidden, np.arange(len(scored)),
+                                 cfg.dropout, drop_key)
+        mlp_cache = {} if want_tape else None
         raw = mlp_forward(params, pair_features(X, scored), mask,
-                          cfg.dropout, cache=direct_cache)
+                          cfg.dropout, cache=mlp_cache)
         eg, ac = None, None
     else:
         residual = np.asarray(batch.residual_edges, dtype=np.int64).reshape(-1, 2)
@@ -401,23 +368,20 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
         P = transition_matrix(eg.graph)
         d = eg.graph.degrees
         vol = eg.graph.volume
-        uniq, inverse = np.unique(scored[:, 0], return_inverse=True)
-        T = np.empty(len(scored))
-        for start in range(0, len(uniq), 256):
-            blk = uniq[start:start + 256]
-            x = _walk_hits(P, blk, cfg.ac_t)
-            sel = (inverse >= start) & (inverse < start + len(blk))
-            T[sel] = x[inverse[sel] - start, scored[sel, 1]]
+        # grouped once; the backward replays the walk over the same blocks
+        blocks = list(source_blocks(scored[:, 0]))
+        T = pair_scores(lambda blk: _walk_hits(P, blk, cfg.ac_t), scored,
+                        blocks=blocks)
         raw = ((d[scored[:, 0]] / vol) * T
                - d[scored[:, 0]] * d[scored[:, 1]] / vol ** 2)
-        ac = {"T": T, "P": P, "uniq": uniq, "inverse": inverse,
+        ac = {"T": T, "P": P, "blocks": blocks,
               "arc_rows": eg.graph.row_of_arcs()}
+        mlp_cache = eg.mlp_cache
 
-    mu = raw.mean()
     std = float(raw.std())
     floored = std < _STD_FLOOR
     sigma = max(std, _STD_FLOOR)
-    z = (raw - mu) / sigma
+    z = (raw - raw.mean()) / sigma
 
     P_cnt = len(pos)
     if cfg.loss == "npair":
@@ -431,13 +395,11 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
 
     if not want_tape:
         return loss, None
-    tape = Tape(X=X, params=params, cfg=cfg, eg=eg, scored=scored,
+    tape = Tape(params=params, cfg=cfg, eg=eg, scored=scored,
                 group_sizes=group_sizes, labels=labels,
                 head=head if head is not None else (1.0, 0.0),
-                raw=raw, z=z, mu=mu, sigma=sigma, floored=floored, ac=ac,
-                direct_ids=np.arange(len(scored)) if cfg.direct_mlp else None,
-                direct_key=drop_key, direct_training=training,
-                direct_cache=direct_cache)
+                z=z, sigma=sigma, floored=floored, ac=ac,
+                mlp_cache=mlp_cache)
     return loss, tape
 
 
@@ -477,13 +439,6 @@ def grads_finite(loss: float, grads: dict) -> bool:
 
 # -- training loop ------------------------------------------------------------
 
-def _frozen_pair_ids(all_pairs: np.ndarray, subset: np.ndarray,
-                     n: int) -> np.ndarray:
-    codes = np.sort(all_pairs[:, 0] * n + all_pairs[:, 1])
-    want = subset[:, 0] * n + subset[:, 1]
-    return np.searchsorted(codes, want)
-
-
 def _eval_scorer(g, X, split, enh_cfg, cfg, params, added_pairs,
                  cos=None, Z=None):
     """Evaluation-mode scorer over the full training structure."""
@@ -504,11 +459,8 @@ def _validation_prec(g, X, split, enh_cfg, cfg, params, added_pairs,
                           cos=cos, Z=Z)
     if valid_negs is None:
         rs = rank_summary(scorer, g, split, "valid")
-        return precision_at_k(rs, 1.0)
-    pos_scores = _score_pairs(scorer, split.valid_pos)
-    neg_scores = np.sort(_score_pairs(scorer, valid_negs))
-    above, tied = counts_against(neg_scores, pos_scores)
-    rs = RankSummary(pos_scores, above, tied, len(valid_negs))
+    else:
+        rs = sampled_rank_summary(scorer, split.valid_pos, valid_negs)
     return precision_at_k(rs, 1.0)
 
 
@@ -527,17 +479,16 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             "alpha=1 or beta=0 leaves no trainable influence on the "
             "scores; use the ac-only/cos-ac modes instead of training")
 
-    g_train = build_graph(
-        np.column_stack([split.train_pos,
-                         g.pair_weights(split.train_pos)]),
-        split.n, undirected=True)
     added_pairs = np.empty((0, 2), dtype=np.int64)
     if not cfg.direct_mlp and enh_cfg.eta > 0.0:
-        added_pairs, _ = select_augmentation_pairs(X, g_train, enh_cfg.eta)
+        added_pairs, _ = select_augmentation_pairs(
+            X, train_graph(g, split), enh_cfg.eta)
 
+    # lexsorted pairs have ascending codes, so ids are a searchsorted away
     full_pairs = np.vstack([split.train_pos, added_pairs])
     order = np.lexsort((full_pairs[:, 1], full_pairs[:, 0]))
     full_pairs = full_pairs[order]
+    full_codes = pair_codes(full_pairs, split.n)
 
     # per-pair inputs are static across batches; gather them once when the
     # footprint is reasonable (pairs x 2r float64)
@@ -547,8 +498,8 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
         full_cos = cosine_pairs(X, full_pairs)
         if full_pairs.size and len(full_pairs) * 2 * X.r * 8 < 500 * 2 ** 20:
             full_Z = pair_features(X, full_pairs)
-    eval_ids = _frozen_pair_ids(
-        full_pairs, np.vstack([split.train_pos, added_pairs]), split.n)
+    eval_ids = np.searchsorted(full_codes, pair_codes(
+        np.vstack([split.train_pos, added_pairs]), split.n))
 
     params = init_mlp_params(X.r, cfg.hidden, cfg.seed)
     head = np.array([1.0, 0.0]) if cfg.loss == "bce" else None
@@ -583,8 +534,8 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
                 derive(cfg.seed, _NEG_TAG, epoch, bi))
             ids = cos = Z = None
             if not cfg.direct_mlp:
-                subset = np.vstack([batch.residual_edges, added_pairs])
-                ids = _frozen_pair_ids(full_pairs, subset, split.n)
+                ids = np.searchsorted(full_codes, pair_codes(
+                    np.vstack([batch.residual_edges, added_pairs]), split.n))
                 cos = full_cos[ids]
                 Z = full_Z[ids] if full_Z is not None else None
             loss, grads = compute_gradients(

@@ -48,7 +48,7 @@ def test_criterion_1_autocovariance_dense_oracle():
         g = random_graph(rng, n, m, weighted=True)
         t = int(rng.integers(0, 6))
         R = gelato.autocovariance_rows(g, np.arange(n),
-                                       gelato.AcParams(t)).scores
+                                       gelato.AcParams(t))
         R_ref = dense_autocovariance(g, t)
         worst = max(worst, float(np.abs(R - R_ref).max()))
         worst_mass = max(worst_mass, abs(float(R.sum())))

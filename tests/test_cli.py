@@ -5,7 +5,7 @@ import pytest
 
 import gelato
 from gelato import AttributeMatrix, write_attributes_csv, write_edge_list
-from gelato.cli import main
+from gelato.cli import build_parser, main
 from gelato.config import ExperimentConfig, config_from_text, config_to_text
 
 from conftest import make_attribute_sbm
@@ -161,7 +161,7 @@ def test_export_scores_consistency(dataset, tmp_path):
     g_train = gelato.build_graph(split.train_pos, split.n)
     looped = gelato.add_self_loops(g_train, "isolated-only", 1.0)
     ref = gelato.autocovariance_rows(looped, [0, 3, 5],
-                                     gelato.AcParams(2)).scores
+                                     gelato.AcParams(2))
     got = np.array([[float(x) for x in r[1:]] for r in rows])
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-300)
 
@@ -204,6 +204,48 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
 
     rc = main(["show-config", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
+
+
+def test_show_config_rejects_invalid_values(capsys):
+    assert main(["show-config", "--lr", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# the override flags of the hand-written parser the derived one replaced
+SEED_FLAGS = {
+    "--edges", "--attributes", "--split", "--split-seed", "--eta", "--alpha",
+    "--beta", "--self-loop-mode", "--self-loop-weight", "--hidden", "--mode",
+    "--loss", "--regime", "--lr", "--epochs", "--batch-count", "--neg-cap",
+    "--dropout", "--t", "--seed", "--valid-subsample", "--phase",
+    "--biased-neg-per-pos", "--eval-seed", "--block-size", "--workers",
+    "--ratios", "--prec", "--hits",
+}
+
+
+def test_parser_flags_are_the_config_fields():
+    sub = build_parser()._subparsers._group_actions[0].choices
+    for name, parser in sub.items():
+        flags = {opt for action in parser._actions
+                 for opt in action.option_strings}
+        assert flags - {"-h", "--help", "--config"} >= SEED_FLAGS, name
+    show = {opt for action in sub["show-config"]._actions
+            for opt in action.option_strings}
+    assert show - {"-h", "--help", "--config"} == SEED_FLAGS
+    assert len(SEED_FLAGS) == 29
+
+
+def test_sub_config_defaults_agree():
+    assert ExperimentConfig().enhancer() == gelato.EnhancerConfig()
+    assert ExperimentConfig().trainer() == gelato.TrainConfig()
+
+
+def test_checkpoint_width_mismatch_is_data_error(dataset, tmp_path):
+    ck = tmp_path / "wide.gpar"
+    gelato.save_params(ck, gelato.init_mlp_params(dataset["X"].r + 2, 4))
+    rc = main(["eval", "--edges", dataset["edges"], "--attributes",
+               dataset["attrs"], "--split", dataset["split"],
+               "--mode", "gelato", "--checkpoint", str(ck)])
+    assert rc == 3
 
 
 def test_config_unknown_key():

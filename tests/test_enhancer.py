@@ -151,8 +151,8 @@ class TestEnhancedGraph:
                              self_loop_mode="isolated-only")
         eg = build_enhanced_graph(g, X, params, cfg)
         t = AcParams(3)
-        R1 = autocovariance_rows(g, np.arange(g.n), t).scores
-        R2 = autocovariance_rows(eg.graph, np.arange(g.n), t).scores
+        R1 = autocovariance_rows(g, np.arange(g.n), t)
+        R2 = autocovariance_rows(eg.graph, np.arange(g.n), t)
         np.testing.assert_allclose(R1, R2, atol=1e-15)
 
     def test_alpha_zero_beta_one_pure_mlp(self):

@@ -78,11 +78,6 @@ class TestRankSummaryStreaming:
         with pytest.raises(NumericError):
             rank_summary(scorer, g, split, "test")
 
-    def test_bad_tie_policy(self):
-        g, split, scorer = self._random_instance(6)
-        with pytest.raises(ConfigError):
-            rank_summary(scorer, g, split, "test", tie_policy="optimistic")
-
 
 class TestMetricOracle:
     def test_full_sort_equivalence_random_scores(self):

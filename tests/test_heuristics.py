@@ -53,8 +53,7 @@ class TestLocalHeuristics:
 class TestAutocovariance:
     def test_triangle_t1(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        block = autocovariance_rows(g, [0, 1, 2], AcParams(t=1))
-        R = block.scores
+        R = autocovariance_rows(g, [0, 1, 2], AcParams(t=1))
         for u in range(3):
             for v in range(3):
                 expected = -1.0 / 9.0 if u == v else 1.0 / 18.0
@@ -62,7 +61,7 @@ class TestAutocovariance:
 
     def test_triangle_t0(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        R = autocovariance_rows(g, [0, 1, 2], AcParams(t=0)).scores
+        R = autocovariance_rows(g, [0, 1, 2], AcParams(t=0))
         for u in range(3):
             for v in range(3):
                 expected = 2.0 / 9.0 if u == v else -1.0 / 9.0
@@ -73,13 +72,13 @@ class TestAutocovariance:
         for _ in range(10):
             g = random_graph(rng, 20, 35, weighted=True)
             for t in (0, 1, 3):
-                R = autocovariance_rows(g, np.arange(20), AcParams(t)).scores
+                R = autocovariance_rows(g, np.arange(20), AcParams(t))
                 assert abs(R.sum()) < 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 15, 30, weighted=True)
-        R = autocovariance_rows(g, np.arange(15), AcParams(t=3)).scores
+        R = autocovariance_rows(g, np.arange(15), AcParams(t=3))
         assert np.abs(R - R.T).max() < 1e-10
 
     def test_dense_oracle_equivalence(self):
@@ -89,7 +88,7 @@ class TestAutocovariance:
             g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
                              weighted=bool(trial % 2))
             t = int(rng.integers(0, 6))
-            R = autocovariance_rows(g, np.arange(n), AcParams(t)).scores
+            R = autocovariance_rows(g, np.arange(n), AcParams(t))
             R_ref = dense_autocovariance(g, t)
             assert np.abs(R - R_ref).max() < 1e-10
 
@@ -108,7 +107,7 @@ class TestAutocovariance:
         params = AcParams(t=2)
         pairs = np.array([[1, 0], [1, 2], [1, 3]])
         scores = autocovariance_pairs(g, pairs, params)
-        rows = autocovariance_rows(g, [1], params).scores[0]
+        rows = autocovariance_rows(g, [1], params)[0]
         np.testing.assert_array_equal(scores, rows[[0, 2, 3]])
 
     def test_pairs_match_dense_oracle(self):

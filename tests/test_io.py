@@ -39,6 +39,13 @@ def test_edge_list_bad_line(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_non_integer_header(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("n abc\n0 1\n")
+    with pytest.raises(DataError):
+        read_edge_list(path)
+
+
 def test_attributes_binary_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     X = AttributeMatrix(rng.normal(size=(6, 3)).astype(np.float32))
@@ -61,6 +68,14 @@ def test_attributes_csv_round_trip(tmp_path):
 def test_attributes_truncated_binary(tmp_path):
     path = tmp_path / "attrs.bin"
     path.write_bytes(b"GATR" + b"\x00" * 10)
+    with pytest.raises(DataError):
+        read_attributes(path)
+
+
+def test_attributes_truncated_binary_payload(tmp_path):
+    path = tmp_path / "attrs.bin"
+    write_attributes_binary(path, AttributeMatrix(np.ones((3, 2))))
+    path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(DataError):
         read_attributes(path)
 

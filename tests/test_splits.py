@@ -227,6 +227,19 @@ class TestSplitFile:
         np.testing.assert_array_equal(split2.valid_pos, split.valid_pos)
         np.testing.assert_array_equal(split2.test_pos, split.test_pos)
 
+    @pytest.mark.parametrize("body", [
+        "TRAIN 3\n0 1\n0 2\n",                     # shorter than declared
+        "TRAIN -1\nVALID 0\nTEST 0\n",               # negative count
+        "TRAIN 2\n0 1\nVALID 0\nTEST 0\n",          # next header as a pair
+        "TRAIN two\n0 1\n0 2\nVALID 0\nTEST 0\n",  # non-integer count
+        "TRAIN 1\n0 x\nVALID 0\nTEST 0\n",          # non-integer id
+    ])
+    def test_malformed_sections_are_data_errors(self, tmp_path, body):
+        path = tmp_path / "bad.split"
+        path.write_text("n 4\nseed 0\nratios 0.5 0.25 0.25\n" + body)
+        with pytest.raises(DataError):
+            read_split(path)
+
     def test_excluded_codes_by_phase(self):
         g = random_graph(np.random.default_rng(13), 12, 18,
                          ensure_positive_degree=False)

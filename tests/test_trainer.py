@@ -290,3 +290,45 @@ class TestTrainLoop:
         got = _validation_prec(g, X, split, enh, cfg, params,
                                np.empty((0, 2), dtype=np.int64), None)
         assert got == pytest.approx(best.valid_prec)
+
+
+def test_benchmark_layer_hooks_resolve():
+    """perfbench/spans.py wraps trainer, heuristics and evaluator attributes
+    by name; each must still exist and take the arguments the hooks read.
+    A subprocess keeps the patched modules away from the other tests."""
+    import json
+    import os
+    import subprocess
+    import sys
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
+    code = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import gelato, gelato.evaluator, gelato.heuristics, gelato.trainer, spans
+from conftest import make_attribute_sbm
+tracer, notes = spans.Tracer(), []
+spans.install(tracer, {"trainer": gelato.trainer,
+                       "heuristics": gelato.heuristics,
+                       "evaluator": gelato.evaluator}, notes)
+g, X = make_attribute_sbm(30, seed=0, p_in=0.4, p_out=0.05)
+split = gelato.split_edges(g, (0.7, 0.1, 0.2), 0)
+with tracer.span(spans.TRAIN_PHASE):
+    gelato.train(g, X, split, gelato.EnhancerConfig(eta=0.2, alpha=0.5),
+                 gelato.TrainConfig(epochs=1, batch_count=3, hidden=4,
+                                    neg_cap=3))
+print(json.dumps({"notes": notes, "counters": tracer.counters,
+                  "layers": sorted(tracer.layer_totals()[0])}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "src"),
+         os.path.join(root, "perfbench"), here],
+        capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    assert out["notes"] == []
+    assert out["counters"]["trainer.batches"] == 3
+    assert out["counters"]["heuristics.walk_rows"] > 0
+    assert out["counters"]["enhancer.active_pairs"] > 0
+    assert {"trainer.ac_backward", "trainer.mlp_backward", "trainer.adam",
+            "trainer.validation", "enhancer.augment",
+            "splits.sample_negatives"} <= set(out["layers"])
