@@ -12,8 +12,8 @@ comparison mode is explicitly requested.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, GelatoError, NumericError
-from .graph import (AttributeMatrix, Graph, NodePair, add_self_loops,
-                    build_graph, cosine_pairs, cosine_similarity)
+from .graph import (AttributeMatrix, Graph, add_self_loops, build_graph,
+                    cosine_pairs, cosine_similarity)
 from .io import (load_graph, read_attributes, read_edge_list,
                  write_attributes_binary, write_attributes_csv,
                  write_edge_list)

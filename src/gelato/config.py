@@ -65,6 +65,8 @@ class ExperimentConfig:
                               f"expected one of {MODES}")
         if self.phase not in ("train", "valid", "test"):
             raise ConfigError(f"unknown phase {self.phase!r}")
+        if self.block_size < 1:
+            raise ConfigError("block_size must be >= 1")
         self.enhancer()
         self.trainer()
         return self

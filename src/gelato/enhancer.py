@@ -124,6 +124,8 @@ def load_params(path) -> MlpParams:
     need = hidden * 2 * r + hidden + hidden + 1
     if payload.size != need:
         raise DataError(f"{path}: expected {need} values, got {payload.size}")
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: non-finite parameter values")
     W1 = payload[:hidden * 2 * r].reshape(hidden, 2 * r).copy()
     off = hidden * 2 * r
     b1 = payload[off:off + hidden].copy()

@@ -9,17 +9,10 @@ to share across concurrent readers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-
-
-class NodePair(NamedTuple):
-    u: int
-    v: int
 
 
 class AttributeMatrix:
@@ -142,11 +135,6 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
 
     def weight(self, u: int, v: int) -> float:
         row = self.neighbors(u)

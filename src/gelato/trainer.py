@@ -72,7 +72,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.regime not in ("unbiased", "biased"):
             raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # also rejects nan
             raise ConfigError("lr must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
@@ -80,6 +80,10 @@ class TrainConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.ac_t < 0:
             raise ConfigError("ac_t must be >= 0")
+        if self.hidden < 1:
+            raise ConfigError("hidden must be >= 1")
+        if self.valid_subsample < 1:
+            raise ConfigError("valid_subsample must be >= 1")
 
 
 class EpochRecord(NamedTuple):
@@ -91,31 +95,57 @@ class EpochRecord(NamedTuple):
 
 # -- losses -------------------------------------------------------------------
 
-def npair_loss(pos_scores, neg_scores_per_pos) -> float:
-    """Softmax contrast of each positive against its negative set.
+def _npair(pos, negs):
+    """N-pair loss of P positives against a (P, k) negative matrix, and
+    its gradients w.r.t. both: a row-wise max-shifted softmax."""
+    if negs.shape[1] == 0:
+        return 0.0, np.zeros_like(pos), np.zeros_like(negs)
+    m = np.maximum(pos, negs.max(axis=1))
+    e_pos = np.exp(pos - m)
+    e_neg = np.exp(negs - m[:, None])
+    denom = e_pos + e_neg.sum(axis=1)
+    loss = float(np.sum(np.log(denom) - (pos - m)))
+    return loss, e_pos / denom - 1.0, e_neg / denom[:, None]
 
-    L = -sum_i log(exp(s_i) / (exp(s_i) + sum_j exp(s_ij))), evaluated
-    with the max-shift trick; a positive with no negatives contributes 0.
+
+def _bce(z, labels, a, b):
+    """Mean cross entropy of sigmoid(a * z + b) vs labels; returns the loss
+    and its gradients w.r.t. z, a and b."""
+    x = a * z + b
+    # stable form: max(x, 0) - x*y + log(1 + exp(-|x|))
+    loss = np.maximum(x, 0.0) - x * labels + np.log1p(np.exp(-np.abs(x)))
+    gx = (expit(x) - labels) / len(z)
+    return (float(loss.mean()), a * gx,
+            {"head_a": float(gx @ z), "head_b": float(gx.sum())})
+
+
+def npair_loss(pos_scores, neg_scores) -> float:
+    """Softmax contrast of each positive against its row of negatives.
+
+    L = -sum_i log(exp(s_i) / (exp(s_i) + sum_j exp(s_ij))) for P
+    positives s_i and a (P, k) matrix of negatives s_ij, evaluated with
+    the max-shift trick; with k = 0 the loss is 0.
     """
-    total = 0.0
-    for s, negs in zip(pos_scores, neg_scores_per_pos):
-        negs = np.asarray(negs, dtype=np.float64)
-        if negs.size == 0:
-            continue
-        m = max(float(s), float(negs.max()))
-        denom = np.exp(s - m) + np.exp(negs - m).sum()
-        total += -(s - m) + np.log(denom)
-    return float(total)
+    pos = np.asarray(pos_scores, dtype=np.float64).reshape(-1)
+    try:
+        negs = np.asarray(neg_scores, dtype=np.float64)
+    except ValueError:  # ragged rows
+        negs = None
+    if negs is None or negs.ndim != 2 or len(negs) != len(pos):
+        raise ConfigError(f"negatives must form a ({len(pos)}, k) matrix")
+    return _npair(pos, negs)[0]
 
 
 def bce_loss(scores, labels, a: float = 1.0, b: float = 0.0) -> float:
     """Mean binary cross entropy of sigmoid(a * score + b) vs labels."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    x = a * scores + b
-    # stable form: max(x, 0) - x*y + log(1 + exp(-|x|))
-    loss = np.maximum(x, 0.0) - x * labels + np.log1p(np.exp(-np.abs(x)))
-    return float(loss.mean())
+    return _bce(np.asarray(scores, dtype=np.float64),
+                np.asarray(labels, dtype=np.float64), a, b)[0]
+
+
+def _standardize(scores):
+    """(z-scores, population std); the divisor is floored at 1e-12."""
+    std = float(scores.std())
+    return (scores - scores.mean()) / max(std, _STD_FLOOR), std
 
 
 def standardize_scores(scores) -> np.ndarray:
@@ -123,9 +153,7 @@ def standardize_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ConfigError("cannot standardize an empty score list")
-    mu = scores.mean()
-    sigma = max(float(scores.std()), _STD_FLOOR)
-    return (scores - mu) / sigma
+    return _standardize(scores)[0]
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -176,62 +204,24 @@ def unflatten_params(flat: np.ndarray, r: int, hidden: int, with_head=False):
 class Tape:
     """Reverse-mode record of one batch forward pass.
 
-    Holds the stage outputs needed to replay the pass backward;
-    `backward()` returns the gradient of the loss w.r.t. every trainable
-    parameter. Walk vectors are recomputed per source block rather than
-    stored, which bounds memory at block_size * n per step.
+    Holds the loss gradient w.r.t. the raw scores, which the forward pass
+    computes with the loss, and the stage outputs needed to replay the
+    structure and the MLP backward; `backward()` returns the gradient of
+    the loss w.r.t. every trainable parameter. Walk vectors are recomputed
+    per source block rather than stored, which bounds memory at
+    block_size * n per step.
     """
 
-    def __init__(self, *, params, cfg, eg, scored, group_sizes, labels,
-                 head, z, sigma, floored, ac, mlp_cache):
+    def __init__(self, *, params, cfg, eg, scored, g_raw, head_grads, ac,
+                 mlp_cache):
         self.params = params
         self.cfg = cfg
         self.eg = eg
         self.scored = scored
-        self.group_sizes = group_sizes
-        self.labels = labels
-        self.head = head
-        self.z = z
-        self.sigma = sigma
-        self.floored = floored
+        self.g_raw = g_raw            # loss gradient w.r.t. the raw scores
+        self.head_grads = head_grads  # head_a/head_b under BCE, else empty
         self.ac = ac                  # dict of AC-stage records, None if direct
         self.mlp_cache = mlp_cache    # mlp_forward intermediates, if it ran
-
-    # gradient of the loss w.r.t. the standardized scores
-    def _loss_backward(self):
-        z = self.z
-        head_grads = {}
-        if self.cfg.loss == "npair":
-            P = len(self.group_sizes)
-            pos, negs = z[:P], z[P:]
-            offsets = np.concatenate([[0], np.cumsum(self.group_sizes)])
-            gz = np.zeros_like(z)
-            nonempty = self.group_sizes > 0
-            gmax = pos.copy()
-            if negs.size:
-                seg = np.maximum.reduceat(negs, offsets[:-1][nonempty])
-                gmax[nonempty] = np.maximum(gmax[nonempty], seg)
-            e_pos = np.exp(pos - gmax)
-            group_of_neg = np.repeat(np.arange(P), self.group_sizes)
-            e_neg = np.exp(negs - gmax[group_of_neg])
-            denom = e_pos.copy()
-            if negs.size:
-                denom[nonempty] += np.add.reduceat(e_neg, offsets[:-1][nonempty])
-            gz[:P] = np.where(nonempty, e_pos / denom - 1.0, 0.0)
-            gz[P:] = e_neg / denom[group_of_neg]
-        else:
-            a, b = self.head
-            x = a * z + b
-            p = expit(x)
-            gx = (p - self.labels) / len(z)
-            gz = a * gx
-            head_grads = {"head_a": float(gx @ z), "head_b": float(gx.sum())}
-        return gz, head_grads
-
-    def _standardize_backward(self, gz):
-        if self.floored:
-            return (gz - gz.mean()) / self.sigma
-        return (gz - gz.mean() - self.z * np.mean(gz * self.z)) / self.sigma
 
     def _ac_backward(self, g_raw):
         """Gradient w.r.t. the per-pair combined weights of the structure."""
@@ -323,11 +313,9 @@ class Tape:
         return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
 
     def backward(self) -> dict:
-        gz, head_grads = self._loss_backward()
-        g_raw = self._standardize_backward(gz)
-        g_w = self._ac_backward(g_raw) if self.ac is not None else g_raw
+        g_w = self.g_raw if self.ac is None else self._ac_backward(self.g_raw)
         grads = self._mlp_backward(g_w)
-        grads.update(head_grads)
+        grads.update(self.head_grads)
         return grads
 
 
@@ -336,16 +324,13 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
              added_pairs, pair_ids, epoch: int, head,
              training: bool, want_tape: bool, cos=None, Z=None):
     pos = np.asarray(batch.batch_pos, dtype=np.int64).reshape(-1, 2)
-    negs = batch.negatives
-    negs = (np.empty((0, 2), dtype=np.int64) if negs is None
-            else np.asarray(negs, dtype=np.int64).reshape(-1, 2))
+    negs = np.asarray([] if batch.negatives is None else batch.negatives,
+                      dtype=np.int64).reshape(-1, 2)
+    if not len(pos) or len(negs) % len(pos):
+        raise ConfigError(f"{len(negs)} negatives do not split evenly over "
+                          f"{len(pos)} positives")
+    k = len(negs) // len(pos)  # positive i vs negatives i*k .. (i+1)*k - 1
     scored = np.vstack([pos, negs])
-    if len(scored) == 0:
-        raise ConfigError("empty batch: nothing to score")
-    group_sizes = np.array([len(c) for c in
-                            np.array_split(np.arange(len(negs)), len(pos))]) \
-        if len(pos) else np.zeros(0, dtype=np.int64)
-    labels = np.concatenate([np.ones(len(pos)), np.zeros(len(negs))])
     drop_key = derive(cfg.seed, _DROP_TAG, epoch)
 
     if cfg.direct_mlp:
@@ -361,7 +346,8 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
         residual = np.asarray(batch.residual_edges, dtype=np.int64).reshape(-1, 2)
         res_w = g.pair_weights(residual)
         eg = assemble_enhanced(
-            X, params, enh_cfg, g.n, residual, res_w, added_pairs,
+            X, params, enh_cfg, g.n, residual, res_w,
+            () if added_pairs is None else added_pairs,
             training=training, dropout_rate=cfg.dropout if training else 0.0,
             dropout_key=drop_key, pair_ids=pair_ids, cos=cos, Z=Z,
             keep_cache=want_tape)
@@ -378,39 +364,34 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
               "arc_rows": eg.graph.row_of_arcs()}
         mlp_cache = eg.mlp_cache
 
-    std = float(raw.std())
-    floored = std < _STD_FLOOR
-    sigma = max(std, _STD_FLOOR)
-    z = (raw - raw.mean()) / sigma
-
-    P_cnt = len(pos)
+    z, std = _standardize(raw)
     if cfg.loss == "npair":
-        offsets = np.concatenate([[0], np.cumsum(group_sizes)]).astype(int)
-        neg_groups = [z[P_cnt + offsets[i]:P_cnt + offsets[i + 1]]
-                      for i in range(P_cnt)]
-        loss = npair_loss(z[:P_cnt], neg_groups)
+        loss, g_pos, g_neg = _npair(z[:len(pos)],
+                                    z[len(pos):].reshape(len(pos), k))
+        gz, head_grads = np.concatenate([g_pos, g_neg.ravel()]), {}
     else:
+        labels = (np.arange(len(z)) < len(pos)).astype(np.float64)
         a, b = head if head is not None else (1.0, 0.0)
-        loss = bce_loss(z, labels, a, b)
+        loss, gz, head_grads = _bce(z, labels, a, b)
 
     if not want_tape:
         return loss, None
-    tape = Tape(params=params, cfg=cfg, eg=eg, scored=scored,
-                group_sizes=group_sizes, labels=labels,
-                head=head if head is not None else (1.0, 0.0),
-                z=z, sigma=sigma, floored=floored, ac=ac,
-                mlp_cache=mlp_cache)
-    return loss, tape
+    # through the z-score; a floored sigma is a constant
+    g_raw = gz - gz.mean()
+    if std >= _STD_FLOOR:
+        g_raw = g_raw - z * np.mean(gz * z)
+    return loss, Tape(params=params, cfg=cfg, eg=eg, scored=scored,
+                      g_raw=g_raw / max(std, _STD_FLOOR),
+                      head_grads=head_grads, ac=ac, mlp_cache=mlp_cache)
 
 
 def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=None,
                  pair_ids=None, epoch: int = 1, head=None,
                  training: bool = False, cos=None, Z=None) -> float:
     """Loss of one batch without gradients (finite-difference probes)."""
-    added = added_pairs if added_pairs is not None \
-        else np.empty((0, 2), dtype=np.int64)
-    loss, _ = _forward(g, X, params, enh_cfg, cfg, batch, added, pair_ids,
-                       epoch, head, training, want_tape=False, cos=cos, Z=Z)
+    loss, _ = _forward(g, X, params, enh_cfg, cfg, batch, added_pairs,
+                       pair_ids, epoch, head, training, want_tape=False,
+                       cos=cos, Z=Z)
     return loss
 
 
@@ -423,11 +404,9 @@ def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=None,
     under the cross-entropy loss) to arrays. Non-finite values are
     returned as-is; callers decide whether to skip the update.
     """
-    added = added_pairs if added_pairs is not None \
-        else np.empty((0, 2), dtype=np.int64)
-    loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, added, pair_ids,
-                          epoch, head, training, want_tape=True, cos=cos,
-                          Z=Z)
+    loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, added_pairs,
+                          pair_ids, epoch, head, training, want_tape=True,
+                          cos=cos, Z=Z)
     return loss, tape.backward()
 
 
@@ -545,10 +524,9 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             if not grads_finite(loss, grads):
                 skipped += 1
                 continue
-            gflat = flatten_params(
-                MlpParams(grads["W1"], grads["b1"], grads["W2"], grads["b2"]),
-                np.array([grads["head_a"], grads["head_b"]])
-                if head is not None else None)
+            # flatten_params order; head_a/head_b only under BCE
+            gflat = np.concatenate([np.ravel(grads[name]) for name in (
+                "W1", "b1", "W2", "b2", "head_a", "head_b") if name in grads])
             flat = adam_update(adam, flat, gflat, cfg.lr)
             if head is not None:
                 params, head = unflatten_params(flat, X.r, cfg.hidden,

@@ -206,8 +206,12 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
     assert rc == 2
 
 
-def test_show_config_rejects_invalid_values(capsys):
-    assert main(["show-config", "--lr", "-1"]) == 2
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "-1"), ("--lr", "nan"), ("--hidden", "0"),
+    ("--valid-subsample", "-5"), ("--block-size", "0"),
+])
+def test_show_config_rejects_invalid_values(capsys, flag, value):
+    assert main(["show-config", flag, value]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -245,6 +249,17 @@ def test_checkpoint_width_mismatch_is_data_error(dataset, tmp_path):
     rc = main(["eval", "--edges", dataset["edges"], "--attributes",
                dataset["attrs"], "--split", dataset["split"],
                "--mode", "gelato", "--checkpoint", str(ck)])
+    assert rc == 3
+
+
+def test_checkpoint_non_finite_is_data_error(dataset, tmp_path):
+    params = gelato.init_mlp_params(dataset["X"].r, 4)
+    params.W2[0] = np.nan
+    ck = tmp_path / "nan.gpar"
+    gelato.save_params(ck, params)
+    rc = main(["eval", "--edges", dataset["edges"], "--attributes",
+               dataset["attrs"], "--split", dataset["split"],
+               "--mode", "gelato", "--hidden", "4", "--checkpoint", str(ck)])
     assert rc == 3
 
 

@@ -215,3 +215,11 @@ class TestEnhancedGraph:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(gelato.DataError):
             load_params(path)
+
+    def test_checkpoint_non_finite_values(self, tmp_path):
+        params = init_mlp_params(3, hidden=4, seed=0)
+        params.W1[1, 2] = np.inf
+        path = tmp_path / "inf.gpar"
+        save_params(path, params)
+        with pytest.raises(gelato.DataError, match="non-finite"):
+            load_params(path)

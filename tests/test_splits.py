@@ -233,6 +233,12 @@ class TestSplitFile:
         "TRAIN 2\n0 1\nVALID 0\nTEST 0\n",          # next header as a pair
         "TRAIN two\n0 1\n0 2\nVALID 0\nTEST 0\n",  # non-integer count
         "TRAIN 1\n0 x\nVALID 0\nTEST 0\n",          # non-integer id
+        "TRAIN 1\n0 1\nVALID 1\n0 9\nTEST 0\n",    # id >= n
+        "TRAIN 1\n-1 2\nVALID 0\nTEST 0\n",         # negative id
+        "TRAIN 1\n0 1\nVALID 0\nTEST 1\n3 1\n",    # u > v
+        "TRAIN 1\n2 2\nVALID 0\nTEST 0\n",          # u == v
+        "TRAIN 2\n0 1\n0 1\nVALID 0\nTEST 0\n",    # twice in a section
+        "TRAIN 1\n0 1\nVALID 1\n0 1\nTEST 0\n",    # twice across sections
     ])
     def test_malformed_sections_are_data_errors(self, tmp_path, body):
         path = tmp_path / "bad.split"

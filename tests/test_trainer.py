@@ -38,6 +38,12 @@ class TestNpairLoss:
         assert np.isfinite(npair_loss([1000.0], [[990.0, 995.0]]))
         assert np.isfinite(npair_loss([-1000.0], [[-990.0]]))
 
+    @pytest.mark.parametrize("negs", [[[0.5], [1.0, 2.0]], [[0.5, 1.0]],
+                                      [0.5, 1.0]])
+    def test_negatives_must_be_a_row_per_positive(self, negs):
+        with pytest.raises(ConfigError):
+            npair_loss([0.0, 1.0], negs)
+
 
 class TestBceLoss:
     def test_half_probability(self):
@@ -145,6 +151,20 @@ class TestGradients:
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_allclose(grads2[name], 2 * np.asarray(grads1[name]),
                                        rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("loss_kind", ["npair", "bce"])
+    def test_uneven_negatives_rejected(self, loss_kind):
+        g, X, params, enh, cfg, batch, added, head = \
+            _gradcheck_instance(17, loss_kind)
+        uneven = [MaskedBatch(batch.batch_pos, batch.residual_edges,
+                              batch.negatives[:-1]),
+                  MaskedBatch(batch.batch_pos[:0], batch.residual_edges,
+                              batch.negatives)]
+        for bad in uneven:
+            for fn in (compute_gradients, forward_loss):
+                with pytest.raises(ConfigError, match="split evenly"):
+                    fn(g, X, params, enh, cfg, bad, added_pairs=added,
+                       head=head)
 
     def test_gradients_with_dropout_match_fd(self):
         # counter-keyed masks are deterministic, so FD stays consistent
