@@ -25,8 +25,8 @@ from .graph import add_self_loops
 from .io import load_graph, read_attributes
 from .scorers import (AutocovarianceScorer, CosineScorer,
                       LocalHeuristicScorer, MlpScorer)
-from .splits import (negative_pool_size, read_split, split_edges,
-                     train_graph, write_split)
+from .splits import (negative_pool_size, pair_codes, read_split,
+                     split_edges, train_graph, write_split)
 from .trainer import train
 
 
@@ -78,6 +78,13 @@ def _load_split(cfg, g):
     split = read_split(cfg.split)
     if split.n != g.n:
         raise DataError(f"split node count ({split.n}) != graph ({g.n})")
+    # the sections must partition exactly the graph's edges (edge_pairs
+    # lists them in ascending code order)
+    listed = np.sort(pair_codes(np.vstack(
+        [split.train_pos, split.valid_pos, split.test_pos]), g.n))
+    if not np.array_equal(listed, pair_codes(g.edge_pairs(), g.n)):
+        raise DataError(f"split {cfg.split} does not list exactly the "
+                        "edges of the graph")
     return split
 
 

@@ -223,8 +223,8 @@ def build_graph(edges, n: int, undirected: bool = True,
         lo, hi = np.minimum(u, v), np.maximum(u, v)
     else:
         lo, hi = u, v
-    codes = lo * n + hi
-    if len(np.unique(codes)) != len(codes):
+    codes = np.sort(lo * n + hi)
+    if (codes[1:] == codes[:-1]).any():
         raise DataError("duplicate edges in input")
 
     loops = u == v

@@ -13,7 +13,10 @@ vol, and transition matrix P = D^-1 A is
 the gap between the t-step and stationary co-visit probabilities of a
 random walk. Rows of R are computed by repeated vector-times-sparse-matrix
 products and streamed in source blocks; the full n x n matrix is never
-materialized. All arithmetic is float64.
+materialized. Evaluation always scores this way, and so does training
+where P is dense; training batches on sparser structure look their
+pairs up in the sparse matrix P^t instead (see `gelato.trainer`). All
+arithmetic is float64.
 """
 
 from __future__ import annotations

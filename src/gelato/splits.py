@@ -21,6 +21,7 @@ float representation error in the ratios.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ PHASES = ("train", "valid", "test")
 
 _NEG_TAG = 0x6E656773  # stream namespace for negative sampling
 _BATCH_TAG = 0x62617463  # stream namespace for batch partitions
+
+# the lines of a split section, each exactly two whitespace-separated tokens
+_PAIR_LINES = re.compile(r"\S+[^\S\n]+\S+(?:\n\S+[^\S\n]+\S+)*")
 
 
 @dataclass
@@ -73,6 +77,22 @@ def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
     """Encode canonical pairs as u * n + v for set arithmetic."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0] * n + pairs[:, 1]
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Mask keeping the first occurrence of each value, in input order.
+
+    An unstable argsort groups equal values and each group keeps its
+    smallest position: the same mask as np.unique(return_index=True),
+    whose stable argsort costs several times more.
+    """
+    order = np.argsort(codes)
+    ranked = codes[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    keep = np.zeros(len(codes), dtype=bool)
+    if len(codes):
+        keep[np.minimum.reduceat(order, starts)] = True
+    return keep
 
 
 def train_graph(g: Graph, split: EdgeSplit) -> Graph:
@@ -158,11 +178,9 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
     n = split.n
     excl = excluded_codes(split, phase)
     stream = Stream(derive(seed, _NEG_TAG))
-    chosen = []
-    chosen_sorted = np.empty(0, dtype=np.int64)
-    need = count
-    while need > 0:
-        k = max(64, int(need * 1.4) + 16)
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < count:
+        k = max(64, int((count - len(chosen)) * 1.4) + 16)
         us = stream.below(n, k)
         vs = stream.below(n, k)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
@@ -172,19 +190,11 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
             pos = np.searchsorted(excl, codes)
             pos = np.minimum(pos, len(excl) - 1)
             codes = codes[excl[pos] != codes]
-        # dedup within the draw, preserving first-draw order
-        _, first = np.unique(codes, return_index=True)
-        codes = codes[np.sort(first)]
-        if len(chosen_sorted):
-            fresh = ~np.isin(codes, chosen_sorted, assume_unique=False)
-            codes = codes[fresh]
-        take = codes[:need]
-        if len(take):
-            chosen.append(take)
-            chosen_sorted = np.sort(np.concatenate(chosen))
-            need = count - len(chosen_sorted)
-    codes = np.concatenate(chosen)
-    return np.column_stack([codes // n, codes % n])
+        codes = codes[_first_occurrences(codes)]
+        if len(chosen):
+            codes = codes[~np.isin(codes, chosen)]
+        chosen = np.concatenate([chosen, codes[:count - len(chosen)]])
+    return np.column_stack([chosen // n, chosen % n])
 
 
 def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,
@@ -259,11 +269,14 @@ def read_split(path) -> EdgeSplit:
             if count < 0 or i + 1 + count > len(lines):
                 raise DataError(f"{path}: section {name} declares {count} "
                                 f"pairs but {len(lines) - i - 1} lines follow")
-            rows = [tuple(map(int, lines[j].split()))
-                    for j in range(i + 1, i + 1 + count)]
-            sections[name] = np.asarray(rows, dtype=np.int64).reshape(count, 2)
+            body = "\n".join(lines[i + 1:i + 1 + count])
+            if count and not _PAIR_LINES.fullmatch(body):
+                raise DataError(f"{path}: section {name} has a line that is "
+                                "not two ids")
+            sections[name] = np.array(body.split(),
+                                      dtype=np.int64).reshape(count, 2)
             i += 1 + count
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"bad split section in {path}: {exc}") from exc
     for name in ("TRAIN", "VALID", "TEST"):
         if name not in sections:

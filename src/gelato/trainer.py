@@ -13,11 +13,21 @@ The forward pass per masked batch is
 and the Tape records enough of it to replay backward analytically:
 gradients flow through the similarity entries, the transition matrix,
 the degree vector and volume (all functions of the learned weights), the
-zero-clamp (subgradient 0 where clamped), and the MLP. Batches whose
-loss or gradient has any non-finite component are skipped and counted
-rather than applied. The best epoch is selected by prec@100% on the
-unbiased validation pool (streamed exactly when small, otherwise a
-fixed-seed subsample shared by all epochs).
+zero-clamp (subgradient 0 where clamped), and the MLP.
+
+The walk of a batch, T = P^t at its scored pairs and its gradient w.r.t.
+P, is one whole-batch kernel chosen from the fill of P. While P is
+sparse, pairs are looked up in the sparse matrix P^t and the gradient
+is formed by sparse products sampled on P's arcs, so the work follows
+the support of the products, not n. Once P fills 1.5% of n^2, the walk
+runs as dense rows per block of 256 sources, as the evaluator's scorers
+do, and the gradient is built per block of 256 columns; memory stays at
+a few block x n arrays.
+
+Batches whose loss or gradient has any non-finite component are skipped
+and counted rather than applied. The best epoch is selected by prec@100%
+on the unbiased validation pool (streamed exactly when small, otherwise
+a fixed-seed subsample shared by all epochs).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
@@ -34,8 +45,7 @@ from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
 from .graph import AttributeMatrix, Graph
-from .heuristics import (pair_scores, source_blocks, transition_matrix,
-                         _walk_hits)
+from .heuristics import pair_scores, transition_matrix, _walk_hits
 from .rng import derive
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size, pair_codes,
                      positive_masking_batches, sample_negatives, train_graph)
@@ -199,6 +209,172 @@ def unflatten_params(flat: np.ndarray, r: int, hidden: int, with_head=False):
     return params
 
 
+# -- the training walk --------------------------------------------------------
+#
+# A batch needs T_uv = (P^t)_uv at its scored pairs and, for a loss gradient
+# g_p at each pair, the gradient w.r.t. P's entries
+#
+#     dL/dP = sum_{k<t} (P^T)^k G (P^T)^(t-1-k),   sampled on P's arcs,
+#
+# where G holds g_p at (u_p, v_p), duplicates summed. Both kernels compute
+# exactly this; they differ in where the work goes.
+
+# P filling more than this share of n^2 sends a batch to the dense side.
+# The sparse side's cost follows the support of the products and the
+# number of scored pairs, the dense side's n times the arcs of P. On
+# random graphs of 400-2708 nodes (t = 3, 15k-366k scored pairs) the two
+# cost the same where P fills between 0.6% and 2.4% of n^2 (less with
+# fewer scored pairs), whatever the fill of P^3.
+_DENSE_FILL = 0.015
+
+
+def _product(A, B):
+    """A @ B as CSR with sorted rows: scipy's product leaves rows unsorted,
+    and forming it column-major then converting sorts them in linear time."""
+    return (A.tocsc() @ B.tocsc()).tocsr()
+
+
+def _values_at(M, codes):
+    """Entries of the sorted CSR matrix M at flat codes u * n + v (0 where
+    M has none)."""
+    if not M.nnz:
+        return np.zeros(len(codes))
+    n = M.shape[1]
+    own = (np.repeat(np.arange(M.shape[0], dtype=np.int64),
+                     np.diff(M.indptr)) * n + M.indices)
+    pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
+    return np.where(own[pos] == codes, M.data[pos], 0.0)
+
+
+def _row_entries(M, rows):
+    """Stored entries of the given rows of CSR M, row after row:
+    (position in `rows`, column, value)."""
+    starts = M.indptr[rows]
+    counts = M.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    at = (np.arange(len(owner))
+          + np.repeat(starts - (np.cumsum(counts) - counts), counts))
+    return owner, M.indices[at].astype(np.int64), M.data[at]
+
+
+def _in_code_order(arc, codes, weights):
+    order = np.argsort(codes)
+    return arc[order], codes[order], weights[order]
+
+
+class _SparseWalk:
+    """The walk on the support of P^t: scored pairs are looked up in the
+    sparse matrix P^t, and the gradient is built meet-in-the-middle from
+    sparse products with G, touching only the support of each product."""
+
+    def __init__(self, P, pairs, t, Pt):
+        n = P.shape[0]
+        codes = pairs[:, 0] * n + pairs[:, 1]
+        order = np.argsort(codes)
+        ranked = codes[order]
+        first = np.r_[True, ranked[1:] != ranked[:-1]]
+        self.P, self.t, self.n = P, t, n
+        self.keys = ranked[first]                 # sorted distinct codes
+        self.inverse = np.empty(len(codes), dtype=np.int64)
+        self.inverse[order] = np.cumsum(first) - 1
+        self.values = _values_at(Pt, self.keys)[self.inverse]
+
+    def grad(self, g):
+        """dL/dP on P's arcs for the loss gradient g at the pairs.
+
+        With M_k = (P^T)^k G (P^T)^(t-2-k), term k < t-1 of the sum at arc
+        (i, j) is sum_l M_k[i, l] P[j, l], and the last term is
+        sum_l P[l, i] M_{t-2}[l, j]: each visits row j or column i of P.
+        """
+        P, t, n = self.P, self.t, self.n
+        if t == 0:
+            return np.zeros(P.nnz)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
+        cols = P.indices.astype(np.int64)
+        G = sparse.csr_matrix(
+            (np.bincount(self.inverse, weights=g), self.keys % n,
+             np.searchsorted(self.keys, np.arange(n + 1) * n)), shape=(n, n))
+        if t == 1:
+            return _values_at(G, rows * n + cols)
+        PT = P.T
+        # (arc, code looked up, P's entry): row j of P meets M_k at (i, l),
+        # column i of P meets M_{t-2} at (l, j); in code order, the
+        # searches of _values_at walk the matrix forward
+        arc, l, w = _row_entries(P, cols)
+        by_row = _in_code_order(arc, rows[arc] * n + l, w)
+        arc, l, w = _row_entries(PT.tocsr(), rows)
+        by_col = _in_code_order(arc, l * n + cols[arc], w)
+        out = np.zeros(P.nnz)
+        L = G                                 # (P^T)^k G
+        for k in range(t - 1):
+            M = L
+            for _ in range(t - 2 - k):
+                M = _product(M, PT)
+            out += np.bincount(by_row[0], minlength=P.nnz, weights=(
+                _values_at(M, by_row[1]) * by_row[2]))
+            if k < t - 2:
+                L = _product(PT, L)
+        return out + np.bincount(by_col[0], minlength=P.nnz, weights=(
+            _values_at(L, by_col[1]) * by_col[2]))
+
+
+class _DenseWalk:
+    """The walk as dense rows per block of `block_size` nodes, for a P too
+    full for the sparse side. Scored pairs are read off rows of P^t,
+    walked from each block of sources; the gradient is built one block
+    of columns at a time and needs no n x n array."""
+
+    block_size = 256
+
+    def __init__(self, P, pairs, t):
+        self.P, self.t, self.pairs = P, t, pairs
+        self.values = pair_scores(lambda blk: _walk_hits(P, blk, t), pairs,
+                                  self.block_size)
+
+    def grad(self, g):
+        """dL/dP on P's arcs for the loss gradient g at the pairs.
+
+        Columns C of G (P^T)^m are G times the transposed rows C of P^m,
+        so the columns C of the sum come right to left: acc = G W_0^T,
+        then acc = P^T acc + G W_m^T for m = 1 .. t-1, with W_m the rows
+        C of P^m.
+        """
+        P, t = self.P, self.t
+        n = P.shape[0]
+        out = np.zeros(P.nnz)
+        if t == 0:
+            return out
+        G = sparse.csr_matrix((g, (self.pairs[:, 0], self.pairs[:, 1])),
+                              shape=(n, n))
+        PT = P.T.tocsr()
+        rows = np.repeat(np.arange(n), np.diff(P.indptr))
+        by_col = np.lexsort((rows, P.indices))     # arcs column by column
+        col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
+        for lo in range(0, n, self.block_size):
+            hi = min(n, lo + self.block_size)
+            W = np.zeros((hi - lo, n))
+            W[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+            acc = G @ W.T
+            for _ in range(t - 1):
+                W = W @ P
+                acc = PT @ acc + G @ W.T
+            arcs = by_col[col_start[lo]:col_start[hi]]
+            out[arcs] = acc[rows[arcs], P.indices[arcs] - lo]
+        return out
+
+
+def _walk(P, pairs, t):
+    """The batch's walk kernel: dense when P fills more than _DENSE_FILL
+    of n^2, otherwise sparse with P^t formed by sparse products."""
+    n = P.shape[0]
+    if P.nnz > _DENSE_FILL * n * n:
+        return _DenseWalk(P, pairs, t)
+    Pt = sparse.identity(n, format="csr") if t == 0 else P
+    for _ in range(t - 1):
+        Pt = _product(Pt, P)
+    return _SparseWalk(P, pairs, t, Pt)
+
+
 # -- forward + tape -----------------------------------------------------------
 
 class Tape:
@@ -207,12 +383,12 @@ class Tape:
     Holds the loss gradient w.r.t. the raw scores, which the forward pass
     computes with the loss, and the stage outputs needed to replay the
     structure and the MLP backward; `backward()` returns the gradient of
-    the loss w.r.t. every trainable parameter. Walk vectors are recomputed
-    per source block rather than stored, which bounds memory at
-    block_size * n per step.
+    the loss w.r.t. every trainable parameter. The walk's share of the
+    backward pass is the gradient kernel of the batch's `_SparseWalk` or
+    `_DenseWalk` (see `_walk`).
     """
 
-    def __init__(self, *, params, cfg, eg, scored, g_raw, head_grads, ac,
+    def __init__(self, *, params, cfg, eg, scored, g_raw, head_grads, walk,
                  mlp_cache):
         self.params = params
         self.cfg = cfg
@@ -220,63 +396,29 @@ class Tape:
         self.scored = scored
         self.g_raw = g_raw            # loss gradient w.r.t. the raw scores
         self.head_grads = head_grads  # head_a/head_b under BCE, else empty
-        self.ac = ac                  # dict of AC-stage records, None if direct
+        self.walk = walk              # the batch's walk kernel, None if direct
         self.mlp_cache = mlp_cache    # mlp_forward intermediates, if it ran
 
     def _ac_backward(self, g_raw):
         """Gradient w.r.t. the per-pair combined weights of the structure."""
-        rec = self.ac
         eg = self.eg
         graph = eg.graph
-        d = graph.degrees
-        vol = graph.volume
+        n, d, vol = graph.n, graph.degrees, graph.volume
         u, v = self.scored[:, 0], self.scored[:, 1]
-        du, dv, T = d[u], d[v], rec["T"]
+        du, dv, T = d[u], d[v], self.walk.values
 
-        gT = g_raw * du / vol
-        g_d = np.zeros(graph.n)
-        np.add.at(g_d, u, g_raw * (T / vol - dv / vol ** 2))
-        np.add.at(g_d, v, g_raw * (-du / vol ** 2))
+        g_d = (np.bincount(u, weights=g_raw * (T / vol - dv / vol ** 2),
+                           minlength=n)
+               + np.bincount(v, weights=g_raw * (-du / vol ** 2),
+                             minlength=n))
         g_vol = float(np.sum(g_raw * (-du * T / vol ** 2
                                       + 2.0 * du * dv / vol ** 3)))
+        gP_data = self.walk.grad(g_raw * du / vol)
 
-        P = rec["P"]
-        arc_rows = rec["arc_rows"]
-        gP_data = np.zeros(len(graph.data))
-        t = self.cfg.ac_t
-        # an n x n temp for the sparse one-hop shortcut is fine up to here
-        dense_ok = graph.n <= 4096
-        if t >= 1:
-            for blk, sel, row in rec["blocks"]:
-                one_hop = P[blk] if t > 1 else None
-                if t > 2 or (t == 2 and not dense_ok):
-                    steps = [None, one_hop.toarray()]
-                    for _ in range(t - 2):
-                        steps.append(steps[-1] @ P)
-                Y = np.zeros((len(blk), graph.n))
-                np.add.at(Y, (row, v[sel]), gT[sel])
-                for k in range(t, 0, -1):
-                    if k == 1:
-                        # X_0 is the source selector: only arcs leaving a
-                        # source in this block receive mass
-                        pos = np.minimum(np.searchsorted(blk, arc_rows),
-                                         len(blk) - 1)
-                        hit = blk[pos] == arc_rows
-                        gP_data[hit] += Y[pos[hit], graph.indices[hit]]
-                    elif k == 2 and dense_ok:
-                        # X_1 rows are sparse: sample X_1^T Y at the pattern
-                        D = one_hop.T @ Y
-                        gP_data += D[arc_rows, graph.indices]
-                    else:
-                        Xk = steps[k - 1]
-                        gP_data += np.einsum("bi,bi->i", Xk[:, arc_rows],
-                                             Y[:, graph.indices])
-                    if k > 1:
-                        Y = Y @ P.T
-
+        arc_rows = graph.row_of_arcs()
         gA = gP_data / d[arc_rows]
-        row_dot = np.bincount(arc_rows, weights=gP_data * P.data,
-                              minlength=graph.n)
+        row_dot = np.bincount(arc_rows, weights=gP_data * self.walk.P.data,
+                              minlength=n)
         g_d -= row_dot / d
         g_d += g_vol
         gA += g_d[arc_rows]
@@ -313,7 +455,8 @@ class Tape:
         return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
 
     def backward(self) -> dict:
-        g_w = self.g_raw if self.ac is None else self._ac_backward(self.g_raw)
+        g_w = self.g_raw if self.walk is None else self._ac_backward(
+            self.g_raw)
         grads = self._mlp_backward(g_w)
         grads.update(self.head_grads)
         return grads
@@ -341,7 +484,7 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
         mlp_cache = {} if want_tape else None
         raw = mlp_forward(params, pair_features(X, scored), mask,
                           cfg.dropout, cache=mlp_cache)
-        eg, ac = None, None
+        eg, walk = None, None
     else:
         residual = np.asarray(batch.residual_edges, dtype=np.int64).reshape(-1, 2)
         res_w = g.pair_weights(residual)
@@ -351,17 +494,11 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
             training=training, dropout_rate=cfg.dropout if training else 0.0,
             dropout_key=drop_key, pair_ids=pair_ids, cos=cos, Z=Z,
             keep_cache=want_tape)
-        P = transition_matrix(eg.graph)
+        walk = _walk(transition_matrix(eg.graph), scored, cfg.ac_t)
         d = eg.graph.degrees
         vol = eg.graph.volume
-        # grouped once; the backward replays the walk over the same blocks
-        blocks = list(source_blocks(scored[:, 0]))
-        T = pair_scores(lambda blk: _walk_hits(P, blk, cfg.ac_t), scored,
-                        blocks=blocks)
-        raw = ((d[scored[:, 0]] / vol) * T
+        raw = ((d[scored[:, 0]] / vol) * walk.values
                - d[scored[:, 0]] * d[scored[:, 1]] / vol ** 2)
-        ac = {"T": T, "P": P, "blocks": blocks,
-              "arc_rows": eg.graph.row_of_arcs()}
         mlp_cache = eg.mlp_cache
 
     z, std = _standardize(raw)
@@ -382,7 +519,7 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
         g_raw = g_raw - z * np.mean(gz * z)
     return loss, Tape(params=params, cfg=cfg, eg=eg, scored=scored,
                       g_raw=g_raw / max(std, _STD_FLOOR),
-                      head_grads=head_grads, ac=ac, mlp_cache=mlp_cache)
+                      head_grads=head_grads, walk=walk, mlp_cache=mlp_cache)
 
 
 def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=None,

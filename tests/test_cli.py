@@ -263,6 +263,20 @@ def test_checkpoint_non_finite_is_data_error(dataset, tmp_path):
     assert rc == 3
 
 
+def test_split_of_another_graph_is_data_error(tmp_path):
+    # a valid 5-node split whose TRAIN edge 0-4 the graph does not have
+    split = tmp_path / "five.split"
+    split.write_text("# gelato edge split\nn 5\nseed 0\n"
+                     "ratios 0.6 0.2 0.2\nTRAIN 4\n0 4\n1 2\n2 3\n3 4\n"
+                     "VALID 1\n0 2\nTEST 1\n1 3\n")
+    own, other = tmp_path / "own.edges", tmp_path / "other.edges"
+    own.write_text("n 5\n0 4\n1 2\n2 3\n3 4\n0 2\n1 3\n")
+    other.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n0 2\n1 3\n")
+    args = ["baseline", "--kind", "cn", "--prec", "1.0", "--split", str(split)]
+    assert main(args + ["--edges", str(own)]) == 0
+    assert main(args + ["--edges", str(other)]) == 3
+
+
 def test_config_unknown_key():
     with pytest.raises(gelato.ConfigError):
         config_from_text("frobnicate 3\n")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gelato
 from gelato import (build_graph, negative_pool_size, positive_masking_batches,
                     read_split, sample_negatives, split_edges, write_split)
 from gelato.errors import ConfigError, DataError
-from gelato.splits import excluded_codes, pair_codes
+from gelato.rng import Stream, derive
+from gelato.splits import _NEG_TAG, excluded_codes, pair_codes
 
 from conftest import enumerate_pool, random_graph
 
@@ -171,6 +173,47 @@ class TestSampleNegatives:
         out = sample_negatives(g, split, "test", 40, seed=1)
         codes = pair_codes(out, g.n)
         assert len(np.unique(codes)) == len(codes)
+
+    @staticmethod
+    def _one_at_a_time(split, phase, count, seed):
+        """The sampler's draws taken one pair at a time: a pair is kept
+        unless it is a self-pair, excluded, or already kept."""
+        n = split.n
+        excluded = set(excluded_codes(split, phase).tolist())
+        stream = Stream(derive(seed, _NEG_TAG))
+        kept, seen = [], set()
+        while len(kept) < count:
+            k = max(64, int((count - len(kept)) * 1.4) + 16)
+            us, vs = stream.below(n, k).tolist(), stream.below(n, k).tolist()
+            for u, v in zip(us, vs):
+                u, v = min(u, v), max(u, v)
+                code = u * n + v
+                if (u != v and code not in excluded and code not in seen
+                        and len(kept) < count):
+                    seen.add(code)
+                    kept.append((u, v))
+        return kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 24), density=st.floats(0.1, 0.6),
+           graph_seed=st.integers(0, 2 ** 16),
+           phase=st.sampled_from(["train", "valid", "test"]),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1))
+    def test_properties(self, n, density, graph_seed, phase, fraction, seed):
+        g = random_graph(np.random.default_rng(graph_seed), n,
+                         max(3, int(density * n * (n - 1) / 2)),
+                         ensure_positive_degree=False)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+        count = int(round(fraction * negative_pool_size(g, split, phase)))
+        out = sample_negatives(g, split, phase, count, seed)
+        codes = pair_codes(out, n).tolist()
+        assert out.shape == (count, 2) and (out[:, 0] < out[:, 1]).all()
+        assert len(set(codes)) == count
+        assert not set(codes) & set(excluded_codes(split, phase).tolist())
+        np.testing.assert_array_equal(
+            out, sample_negatives(g, split, phase, count, seed))
+        assert [tuple(p) for p in out.tolist()] == \
+            self._one_at_a_time(split, phase, count, seed)
 
 
 class TestMaskedBatches:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import gelato
 from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
@@ -8,10 +9,12 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     standardize_scores, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError
+from gelato.heuristics import transition_matrix
 from gelato.splits import MaskedBatch
 from gelato.trainer import flatten_params, grads_finite, unflatten_params
 
-from conftest import make_attribute_sbm, random_attributes, random_graph
+from conftest import (dense_autocovariance, make_attribute_sbm,
+                      random_attributes, random_graph)
 
 
 class TestNpairLoss:
@@ -198,6 +201,128 @@ class TestGradients:
         cfg = TrainConfig(loss="npair", dropout=0.0, hidden=cfg.hidden,
                           epochs=1, direct_mlp=True)
         assert _fd_check(g, X, params, enh, cfg, batch, added, None) < 1e-4
+
+
+def _ring(n=300, seed=0, loops=True):
+    """Weighted ring; with a loop on every node P fills 3 / n of n^2, so
+    its batches take the sparse walk."""
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    g = build_graph([(i, (i + 1) % n, w[i]) for i in range(n)], n)
+    return gelato.add_self_loops(g, "all") if loops else g
+
+
+def _dense_graph(n=12, seed=0, loops=True):
+    """Two thirds of all pairs: P fills more than half of n^2, so its
+    batches take the dense walk."""
+    g = random_graph(np.random.default_rng(seed), n, n * (n - 1) // 3,
+                     weighted=True)
+    return gelato.add_self_loops(g, "all") if loops else g
+
+
+def _kernels(P, pairs, t):
+    """Both walk kernels on the same input, whatever its density."""
+    from gelato.trainer import _DenseWalk, _SparseWalk, _product
+    Pt = sparse.identity(P.shape[0], format="csr")
+    for _ in range(t):
+        Pt = _product(Pt, P)
+    return _SparseWalk(P, pairs, t, Pt), _DenseWalk(P, pairs, t)
+
+
+def _walk_case(graph, seed=0, count=400):
+    g = {"ring": _ring, "dense": _dense_graph}[graph](seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    pairs = rng.integers(0, g.n, (count, 2))
+    pairs[count // 2:] = pairs[:count - count // 2]  # repeated pairs sum
+    return g, transition_matrix(g), pairs, rng.normal(size=count)
+
+
+class TestWalkKernels:
+    """The sparse and dense sides of the training walk (trainer._walk)."""
+
+    def test_selection_follows_the_fill_of_P(self):
+        from gelato.trainer import _DenseWalk, _SparseWalk, _walk
+        for graph, side in (("ring", _SparseWalk), ("dense", _DenseWalk)):
+            _, P, pairs, _ = _walk_case(graph)
+            for t in (1, 2, 3, 4):
+                assert type(_walk(P, pairs, t)) is side
+
+    @pytest.mark.parametrize("graph", ["ring", "dense"])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_values_match_dense_oracle(self, graph, t):
+        g, P, pairs, _ = _walk_case(graph)
+        R = dense_autocovariance(g, t)
+        u, v = pairs[:, 0], pairs[:, 1]
+        d, vol = g.degrees, g.volume
+        for walk in _kernels(P, pairs, t):
+            got = d[u] / vol * walk.values - d[u] * d[v] / vol ** 2
+            np.testing.assert_allclose(got, R[u, v], rtol=1e-12,
+                                       atol=1e-12 * np.abs(R).max())
+
+    @pytest.mark.parametrize("graph", ["ring", "dense"])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_gradients_match_finite_differences(self, graph, t):
+        # L(P) = sum_p g_p (P^t)[u_p, v_p] through dense matrix powers
+        _, P, pairs, gvals = _walk_case(graph)
+
+        def loss(data):
+            M = sparse.csr_matrix((data, P.indices, P.indptr), shape=P.shape)
+            Mt = np.linalg.matrix_power(M.toarray(), t)
+            return float(gvals @ Mt[pairs[:, 0], pairs[:, 1]])
+
+        arcs = np.random.default_rng(2).choice(P.nnz, 40, replace=False)
+        fd = []
+        for a in arcs:
+            up, down = P.data.copy(), P.data.copy()
+            up[a] += 1e-5
+            down[a] -= 1e-5
+            fd.append((loss(up) - loss(down)) / 2e-5)
+        fd = np.asarray(fd)
+        for walk in _kernels(P, pairs, t):
+            np.testing.assert_allclose(walk.grad(gvals)[arcs], fd, rtol=1e-6,
+                                       atol=1e-9 * max(np.abs(fd).max(), 1))
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_sparse_and_dense_kernels_agree(self, t):
+        rng = np.random.default_rng(t)
+        g = random_graph(rng, 150, 300, weighted=True)
+        g = gelato.add_self_loops(g, "all")
+        P = transition_matrix(g)
+        pairs = rng.integers(0, g.n, (2000, 2))
+        gvals = rng.normal(size=len(pairs))
+        sp, dn = _kernels(P, pairs, t)
+        for a, b in ((sp.values, dn.values), (sp.grad(gvals), dn.grad(gvals))):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("graph,t", [("ring", t) for t in range(5)]
+                             + [("dense", t) for t in range(1, 5)])
+    def test_training_gradients_match_finite_differences(self, graph, t):
+        from gelato.trainer import _DenseWalk, _SparseWalk, _forward
+        rng = np.random.default_rng(30 + t)
+        g = {"ring": _ring, "dense": _dense_graph}[graph](seed=t, loops=False)
+        X = random_attributes(rng, g.n, 3, nonneg=True)
+        enh = EnhancerConfig(eta=0.2, alpha=0.4, beta=0.8,
+                             self_loop_mode="all")
+        added, _ = select_augmentation_pairs(X, g, enh.eta)
+        pairs = g.edge_pairs()[rng.permutation(g.num_edges)]
+        k = 8 if graph == "dense" else 20
+        edges = {tuple(p) for p in pairs.tolist()}
+        negs = []
+        while len(negs) < 3 * k:
+            u, v = sorted(rng.integers(0, g.n, 2).tolist())
+            if u != v and (u, v) not in edges:
+                negs.append((u, v))
+        batch = MaskedBatch(batch_pos=pairs[:k], residual_edges=pairs[k:],
+                            negatives=np.asarray(negs))
+        params = init_mlp_params(X.r, 4, seed=t)
+        for loss_kind, head in (("npair", None),
+                                ("bce", np.array([0.8, -0.1]))):
+            cfg = TrainConfig(loss=loss_kind, dropout=0.0, ac_t=t, hidden=4,
+                              epochs=1)
+            _, tape = _forward(g, X, params, enh, cfg, batch, added, None, 1,
+                               head, False, True)
+            side = _SparseWalk if graph == "ring" else _DenseWalk
+            assert type(tape.walk) is side
+            assert _fd_check(g, X, params, enh, cfg, batch, added, head) < 1e-4
 
 
 def _sbm_setup(seed=0, n=60):
