@@ -1,10 +1,22 @@
 """Unbiased rank-based evaluation over the full candidate space.
 
 The negative pool of a phase (all disconnected pairs, possibly plus
-later-phase positives) is streamed in source-node blocks and reduced to a
-sufficient statistic per test positive: how many pool negatives score
-strictly above it and how many tie it. All four metrics derive from these
-counts, so the O(n^2) pool is never materialized.
+later-phase positives) is reduced to a sufficient statistic per test
+positive: how many pool negatives score strictly above it and how many
+tie it. All four metrics derive from these counts, so the O(n^2) pool is
+never materialized. Two exact paths count it, with the same result:
+
+* Support: when the scorer offers a support view (see gelato.scorers),
+  which CN/AA/RA always do and Autocovariance does while its graph has
+  few distinct degrees. Each block of source nodes counts the pool
+  pairs among its sparse entries, net of their background value; the
+  background is counted once over all unordered pairs, as pairs of node
+  classes weighted by their multiplicities, and then once more,
+  negatively, over the excluded pairs. The work follows the support and
+  the number of classes, not n^2, and every count stays an integer.
+* Streaming: for every other scorer (cosine, MLP, Autocovariance on
+  learned weights). Each block of source nodes materializes the dense
+  rows(sources) and counts its pool pairs. This path is the reference.
 
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
@@ -18,11 +30,12 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .heuristics import pair_scores
+from .heuristics import _values_at, pair_scores, source_blocks
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
 
@@ -80,54 +93,147 @@ def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
 
 def rank_summary(scorer, g, split: EdgeSplit, phase: str,
                  block_size: int = 1024, workers: int = 1) -> RankSummary:
-    """Stream the phase's negative pool and count (above, tied) per positive.
+    """Count (above, tied) per positive over the phase's negative pool.
 
-    The scorer must expose rows(sources) -> (len(sources), n) float64.
-    Block results are combined by integer addition, so counts are
-    deterministic under any worker schedule.
+    Pool pairs are split into blocks of `block_size` source nodes. With a
+    support view (see gelato.scorers) each block counts its sparse
+    entries, and the background is counted once over class pairs;
+    otherwise each block streams the scorer's dense rows(sources) ->
+    (len(sources), n) float64. Block results are combined by integer
+    addition, so counts are deterministic under any worker schedule.
     """
     positives = split.positives(phase)
-    pos_scores = _score_pairs(scorer, positives)
-
     n = split.n
     excl = excluded_codes(split, phase)
     pool = negative_pool_size(g, split, phase)
+    view = scorer.support() if hasattr(scorer, "support") else None
+    if view is None:
+        pos_scores = _score_pairs(scorer, positives)
+        block = partial(_stream_block, scorer)
+    else:
+        pos_scores = _support_pair_scores(view, positives, n, block_size)
+        block = partial(_support_block, view)
+    # the blocks count against the positives in ascending order: sorted
+    # keys make each block's searches several times faster
+    order = np.argsort(pos_scores)
+    ranked = pos_scores[order]
+    jobs = [partial(block, ranked, excl, n, start, block_size)
+            for start in range(0, n, block_size)]
+    if view is not None:
+        jobs += [partial(_background_classes, view, ranked, start,
+                         block_size)
+                 for start in range(0, len(view.class_nodes), block_size)]
+        jobs.append(partial(_background_excluded, view, ranked, excl, n))
 
-    def scan(start):
-        rows = np.arange(start, min(start + block_size, n))
-        block = scorer.rows(rows)
-        cols = np.arange(n)
-        mask = cols[None, :] > rows[:, None]
-        if len(excl):
-            lo = np.searchsorted(excl, rows[0] * n)
-            hi = np.searchsorted(excl, (rows[-1] + 1) * n)
-            eu, ev = excl[lo:hi] // n, excl[lo:hi] % n
-            mask[eu - rows[0], ev] = False
-        vals = block[mask]
-        if not np.isfinite(vals).all():
-            raise NumericError("scorer returned non-finite pool scores")
-        vals.sort()
-        above, tied = counts_against(vals, pos_scores)
-        return above, tied, len(vals)
-
-    starts = list(range(0, n, block_size))
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(scan, starts))
+            results = list(pool_exec.map(lambda job: job(), jobs))
     else:
-        results = [scan(s) for s in starts]
+        results = [job() for job in jobs]
 
     above = np.zeros(len(positives), dtype=np.int64)
     tied = np.zeros(len(positives), dtype=np.int64)
-    streamed = 0
+    counted = 0
     for a, t, c in results:
-        above += a
-        tied += t
-        streamed += c
-    if streamed != pool:
+        above[order] += a
+        tied[order] += t
+        counted += c
+    if counted != pool:
         raise NumericError(
-            f"streamed {streamed} pool pairs but expected {pool}")
+            f"counted {counted} pool pairs but expected {pool}")
     return RankSummary(pos_scores, above, tied, pool)
+
+
+def _block_excluded(excl, codes, lo, hi):
+    """Mask of `codes` (all within [lo, hi)) that are excluded codes."""
+    excl = excl[np.searchsorted(excl, lo):np.searchsorted(excl, hi)]
+    if not len(excl):
+        return np.zeros(len(codes), dtype=bool)
+    pos = np.minimum(np.searchsorted(excl, codes), len(excl) - 1)
+    return excl[pos] == codes
+
+
+def _stream_block(scorer, pos_scores, excl, n, start, block_size):
+    """Counts over the pool pairs of one block of sources, from the
+    scorer's dense rows."""
+    rows = np.arange(start, min(start + block_size, n))
+    block = scorer.rows(rows)
+    cols = np.arange(n)
+    mask = cols[None, :] > rows[:, None]
+    if len(excl):
+        lo = np.searchsorted(excl, rows[0] * n)
+        hi = np.searchsorted(excl, (rows[-1] + 1) * n)
+        eu, ev = excl[lo:hi] // n, excl[lo:hi] % n
+        mask[eu - rows[0], ev] = False
+    vals = block[mask]
+    if not np.isfinite(vals).all():
+        raise NumericError("scorer returned non-finite pool scores")
+    vals.sort()
+    above, tied = counts_against(vals, pos_scores)
+    return above, tied, len(vals)
+
+
+def _support_pair_scores(view, pairs, n, block_size) -> np.ndarray:
+    """Scores of explicit pairs: the stored entry of the source's sparse
+    row, or the background."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(pairs))
+    for block, sel, row in source_blocks(pairs[:, 0], block_size):
+        u, v = pairs[sel, 0], pairs[sel, 1]
+        M = view.rows(block)
+        M.sort_indices()
+        out[sel] = _values_at(M, row * n + v, fill=view.background(u, v))
+    if not np.isfinite(out).all():
+        raise NumericError("scorer returned non-finite pair scores")
+    return out
+
+
+def _support_block(view, pos_scores, excl, n, start, block_size):
+    """Counts over the pool pairs stored in one block's sparse rows, net
+    of their background, which _background_classes counts for them."""
+    rows = np.arange(start, min(start + block_size, n))
+    M = view.rows(rows)
+    u = np.repeat(rows, np.diff(M.indptr))
+    v = M.indices.astype(np.int64)
+    keep = v > u
+    keep[keep] = ~_block_excluded(excl, u[keep] * n + v[keep],
+                                  rows[0] * n, (rows[-1] + 1) * n)
+    vals = M.data[keep]
+    if not np.isfinite(vals).all():
+        raise NumericError("scorer returned non-finite pool scores")
+    above, tied = counts_against(np.sort(vals), pos_scores)
+    bg_above, bg_tied = counts_against(
+        np.sort(view.background(u[keep], v[keep])), pos_scores)
+    return above - bg_above, tied - bg_tied, 0
+
+
+def _background_classes(view, pos_scores, start, block_size):
+    """Counts of the background over every unordered pair of distinct
+    nodes, as pairs of node classes from `start` on (class a against
+    classes b >= a) weighted by how many node pairs each stands for."""
+    sizes = view.class_sizes.astype(np.int64)
+    first = np.arange(start, min(start + block_size, len(sizes)))
+    a, b = np.nonzero(first[:, None] <= np.arange(len(sizes)))
+    a = first[a]
+    vals = view.background(view.class_nodes[a], view.class_nodes[b])
+    if not np.isfinite(vals).all():
+        raise NumericError("scorer returned non-finite pool scores")
+    weights = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2,
+                       sizes[a] * sizes[b])
+    order = np.argsort(vals)
+    vals = vals[order]
+    cum = np.r_[0, np.cumsum(weights[order])]    # pairs up to each value
+    right = np.searchsorted(vals, pos_scores, side="right")
+    left = np.searchsorted(vals, pos_scores, side="left")
+    return cum[-1] - cum[right], cum[right] - cum[left], int(cum[-1])
+
+
+def _background_excluded(view, pos_scores, excl, n):
+    """Takes the background of the excluded pairs back out: they are not
+    in the pool, but _background_classes counted them."""
+    above, tied = counts_against(
+        np.sort(view.background(excl // n, excl % n)), pos_scores)
+    return -above, -tied, -len(excl)
 
 
 # -- metrics ----------------------------------------------------------------

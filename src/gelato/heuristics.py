@@ -13,10 +13,12 @@ vol, and transition matrix P = D^-1 A is
 the gap between the t-step and stationary co-visit probabilities of a
 random walk. Rows of R are computed by repeated vector-times-sparse-matrix
 products and streamed in source blocks; the full n x n matrix is never
-materialized. Evaluation always scores this way, and so does training
-where P is dense; training batches on sparser structure look their
-pairs up in the sparse matrix P^t instead (see `gelato.trainer`). All
-arithmetic is float64.
+materialized. Training scores this way where P is dense; training
+batches on sparser structure look their pairs up in the sparse matrix
+P^t instead (see `gelato.trainer`). Off the support of P^t, R is exactly
+the rank-1 term -d_u d_v / vol^2, so the evaluator can also take R as
+sparse rows of P^t plus that background (autocovariance_support), as it
+takes CN/AA/RA as their sparse rows plus 0. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -66,6 +68,18 @@ def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int):
     return X
 
 
+def _values_at(M, codes, fill=0.0):
+    """Entries of the sorted CSR matrix M at flat codes u * n + v, and
+    `fill` (a scalar or one value per code) where M stores none."""
+    if not M.nnz:
+        return np.full(len(codes), fill, dtype=np.float64)
+    n = M.shape[1]
+    own = (np.repeat(np.arange(M.shape[0], dtype=np.int64),
+                     np.diff(M.indptr)) * n + M.indices)
+    pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
+    return np.where(own[pos] == codes, M.data[pos], fill)
+
+
 def source_blocks(sources, block_size: int = 256):
     """Group entries by source node, `block_size` distinct sources at a time.
 
@@ -103,6 +117,48 @@ def autocovariance_rows(g: Graph, sources, params: AcParams) -> np.ndarray:
     vol = g.volume
     T = _walk_hits(transition_matrix(g), sources, params.t)
     return (d[sources] / vol)[:, None] * T - np.outer(d[sources], d) / vol ** 2
+
+
+def autocovariance_support(g: Graph, params: AcParams):
+    """rows(sources) -> the entries of autocovariance_rows on the support
+    of P^t's rows, as a sparse (len(sources), n) matrix.
+
+    Rows of P^t come from sparse products, indices sorted before each
+    step so that every entry sums the same terms in the same order as
+    the dense walk; each value is then formed by autocovariance_rows' own
+    expression. Off these entries a row holds the rank-1 background
+    0.0 - d_u * d_v / vol^2 (autocovariance_background).
+    """
+    d = g.degrees
+    vol = g.volume
+    P = transition_matrix(g)
+
+    def rows(sources):
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        if params.t == 0:
+            T = sparse.csr_matrix(
+                (np.ones(len(sources)), sources, np.arange(len(sources) + 1)),
+                shape=(len(sources), g.n))
+        else:
+            T = P[sources]
+            for _ in range(params.t - 1):
+                T.sort_indices()
+                T = T @ P
+        row = np.repeat(np.arange(len(sources)), np.diff(T.indptr))
+        du = d[sources][row]
+        T.data = ((d[sources] / vol)[row] * T.data
+                  - du * d[T.indices] / vol ** 2)
+        return T
+
+    return rows
+
+
+def autocovariance_background(g: Graph, u, v) -> np.ndarray:
+    """Autocovariance of pairs off the support of P^t: the expression of
+    autocovariance_rows with a walk term of 0, which is exactly
+    -d_u * d_v / vol^2 and symmetric in u, v."""
+    d = g.degrees
+    return 0.0 - d[u] * d[v] / g.volume ** 2
 
 
 def autocovariance_pairs(g: Graph, pairs, params: AcParams,
@@ -158,10 +214,17 @@ def local_heuristic(kind: str, g: Graph, pair) -> float:
     return float(_neighbor_weights(kind, deg)[common].sum())
 
 
-def local_heuristic_rows(kind: str, g: Graph, sources) -> np.ndarray:
-    """Dense (len(sources), n) block of CN/AA/RA scores."""
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+def local_heuristic_support(kind: str, g: Graph):
+    """rows(sources) -> CN/AA/RA rows as a sparse (len(sources), n)
+    matrix: the pairs with a common neighbour; every other score is
+    exactly 0."""
     adj, deg = _unweighted(g)
     w = _neighbor_weights(kind, deg)
-    weighted = adj.multiply(w[None, :]).tocsr()
-    return (adj[sources] @ weighted.T).toarray()
+    weighted_t = adj.multiply(w[None, :]).tocsr().T.tocsr()
+    return lambda sources: (
+        adj[np.asarray(sources, dtype=np.int64).reshape(-1)] @ weighted_t)
+
+
+def local_heuristic_rows(kind: str, g: Graph, sources) -> np.ndarray:
+    """Dense (len(sources), n) block of CN/AA/RA scores."""
+    return local_heuristic_support(kind, g)(sources).toarray()

@@ -121,6 +121,9 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
         raise DataError(f"graph too small to split: {m} edges")
     n_valid = int(math.floor(ratios[1] * m + 1e-9))
     n_test = int(math.floor(ratios[2] * m + 1e-9))
+    if n_valid == 0 or n_test == 0:
+        raise DataError(f"graph too small to split: ratios {ratios} give "
+                        f"{n_valid} valid and {n_test} test of {m} edges")
     n_train = m - n_valid - n_test
     shuffled = Stream(seed).shuffled(pairs)
     return EdgeSplit(

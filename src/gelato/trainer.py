@@ -45,7 +45,8 @@ from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
 from .graph import AttributeMatrix, Graph
-from .heuristics import pair_scores, transition_matrix, _walk_hits
+from .heuristics import (pair_scores, transition_matrix, _values_at,
+                         _walk_hits)
 from .rng import derive
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size, pair_codes,
                      positive_masking_batches, sample_negatives, train_graph)
@@ -234,18 +235,6 @@ def _product(A, B):
     return (A.tocsc() @ B.tocsc()).tocsr()
 
 
-def _values_at(M, codes):
-    """Entries of the sorted CSR matrix M at flat codes u * n + v (0 where
-    M has none)."""
-    if not M.nnz:
-        return np.zeros(len(codes))
-    n = M.shape[1]
-    own = (np.repeat(np.arange(M.shape[0], dtype=np.int64),
-                     np.diff(M.indptr)) * n + M.indices)
-    pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
-    return np.where(own[pos] == codes, M.data[pos], 0.0)
-
-
 def _row_entries(M, rows):
     """Stored entries of the given rows of CSR M, row after row:
     (position in `rows`, column, value)."""
@@ -308,12 +297,15 @@ class _SparseWalk:
         L = G                                 # (P^T)^k G
         for k in range(t - 1):
             M = L
-            for _ in range(t - 2 - k):
-                M = _product(M, PT)
+            if k < t - 2:
+                Lc = L.tocsc()                # both products take L
+                M = _product(Lc, PT)
+                for _ in range(t - 3 - k):
+                    M = _product(M, PT)
             out += np.bincount(by_row[0], minlength=P.nnz, weights=(
                 _values_at(M, by_row[1]) * by_row[2]))
             if k < t - 2:
-                L = _product(PT, L)
+                L = _product(PT, Lc)
         return out + np.bincount(by_col[0], minlength=P.nnz, weights=(
             _values_at(L, by_col[1]) * by_col[2]))
 

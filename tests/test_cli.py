@@ -50,6 +50,15 @@ def test_missing_edges_is_data_error(tmp_path):
     assert rc == 3
 
 
+def test_split_with_an_empty_phase_is_data_error(tmp_path):
+    # 8 edges floor to 0 valid and 0 test positives at the default ratios
+    edges = tmp_path / "path.edges"
+    edges.write_text("n 9\n" + "".join(f"{i} {i + 1}\n" for i in range(8)))
+    out = tmp_path / "path.split"
+    assert main(["split", "--edges", str(edges), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_baseline_heuristics_and_report(dataset, tmp_path, capsys):
     report_path = tmp_path / "cn.json"
     rc = main(["baseline", "--kind", "cn", "--edges", dataset["edges"],

@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import gelato
 from gelato import (RankSummary, auc, average_precision, biased_sample_metrics,
                     build_graph, compute_report, hits_at_k, precision_at_k,
                     rank_summary, report_to_json, split_edges, write_pr_csv)
+from gelato import scorers
 from gelato.errors import ConfigError, NumericError
 from gelato.evaluator import counts_against, pr_curve
-from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
-from gelato.splits import excluded_codes
+from gelato.scorers import (AutocovarianceScorer, LocalHeuristicScorer,
+                            SupportView)
+from gelato.splits import PHASES, EdgeSplit, excluded_codes, train_graph
 
 from conftest import (brute_force_counts, brute_force_metrics, enumerate_pool,
                       random_graph)
@@ -24,6 +28,52 @@ class _TableScorer:
 
     def rows(self, sources):
         return self.table[np.asarray(sources, dtype=np.int64)]
+
+
+class _SparseTableScorer(_TableScorer):
+    """Score matrix that is a constant `background` off a `stored` mask,
+    with the matching support view (tests only)."""
+
+    def __init__(self, table, stored, background):
+        super().__init__(np.where(stored, table, background))
+        self.stored = stored
+        self.background = background
+
+    def support(self):
+        n = len(self.table)
+
+        def rows(sources):
+            r, c = np.nonzero(self.stored[sources])
+            return sparse.csr_matrix((self.table[sources][r, c], (r, c)),
+                                     shape=(len(sources), n))
+
+        return SupportView(
+            rows=rows, background=lambda u, v: np.full(len(u), self.background),
+            class_nodes=np.zeros(1, dtype=np.int64), class_sizes=np.array([n]))
+
+
+class _Streamed:
+    """A scorer's dense rows alone, so that rank_summary streams them."""
+
+    def __init__(self, scorer):
+        self.rows = scorer.rows
+
+
+def _brute_force_summary(scorer, split, phase):
+    """(pos_scores, above, tied) from the dense rows of every node."""
+    table = scorer.rows(np.arange(split.n))
+    pool = enumerate_pool(split, phase)
+    pos = split.positives(phase)
+    pos_scores = table[pos[:, 0], pos[:, 1]]
+    return (pos_scores,) + brute_force_counts(
+        pos_scores, table[pool[:, 0], pool[:, 1]])
+
+
+def _assert_same_summary(a, b):
+    assert a.pos_scores.tobytes() == b.pos_scores.tobytes()
+    np.testing.assert_array_equal(a.neg_above, b.neg_above)
+    np.testing.assert_array_equal(a.neg_tied, b.neg_tied)
+    assert a.total_negatives == b.total_negatives
 
 
 def _symmetric_table(rng, n, quantize=None):
@@ -77,6 +127,117 @@ class TestRankSummaryStreaming:
         scorer.table[0, :] = np.nan
         with pytest.raises(NumericError):
             rank_summary(scorer, g, split, "test")
+
+
+class TestRankSummarySupport:
+    """The support path: sparse rows plus a background counted by class."""
+
+    def test_table_counts_match_brute_force(self):
+        # quantized scores tie with each other and with the background
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = 16
+            g = random_graph(rng, n, 26, ensure_positive_degree=False)
+            split = split_edges(g, (0.6, 0.2, 0.2), seed=seed)
+            stored = rng.random((n, n)) < 0.3
+            scorer = _SparseTableScorer(_symmetric_table(rng, n, quantize=2),
+                                        stored, 0.5 * (seed % 3 - 1))
+            for phase in PHASES:
+                rs = rank_summary(scorer, g, split, phase, block_size=5,
+                                  workers=1 + seed % 2)
+                _assert_same_summary(rs, RankSummary(
+                    *_brute_force_summary(scorer, split, phase),
+                    len(enumerate_pool(split, phase))))
+                _assert_same_summary(rs, rank_summary(
+                    _Streamed(scorer), g, split, phase, block_size=5))
+
+    @pytest.mark.parametrize("where", ["pool", "positive"])
+    def test_nonfinite_support_rejected(self, where):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 16, 26, ensure_positive_degree=False)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=5)
+        table = _symmetric_table(rng, 16)
+        u, v = split.test_pos[0] if where == "positive" else \
+            enumerate_pool(split, "test")[0]
+        table[u, v] = np.nan
+        scorer = _SparseTableScorer(table, np.isnan(table), 0.0)
+        with pytest.raises(NumericError):
+            rank_summary(scorer, g, split, "test")
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(5, 22), density=st.floats(0.1, 0.5),
+           weighted=st.booleans(), graph_seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["AC", "CN", "AA", "RA"]),
+           t=st.integers(0, 4), phase=st.sampled_from(PHASES),
+           block_size=st.integers(1, 6), workers=st.sampled_from([1, 2]))
+    def test_scorers_match_streaming_and_brute_force(
+            self, n, density, weighted, graph_seed, kind, t, phase,
+            block_size, workers):
+        g = random_graph(np.random.default_rng(graph_seed), n,
+                         max(5, int(density * n * (n - 1) / 2)),
+                         weighted=weighted)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=graph_seed)
+        looped = gelato.add_self_loops(train_graph(g, split), "isolated-only")
+        scorer = AutocovarianceScorer(looped, t) if kind == "AC" \
+            else LocalHeuristicScorer(kind, looped)
+        # take the support path whatever the number of distinct degrees
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scorers, "_support_pays", lambda classes, n: True)
+            assert scorer.support() is not None
+            rs = rank_summary(scorer, g, split, phase, block_size=block_size,
+                              workers=workers)
+        streamed = rank_summary(_Streamed(scorer), g, split, phase,
+                                block_size=block_size, workers=workers)
+        _assert_same_summary(rs, streamed)
+        _assert_same_summary(rs, RankSummary(
+            *_brute_force_summary(scorer, split, phase),
+            len(enumerate_pool(split, phase))))
+
+    @pytest.mark.parametrize("kind", ["CN", "AA", "RA"])
+    def test_no_common_neighbour_ties_with_the_zero_background(self, kind):
+        # pool of 8 pairs: (1, 3) has common neighbour 2, the rest score 0;
+        # positive (0, 2) has common neighbour 1, positive (0, 5) none
+        split = EdgeSplit(
+            n=6, train_pos=np.array([[0, 1], [1, 2], [2, 3], [4, 5]]),
+            valid_pos=np.array([[2, 4]]), test_pos=np.array([[0, 5], [0, 2]]),
+            seed=0, ratios=(0.6, 0.2, 0.2))
+        g = build_graph(np.vstack([split.train_pos, split.valid_pos,
+                                   split.test_pos]), 6)
+        scorer = LocalHeuristicScorer(kind, train_graph(g, split))
+        assert scorer.support() is not None
+        rs = rank_summary(scorer, g, split, "test", block_size=2)
+        assert rs.pos_scores[0] == 0.0
+        assert rs.neg_above.tolist() == [1, 0]
+        assert rs.neg_tied.tolist() == [7, 1]
+        _assert_same_summary(rs, rank_summary(_Streamed(scorer), g, split,
+                                              "test"))
+        # pessimistic: (0, 5) ranks below all 8 negatives, (0, 2) below 1
+        assert hits_at_k(rs, 8) == 0.5
+        assert average_precision(rs) == pytest.approx(
+            (1 / 2 + 2 / 10) / 2, abs=1e-15)
+
+    def test_many_distinct_degrees_stream(self):
+        class CountingAc(AutocovarianceScorer):
+            calls = 0
+
+            def rows(self, sources):
+                CountingAc.calls += 1
+                return super().rows(sources)
+
+        rng = np.random.default_rng(0)
+        g = random_graph(rng, 40, 120, weighted=True)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+        assert len(np.unique(g.degrees)) * g.n >= g.n * (g.n - 1) // 2
+        assert AutocovarianceScorer(g).support() is None
+        rank_summary(CountingAc(g), g, split, "test", block_size=8)
+        assert CountingAc.calls >= 40 // 8        # the pool was streamed
+        CountingAc.calls = 0
+        unweighted = random_graph(rng, 40, 120)
+        assert AutocovarianceScorer(unweighted).support() is not None
+        rank_summary(CountingAc(unweighted), unweighted,
+                     split_edges(unweighted, (0.6, 0.2, 0.2), seed=0), "test")
+        assert CountingAc.calls == 0
+        assert LocalHeuristicScorer("RA", g).support() is not None
 
 
 class TestMetricOracle:

@@ -4,6 +4,8 @@ import pytest
 from gelato import (AcParams, add_self_loops, autocovariance_pairs,
                     autocovariance_rows, build_graph, local_heuristic,
                     local_heuristic_rows)
+from gelato.heuristics import (autocovariance_background,
+                               autocovariance_support, local_heuristic_support)
 from gelato.errors import NumericError
 
 from conftest import dense_autocovariance, random_graph
@@ -133,3 +135,43 @@ class TestAutocovariance:
         small = autocovariance_pairs(g, pairs, AcParams(t=2), block_size=4)
         big = autocovariance_pairs(g, pairs, AcParams(t=2), block_size=4096)
         np.testing.assert_array_equal(small, big)
+
+
+class TestSupportRows:
+    """Sparse rows equal the dense rows bit for bit where they store an
+    entry, and the background gives the dense rows everywhere else."""
+
+    @staticmethod
+    def _check(sparse_rows, dense, background):
+        rows = np.repeat(np.arange(dense.shape[0]),
+                         np.diff(sparse_rows.indptr))
+        assert (dense[rows, sparse_rows.indices].tobytes()
+                == sparse_rows.data.tobytes())
+        held = np.zeros(dense.shape, dtype=bool)
+        held[rows, sparse_rows.indices] = True
+        assert dense[~held].tobytes() == background[~held].tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_autocovariance(self, weighted, t):
+        g = random_graph(np.random.default_rng(t), 40, 60, weighted=weighted)
+        sources = np.array([3, 0, 39, 17, 17, 8])
+        dense = autocovariance_rows(g, sources, AcParams(t=t))
+        u = np.repeat(sources, g.n)
+        v = np.tile(np.arange(g.n), len(sources))
+        self._check(autocovariance_support(g, AcParams(t=t))(sources), dense,
+                    autocovariance_background(g, u, v).reshape(dense.shape))
+
+    @pytest.mark.parametrize("kind", ["CN", "AA", "RA"])
+    def test_local_heuristics(self, kind):
+        g = random_graph(np.random.default_rng(1), 40, 60, weighted=True)
+        sources = np.array([3, 0, 39, 17, 17, 8])
+        dense = local_heuristic_rows(kind, g, sources)
+        self._check(local_heuristic_support(kind, g)(sources), dense,
+                    np.zeros(dense.shape))
+
+    def test_autocovariance_background_is_symmetric(self):
+        g = random_graph(np.random.default_rng(2), 30, 50, weighted=True)
+        u, v = np.triu_indices(g.n, 1)
+        assert (autocovariance_background(g, u, v).tobytes()
+                == autocovariance_background(g, v, u).tobytes())

@@ -18,11 +18,22 @@ def _codes(pairs, n):
 
 class TestSplitEdges:
     def test_floor_rule_small(self):
-        g = random_graph(np.random.default_rng(0), 12, 10,
+        # 21 edges: 1.05 valid and 2.1 test floor to 1 and 2
+        g = random_graph(np.random.default_rng(0), 12, 21,
                          ensure_positive_degree=False)
         split = split_edges(g, (0.85, 0.05, 0.10), seed=0)
         assert (len(split.train_pos), len(split.valid_pos),
-                len(split.test_pos)) == (9, 0, 1)
+                len(split.test_pos)) == (18, 1, 2)
+
+    @pytest.mark.parametrize("edges, ratios", [
+        (8, (0.85, 0.05, 0.10)),     # a phase floors to 0: 8/0/0
+        (10, (0.85, 0.05, 0.10)),    # 9/0/1
+        (4, (0.6, 0.3, 0.1)),        # 3/1/0
+    ])
+    def test_empty_phase_is_data_error(self, edges, ratios):
+        g = build_graph([(i, i + 1) for i in range(edges)], edges + 1)
+        with pytest.raises(DataError, match="too small to split"):
+            split_edges(g, ratios, seed=0)
 
     def test_exact_division(self):
         g = random_graph(np.random.default_rng(1), 40, 100,
@@ -111,7 +122,7 @@ class TestNegativePools:
 class TestSampleNegatives:
     def test_empty_count(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        split = split_edges(g, (0.4, 0.3, 0.3), seed=0)
+        split = split_edges(g, (0.2, 0.4, 0.4), seed=0)
         out = sample_negatives(g, split, "test", 0, seed=0)
         assert out.shape == (0, 2)
 
@@ -128,7 +139,7 @@ class TestSampleNegatives:
     def test_count_exceeds_pool(self):
         g = build_graph([(0, 1), (2, 3)], 4)
         split = split_edges(build_graph([(0, 1), (1, 2), (2, 3)], 4),
-                            (0.4, 0.3, 0.3), seed=0)
+                            (0.2, 0.4, 0.4), seed=0)
         with pytest.raises(ConfigError):
             sample_negatives(g, split, "test", 10 ** 6, seed=0)
 
@@ -200,8 +211,9 @@ class TestSampleNegatives:
            phase=st.sampled_from(["train", "valid", "test"]),
            fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1))
     def test_properties(self, n, density, graph_seed, phase, fraction, seed):
+        # at least 5 edges, so that no phase of the split is empty
         g = random_graph(np.random.default_rng(graph_seed), n,
-                         max(3, int(density * n * (n - 1) / 2)),
+                         max(5, int(density * n * (n - 1) / 2)),
                          ensure_positive_degree=False)
         split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
         count = int(round(fraction * negative_pool_size(g, split, phase)))
