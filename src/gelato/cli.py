@@ -2,7 +2,8 @@
 
 Subcommands: split | train | eval | baseline | export-scores. Options
 come from an optional key-value config file plus flags; flags win. Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
+codes: 0 success, 2 configuration error or an output that cannot be
+written, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -304,6 +305,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # the loaders turn failed reads into DataError
+        print(f"config error: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except GelatoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

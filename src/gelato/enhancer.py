@@ -19,8 +19,8 @@ scorer:
    config so every row has a valid transition distribution.
 
 Checkpoint format (binary): magic "GPAR", little-endian 64-bit unsigned
-r and hidden, then float64 little-endian values of W1 (hidden x 2r,
-row-major), b1, W2, b2.
+r and hidden, then the float64 little-endian values of flatten_params:
+W1 (hidden x 2r, row-major), b1, W2, b2.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class EnhancerConfig:
     self_loop_weight: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigError("eta must be >= 0")
+        if not 0.0 <= self.eta < math.inf:  # `not` form: nan fails too
+            raise ConfigError("eta must be finite and >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if not 0.0 <= self.beta <= 1.0:
@@ -59,7 +59,7 @@ class EnhancerConfig:
         if self.self_loop_mode not in ("all", "isolated-only"):
             raise ConfigError(
                 f"unknown self-loop mode {self.self_loop_mode!r}")
-        if self.self_loop_weight <= 0:
+        if not self.self_loop_weight > 0:
             raise ConfigError("self-loop weight must be positive")
 
 
@@ -90,6 +90,28 @@ class MlpParams:
                          float(self.b2))
 
 
+def flatten_params(params: MlpParams, head=None) -> np.ndarray:
+    """Flat layout for Adam and checkpoints: W1 (row-major), b1, W2, b2,
+    then the BCE head (a, b) if given."""
+    parts = [params.W1.ravel(), params.b1, params.W2, [params.b2]]
+    if head is not None:
+        parts.append(head)
+    return np.concatenate(parts)
+
+
+def unflatten_params(flat: np.ndarray, r: int, hidden: int, with_head=False):
+    """MlpParams (and the head with `with_head`) from flatten_params."""
+    k = hidden * 2 * r
+    W1 = flat[:k].reshape(hidden, 2 * r).copy()
+    b1 = flat[k:k + hidden].copy()
+    W2 = flat[k + hidden:k + 2 * hidden].copy()
+    b2 = float(flat[k + 2 * hidden])
+    params = MlpParams(W1, b1, W2, b2)
+    if with_head:
+        return params, flat[k + 2 * hidden + 1:].copy()
+    return params
+
+
 def init_mlp_params(r: int, hidden: int = 128, seed: int = 0) -> MlpParams:
     """Uniform symmetric init scaled by 1/sqrt(fan-in), seed-controlled."""
     stream = Stream(derive(seed, _INIT_TAG))
@@ -106,10 +128,7 @@ def save_params(path, params: MlpParams) -> None:
     with open(path, "wb") as fh:
         fh.write(PARAM_MAGIC)
         fh.write(struct.pack("<QQ", params.r, params.hidden))
-        fh.write(params.W1.astype("<f8").tobytes())
-        fh.write(params.b1.astype("<f8").tobytes())
-        fh.write(params.W2.astype("<f8").tobytes())
-        fh.write(struct.pack("<d", params.b2))
+        fh.write(flatten_params(params).astype("<f8").tobytes())
 
 
 def load_params(path) -> MlpParams:
@@ -126,12 +145,7 @@ def load_params(path) -> MlpParams:
         raise DataError(f"{path}: expected {need} values, got {payload.size}")
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: non-finite parameter values")
-    W1 = payload[:hidden * 2 * r].reshape(hidden, 2 * r).copy()
-    off = hidden * 2 * r
-    b1 = payload[off:off + hidden].copy()
-    W2 = payload[off + hidden:off + 2 * hidden].copy()
-    b2 = float(payload[-1])
-    return MlpParams(W1, b1, W2, b2)
+    return unflatten_params(payload, r, hidden)
 
 
 # -- augmentation -----------------------------------------------------------
@@ -145,8 +159,8 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     broken toward lexicographically smaller (u, v). The similarity matrix
     is scanned in row blocks, never materialized in full.
     """
-    if eta < 0:
-        raise ConfigError("eta must be >= 0")
+    if not 0.0 <= eta < math.inf:
+        raise ConfigError("eta must be finite and >= 0")
     n = g.n
     m = g.num_edges
     count = int(math.ceil(eta * m))

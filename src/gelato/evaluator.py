@@ -8,12 +8,12 @@ never materialized. Two exact paths count it, with the same result:
 
 * Support: when the scorer offers a support view (see gelato.scorers),
   which CN/AA/RA always do and Autocovariance does while its graph has
-  few distinct degrees. Each block of source nodes counts the pool
-  pairs among its sparse entries, net of their background value; the
-  background is counted once over all unordered pairs, as pairs of node
-  classes weighted by their multiplicities, and then once more,
-  negatively, over the excluded pairs. The work follows the support and
-  the number of classes, not n^2, and every count stays an integer.
+  few distinct degrees. Two kinds of job: the background is counted once
+  over all unordered pairs, as pairs of node classes weighted by their
+  multiplicities; each block of source nodes counts the pool pairs
+  among its sparse entries, less the background of those entries and
+  of its excluded pairs. The work follows the support and the number of
+  classes, not n^2, and every count stays an integer.
 * Streaming: for every other scorer (cosine, MLP, Autocovariance on
   learned weights). Each block of source nodes materializes the dense
   rows(sources) and counts its pool pairs. This path is the reference.
@@ -83,11 +83,19 @@ def _score_pairs(scorer, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _counts(vals, pos_scores):
+    """(above, tied) counts of each positive vs the negative scores
+    `vals`, which must be finite; sorts `vals` in place."""
+    if not np.isfinite(vals).all():
+        raise NumericError("scorer returned non-finite pool scores")
+    vals.sort()
+    return counts_against(vals, pos_scores)
+
+
 def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
     """Rank positives against an explicit (sampled) negative set."""
     pos_scores = _score_pairs(scorer, positives)
-    above, tied = counts_against(np.sort(_score_pairs(scorer, negatives)),
-                                 pos_scores)
+    above, tied = _counts(_score_pairs(scorer, negatives), pos_scores)
     return RankSummary(pos_scores, above, tied, len(negatives))
 
 
@@ -97,7 +105,7 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
 
     Pool pairs are split into blocks of `block_size` source nodes. With a
     support view (see gelato.scorers) each block counts its sparse
-    entries, and the background is counted once over class pairs;
+    entries and other jobs count the background over class pairs;
     otherwise each block streams the scorer's dense rows(sources) ->
     (len(sources), n) float64. Block results are combined by integer
     addition, so counts are deterministic under any worker schedule.
@@ -123,7 +131,6 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
         jobs += [partial(_background_classes, view, ranked, start,
                          block_size)
                  for start in range(0, len(view.class_nodes), block_size)]
-        jobs.append(partial(_background_excluded, view, ranked, excl, n))
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
@@ -144,13 +151,10 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     return RankSummary(pos_scores, above, tied, pool)
 
 
-def _block_excluded(excl, codes, lo, hi):
-    """Mask of `codes` (all within [lo, hi)) that are excluded codes."""
-    excl = excl[np.searchsorted(excl, lo):np.searchsorted(excl, hi)]
-    if not len(excl):
-        return np.zeros(len(codes), dtype=bool)
-    pos = np.minimum(np.searchsorted(excl, codes), len(excl) - 1)
-    return excl[pos] == codes
+def _excluded_in(excl, rows, n):
+    """The excluded codes whose source lies in `rows` (consecutive)."""
+    return excl[np.searchsorted(excl, rows[0] * n):
+                np.searchsorted(excl, (rows[-1] + 1) * n)]
 
 
 def _stream_block(scorer, pos_scores, excl, n, start, block_size):
@@ -158,19 +162,11 @@ def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     scorer's dense rows."""
     rows = np.arange(start, min(start + block_size, n))
     block = scorer.rows(rows)
-    cols = np.arange(n)
-    mask = cols[None, :] > rows[:, None]
-    if len(excl):
-        lo = np.searchsorted(excl, rows[0] * n)
-        hi = np.searchsorted(excl, (rows[-1] + 1) * n)
-        eu, ev = excl[lo:hi] // n, excl[lo:hi] % n
-        mask[eu - rows[0], ev] = False
+    mask = np.arange(n)[None, :] > rows[:, None]
+    ex = _excluded_in(excl, rows, n)
+    mask[ex // n - rows[0], ex % n] = False
     vals = block[mask]
-    if not np.isfinite(vals).all():
-        raise NumericError("scorer returned non-finite pool scores")
-    vals.sort()
-    above, tied = counts_against(vals, pos_scores)
-    return above, tied, len(vals)
+    return (*_counts(vals, pos_scores), len(vals))
 
 
 def _support_pair_scores(view, pairs, n, block_size) -> np.ndarray:
@@ -189,22 +185,23 @@ def _support_pair_scores(view, pairs, n, block_size) -> np.ndarray:
 
 
 def _support_block(view, pos_scores, excl, n, start, block_size):
-    """Counts over the pool pairs stored in one block's sparse rows, net
-    of their background, which _background_classes counts for them."""
+    """Counts over the pool pairs stored in one block's sparse rows, less
+    their background and that of the block's excluded pairs, both of
+    which _background_classes counts."""
     rows = np.arange(start, min(start + block_size, n))
     M = view.rows(rows)
     u = np.repeat(rows, np.diff(M.indptr))
     v = M.indices.astype(np.int64)
     keep = v > u
-    keep[keep] = ~_block_excluded(excl, u[keep] * n + v[keep],
-                                  rows[0] * n, (rows[-1] + 1) * n)
-    vals = M.data[keep]
-    if not np.isfinite(vals).all():
-        raise NumericError("scorer returned non-finite pool scores")
-    above, tied = counts_against(np.sort(vals), pos_scores)
-    bg_above, bg_tied = counts_against(
-        np.sort(view.background(u[keep], v[keep])), pos_scores)
-    return above - bg_above, tied - bg_tied, 0
+    ex = _excluded_in(excl, rows, n)
+    # searchsorted beats np.isin here; the -1 past the end matches no code
+    codes = u[keep] * n + v[keep]
+    keep[keep] = np.r_[ex, -1][np.searchsorted(ex, codes)] != codes
+    above, tied = _counts(M.data[keep], pos_scores)
+    bg_above, bg_tied = _counts(np.concatenate([
+        view.background(u[keep], v[keep]),
+        view.background(ex // n, ex % n)]), pos_scores)
+    return above - bg_above, tied - bg_tied, -len(ex)
 
 
 def _background_classes(view, pos_scores, start, block_size):
@@ -226,14 +223,6 @@ def _background_classes(view, pos_scores, start, block_size):
     right = np.searchsorted(vals, pos_scores, side="right")
     left = np.searchsorted(vals, pos_scores, side="left")
     return cum[-1] - cum[right], cum[right] - cum[left], int(cum[-1])
-
-
-def _background_excluded(view, pos_scores, excl, n):
-    """Takes the background of the excluded pairs back out: they are not
-    in the pool, but _background_classes counted them."""
-    above, tied = counts_against(
-        np.sort(view.background(excl // n, excl % n)), pos_scores)
-    return -above, -tied, -len(excl)
 
 
 # -- metrics ----------------------------------------------------------------

@@ -136,13 +136,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def weight(self, u: int, v: int) -> float:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        if i < len(row) and row[i] == v:
-            return float(self.data[self.indptr[u] + i])
-        return 0.0
-
     def edge_pairs(self, return_weights=False):
         """Canonical (u < v) non-loop edge pairs as an (m, 2) array."""
         rows = self.row_of_arcs()
@@ -247,7 +240,7 @@ def add_self_loops(g: Graph, mode: str = "isolated-only",
     result has positive degree. Existing loops keep their weight
     (no loop is added on top of one).
     """
-    if weight <= 0:
+    if not weight > 0:  # also rejects nan
         raise DataError("self-loop weight must be positive")
     if mode not in ("all", "isolated-only"):
         raise DataError(f"unknown self-loop mode: {mode!r}")

@@ -11,14 +11,15 @@ vol, and transition matrix P = D^-1 A is
     R = diag(d)/vol @ P^t - d d^T / vol^2
 
 the gap between the t-step and stationary co-visit probabilities of a
-random walk. Rows of R are computed by repeated vector-times-sparse-matrix
-products and streamed in source blocks; the full n x n matrix is never
-materialized. Training scores this way where P is dense; training
-batches on sparser structure look their pairs up in the sparse matrix
-P^t instead (see `gelato.trainer`). Off the support of P^t, R is exactly
-the rank-1 term -d_u d_v / vol^2, so the evaluator can also take R as
-sparse rows of P^t plus that background (autocovariance_support), as it
-takes CN/AA/RA as their sparse rows plus 0. All arithmetic is float64.
+random walk. Every path forms R_uv from its walk term T = (P^t)_uv
+with autocovariance_from_walk. Rows of P^t come from repeated
+vector-times-sparse-matrix products per block of sources, so the n x n
+matrix is never materialized; training batches on sparse structure look
+their pairs up in the sparse matrix P^t (see `gelato.trainer`). Off the
+support of P^t, T = 0 and R is the rank-1 term -d_u d_v / vol^2, so the
+evaluator can also take R as sparse rows plus that background
+(autocovariance_support), as it takes CN/AA/RA as sparse rows plus 0.
+All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -110,13 +111,18 @@ def pair_scores(rows, pairs, block_size: int = 256, blocks=None
     return out
 
 
+def autocovariance_from_walk(g: Graph, u, v, T):
+    """R_uv = (d_u / vol) * T - d_u * d_v / vol^2 from the walk term
+    T = (P^t)_uv, for broadcastable node arrays u, v."""
+    d, vol = g.degrees, g.volume
+    return (d[u] / vol) * T - d[u] * d[v] / vol ** 2
+
+
 def autocovariance_rows(g: Graph, sources, params: AcParams) -> np.ndarray:
     """Autocovariance rows R[u, :] for each source u: (len(sources), n)."""
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    d = g.degrees
-    vol = g.volume
     T = _walk_hits(transition_matrix(g), sources, params.t)
-    return (d[sources] / vol)[:, None] * T - np.outer(d[sources], d) / vol ** 2
+    return autocovariance_from_walk(g, sources[:, None], np.arange(g.n), T)
 
 
 def autocovariance_support(g: Graph, params: AcParams):
@@ -125,12 +131,9 @@ def autocovariance_support(g: Graph, params: AcParams):
 
     Rows of P^t come from sparse products, indices sorted before each
     step so that every entry sums the same terms in the same order as
-    the dense walk; each value is then formed by autocovariance_rows' own
-    expression. Off these entries a row holds the rank-1 background
-    0.0 - d_u * d_v / vol^2 (autocovariance_background).
+    the dense walk. Off these entries a row holds the rank-1 background
+    (autocovariance_background).
     """
-    d = g.degrees
-    vol = g.volume
     P = transition_matrix(g)
 
     def rows(sources):
@@ -144,21 +147,17 @@ def autocovariance_support(g: Graph, params: AcParams):
             for _ in range(params.t - 1):
                 T.sort_indices()
                 T = T @ P
-        row = np.repeat(np.arange(len(sources)), np.diff(T.indptr))
-        du = d[sources][row]
-        T.data = ((d[sources] / vol)[row] * T.data
-                  - du * d[T.indices] / vol ** 2)
+        u = np.repeat(sources, np.diff(T.indptr))
+        T.data = autocovariance_from_walk(g, u, T.indices, T.data)
         return T
 
     return rows
 
 
 def autocovariance_background(g: Graph, u, v) -> np.ndarray:
-    """Autocovariance of pairs off the support of P^t: the expression of
-    autocovariance_rows with a walk term of 0, which is exactly
-    -d_u * d_v / vol^2 and symmetric in u, v."""
-    d = g.degrees
-    return 0.0 - d[u] * d[v] / g.volume ** 2
+    """Autocovariance of pairs off the support of P^t: a walk term of 0,
+    which gives exactly -d_u * d_v / vol^2, symmetric in u, v."""
+    return autocovariance_from_walk(g, u, v, 0.0)
 
 
 def autocovariance_pairs(g: Graph, pairs, params: AcParams,

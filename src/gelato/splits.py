@@ -111,9 +111,10 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     if not g.undirected:
         raise DataError("edge splits are defined for undirected graphs")
     ratios = tuple(float(x) for x in ratios)
-    if len(ratios) != 3 or any(x <= 0 for x in ratios):
+    # `not ok` form, so that nan fails the checks too
+    if len(ratios) != 3 or not all(x > 0 for x in ratios):
         raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {ratios}")
     pairs = g.edge_pairs()
     m = len(pairs)
@@ -157,9 +158,7 @@ def excluded_codes(split: EdgeSplit, phase: str) -> np.ndarray:
         sets.append(split.valid_pos)
     if phase == "test":
         sets.append(split.test_pos)
-    codes = np.concatenate([pair_codes(s, split.n) for s in sets]) \
-        if sets else np.empty(0, dtype=np.int64)
-    return np.sort(codes)
+    return np.sort(np.concatenate([pair_codes(s, split.n) for s in sets]))
 
 
 def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,

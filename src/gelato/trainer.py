@@ -4,8 +4,8 @@ The forward pass per masked batch is
 
     residual edges + frozen augmentation
         -> enhanced adjacency (MLP weights, combination, self-loops)
-        -> random-walk similarity of the batch positives and sampled
-           negatives
+        -> Autocovariance of the batch positives and sampled negatives
+           (heuristics.autocovariance_from_walk, as in evaluation)
         -> joint score standardization
         -> ranking loss (N-pair softmax contrast, or cross entropy
            through a trainable affine+sigmoid head)
@@ -24,10 +24,11 @@ runs as dense rows per block of 256 sources, as the evaluator's scorers
 do, and the gradient is built per block of 256 columns; memory stays at
 a few block x n arrays.
 
-Batches whose loss or gradient has any non-finite component are skipped
-and counted rather than applied. The best epoch is selected by prec@100%
-on the unbiased validation pool (streamed exactly when small, otherwise
-a fixed-seed subsample shared by all epochs).
+Adam steps on the flat layout of enhancer.flatten_params. Batches whose
+loss or gradient has any non-finite component are skipped and counted
+rather than applied. The best epoch is selected by prec@100% on the
+unbiased validation pool (streamed exactly when small, otherwise a
+fixed-seed subsample shared by all epochs).
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from scipy import sparse
 from scipy.special import expit
 
 from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
-                       dropout_masks, init_mlp_params, mlp_forward,
-                       pair_features, select_augmentation_pairs)
+                       dropout_masks, flatten_params, init_mlp_params,
+                       mlp_forward, pair_features, select_augmentation_pairs,
+                       unflatten_params)
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
 from .graph import AttributeMatrix, Graph
-from .heuristics import (pair_scores, transition_matrix, _values_at,
-                         _walk_hits)
+from .heuristics import (autocovariance_from_walk, pair_scores,
+                         transition_matrix, _values_at, _walk_hits)
 from .rng import derive
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size, pair_codes,
                      positive_masking_batches, sample_negatives, train_graph)
@@ -87,6 +89,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.neg_cap < 0:
+            raise ConfigError("neg_cap must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.ac_t < 0:
@@ -191,25 +195,6 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
     return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def flatten_params(params: MlpParams, head=None) -> np.ndarray:
-    parts = [params.W1.ravel(), params.b1, params.W2, [params.b2]]
-    if head is not None:
-        parts.append(head)
-    return np.concatenate(parts)
-
-
-def unflatten_params(flat: np.ndarray, r: int, hidden: int, with_head=False):
-    k = hidden * 2 * r
-    W1 = flat[:k].reshape(hidden, 2 * r).copy()
-    b1 = flat[k:k + hidden].copy()
-    W2 = flat[k + hidden:k + 2 * hidden].copy()
-    b2 = float(flat[k + 2 * hidden])
-    params = MlpParams(W1, b1, W2, b2)
-    if with_head:
-        return params, flat[k + 2 * hidden + 1:].copy()
-    return params
-
-
 # -- the training walk --------------------------------------------------------
 #
 # A batch needs T_uv = (P^t)_uv at its scored pairs and, for a loss gradient
@@ -233,22 +218,6 @@ def _product(A, B):
     """A @ B as CSR with sorted rows: scipy's product leaves rows unsorted,
     and forming it column-major then converting sorts them in linear time."""
     return (A.tocsc() @ B.tocsc()).tocsr()
-
-
-def _row_entries(M, rows):
-    """Stored entries of the given rows of CSR M, row after row:
-    (position in `rows`, column, value)."""
-    starts = M.indptr[rows]
-    counts = M.indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(len(rows)), counts)
-    at = (np.arange(len(owner))
-          + np.repeat(starts - (np.cumsum(counts) - counts), counts))
-    return owner, M.indices[at].astype(np.int64), M.data[at]
-
-
-def _in_code_order(arc, codes, weights):
-    order = np.argsort(codes)
-    return arc[order], codes[order], weights[order]
 
 
 class _SparseWalk:
@@ -289,10 +258,16 @@ class _SparseWalk:
         # (arc, code looked up, P's entry): row j of P meets M_k at (i, l),
         # column i of P meets M_{t-2} at (l, j); in code order, the
         # searches of _values_at walk the matrix forward
-        arc, l, w = _row_entries(P, cols)
-        by_row = _in_code_order(arc, rows[arc] * n + l, w)
-        arc, l, w = _row_entries(PT.tocsr(), rows)
-        by_col = _in_code_order(arc, l * n + cols[arc], w)
+        R = P[cols]                           # row j of P for arc (i, j)
+        arc = np.repeat(np.arange(P.nnz), np.diff(R.indptr))
+        code = rows[arc] * n + R.indices
+        order = np.argsort(code)
+        by_row = arc[order], code[order], R.data[order]
+        R = PT.tocsr()[rows]                  # column i of P for arc (i, j)
+        arc = np.repeat(np.arange(P.nnz), np.diff(R.indptr))
+        code = R.indices.astype(np.int64) * n + cols[arc]
+        order = np.argsort(code)
+        by_col = arc[order], code[order], R.data[order]
         out = np.zeros(P.nnz)
         L = G                                 # (P^T)^k G
         for k in range(t - 1):
@@ -380,10 +355,9 @@ class Tape:
     `_DenseWalk` (see `_walk`).
     """
 
-    def __init__(self, *, params, cfg, eg, scored, g_raw, head_grads, walk,
+    def __init__(self, *, params, eg, scored, g_raw, head_grads, walk,
                  mlp_cache):
         self.params = params
-        self.cfg = cfg
         self.eg = eg
         self.scored = scored
         self.g_raw = g_raw            # loss gradient w.r.t. the raw scores
@@ -487,10 +461,8 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
             dropout_key=drop_key, pair_ids=pair_ids, cos=cos, Z=Z,
             keep_cache=want_tape)
         walk = _walk(transition_matrix(eg.graph), scored, cfg.ac_t)
-        d = eg.graph.degrees
-        vol = eg.graph.volume
-        raw = ((d[scored[:, 0]] / vol) * walk.values
-               - d[scored[:, 0]] * d[scored[:, 1]] / vol ** 2)
+        raw = autocovariance_from_walk(eg.graph, scored[:, 0], scored[:, 1],
+                                       walk.values)
         mlp_cache = eg.mlp_cache
 
     z, std = _standardize(raw)
@@ -509,7 +481,7 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
     g_raw = gz - gz.mean()
     if std >= _STD_FLOOR:
         g_raw = g_raw - z * np.mean(gz * z)
-    return loss, Tape(params=params, cfg=cfg, eg=eg, scored=scored,
+    return loss, Tape(params=params, eg=eg, scored=scored,
                       g_raw=g_raw / max(std, _STD_FLOOR),
                       head_grads=head_grads, walk=walk, mlp_cache=mlp_cache)
 
@@ -606,8 +578,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
         full_cos = cosine_pairs(X, full_pairs)
         if full_pairs.size and len(full_pairs) * 2 * X.r * 8 < 500 * 2 ** 20:
             full_Z = pair_features(X, full_pairs)
-    eval_ids = np.searchsorted(full_codes, pair_codes(
-        np.vstack([split.train_pos, added_pairs]), split.n))
+    eval_ids = np.argsort(order)      # each pair's row in full_pairs
 
     params = init_mlp_params(X.r, cfg.hidden, cfg.seed)
     head = np.array([1.0, 0.0]) if cfg.loss == "bce" else None
@@ -653,9 +624,9 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             if not grads_finite(loss, grads):
                 skipped += 1
                 continue
-            # flatten_params order; head_a/head_b only under BCE
-            gflat = np.concatenate([np.ravel(grads[name]) for name in (
-                "W1", "b1", "W2", "b2", "head_a", "head_b") if name in grads])
+            gflat = flatten_params(
+                MlpParams(grads["W1"], grads["b1"], grads["W2"], grads["b2"]),
+                None if head is None else [grads["head_a"], grads["head_b"]])
             flat = adam_update(adam, flat, gflat, cfg.lr)
             if head is not None:
                 params, head = unflatten_params(flat, X.r, cfg.hidden,

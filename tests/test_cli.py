@@ -218,10 +218,30 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--lr", "-1"), ("--lr", "nan"), ("--hidden", "0"),
     ("--valid-subsample", "-5"), ("--block-size", "0"),
+    ("--eta", "nan"), ("--eta", "inf"), ("--self-loop-weight", "nan"),
+    ("--neg-cap", "-5"),
 ])
 def test_show_config_rejects_invalid_values(capsys, flag, value):
     assert main(["show-config", flag, value]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["split", "--out", "{bad}"],
+    ["eval", "--mode", "ac-only", "--split", "{split}", "--report", "{bad}"],
+    ["baseline", "--kind", "cn", "--split", "{split}", "--pr-csv", "{bad}"],
+    ["train", "--attributes", "{attrs}", "--split", "{split}",
+     "--epochs", "1", "--batch-count", "3", "--neg-cap", "2", "--hidden",
+     "4", "--out-checkpoint", "{bad}"],
+    ["export-scores", "--mode", "ac-only", "--split", "{split}", "--nodes",
+     "0", "1", "--out-scores", "{bad}", "--out-weights", "{bad}"],
+])
+def test_unwritable_output_is_config_error(dataset, tmp_path, capsys, args):
+    bad = str(tmp_path / "missing-dir" / "out")
+    argv = [a.format(bad=bad, split=dataset["split"], attrs=dataset["attrs"])
+            for a in args]
+    assert main(argv + ["--edges", dataset["edges"]]) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
 
 
 # the override flags of the hand-written parser the derived one replaced

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,7 +9,8 @@ from gelato import (AcParams, AttributeMatrix, EnhancerConfig, MlpParams,
                     autocovariance_rows, build_enhanced_graph, build_graph,
                     init_mlp_params, load_params, mlp_edge_weight,
                     save_params, select_augmentation_pairs)
-from gelato.enhancer import assemble_enhanced, dropout_masks, pair_features
+from gelato.enhancer import (assemble_enhanced, dropout_masks,
+                             flatten_params, pair_features)
 from gelato.errors import ConfigError
 
 from conftest import random_attributes, random_graph
@@ -209,6 +212,14 @@ class TestEnhancedGraph:
         np.testing.assert_array_equal(loaded.b1, params.b1)
         np.testing.assert_array_equal(loaded.W2, params.W2)
         assert loaded.b2 == params.b2
+
+    def test_checkpoint_bytes_are_the_flat_layout(self, tmp_path):
+        params = init_mlp_params(5, hidden=3, seed=2)
+        path = tmp_path / "params.gpar"
+        save_params(path, params)
+        assert path.read_bytes() == (
+            b"GPAR" + struct.pack("<QQ", 5, 3)
+            + flatten_params(params).astype("<f8").tobytes())
 
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gpar"

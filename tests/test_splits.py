@@ -82,6 +82,16 @@ class TestSplitEdges:
         with pytest.raises(ConfigError):
             split_edges(g, (0.9, -0.05, 0.15))
 
+    @pytest.mark.parametrize("ratios", [
+        (np.nan, 0.2, 0.2), (np.nan, 0.5, 0.5), (0.6, np.nan, 0.2),
+        (np.inf, 0.2, 0.2),
+    ])
+    def test_non_finite_ratios(self, ratios):
+        g = random_graph(np.random.default_rng(5), 10, 12,
+                         ensure_positive_degree=False)
+        with pytest.raises(ConfigError):
+            split_edges(g, ratios)
+
     def test_too_small(self):
         g = build_graph([(0, 1), (1, 2)], 3)
         with pytest.raises(DataError):

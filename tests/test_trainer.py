@@ -9,7 +9,7 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     standardize_scores, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError
-from gelato.heuristics import transition_matrix
+from gelato.heuristics import autocovariance_from_walk, transition_matrix
 from gelato.splits import MaskedBatch
 from gelato.trainer import flatten_params, grads_finite, unflatten_params
 
@@ -257,6 +257,16 @@ class TestWalkKernels:
             got = d[u] / vol * walk.values - d[u] * d[v] / vol ** 2
             np.testing.assert_allclose(got, R[u, v], rtol=1e-12,
                                        atol=1e-12 * np.abs(R).max())
+
+    @pytest.mark.parametrize("graph", ["ring", "dense"])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_raw_scores_equal_autocovariance_pairs(self, graph, t):
+        # training scores a pair as evaluation does, bit for bit
+        g, P, pairs, _ = _walk_case(graph)
+        want = gelato.autocovariance_pairs(g, pairs, gelato.AcParams(t))
+        for walk in _kernels(P, pairs, t):
+            np.testing.assert_array_equal(autocovariance_from_walk(
+                g, pairs[:, 0], pairs[:, 1], walk.values), want)
 
     @pytest.mark.parametrize("graph", ["ring", "dense"])
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
