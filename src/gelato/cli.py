@@ -89,6 +89,16 @@ def _load_split(cfg, g):
     return split
 
 
+def _check_writable(path) -> None:
+    """Refuse an output that could not be written, without opening it, so
+    that a run that fails later truncates no existing file there."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if (os.path.isdir(path) or not os.path.isdir(folder)
+            or not os.access(target, os.W_OK)):
+        raise ConfigError(f"cannot write {path}")
+
+
 def _needs_attributes(mode: str) -> bool:
     return mode not in ("ac-only", "heuristic:cn", "heuristic:aa",
                         "heuristic:ra")
@@ -147,6 +157,8 @@ def cmd_train(args) -> int:
         print(f"mode {cfg.mode} has no trainable parameters; nothing to do "
               "(run eval directly)")
         return 0
+    for path in filter(None, (args.out_checkpoint, args.out_history)):
+        _check_writable(path)
     g, X = _load_inputs(cfg, need_attrs=True)
     split = _load_split(cfg, g)
     params, history = train(g, X, split, cfg.enhancer(), cfg.trainer())

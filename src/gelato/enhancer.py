@@ -137,12 +137,16 @@ def load_params(path) -> MlpParams:
             if fh.read(4) != PARAM_MAGIC:
                 raise DataError(f"{path}: not a parameter checkpoint")
             r, hidden = struct.unpack("<QQ", fh.read(16))
-            payload = np.frombuffer(fh.read(), dtype="<f8")
+            payload = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    except struct.error as exc:
+        raise DataError(f"{path}: truncated checkpoint header") from exc
     need = hidden * 2 * r + hidden + hidden + 1
-    if payload.size != need:
-        raise DataError(f"{path}: expected {need} values, got {payload.size}")
+    if len(payload) != 8 * need:
+        raise DataError(f"{path}: expected {need} float64 values, got "
+                        f"{len(payload)} bytes")
+    payload = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(payload).all():
         raise DataError(f"{path}: non-finite parameter values")
     return unflatten_params(payload, r, hidden)

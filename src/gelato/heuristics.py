@@ -95,18 +95,15 @@ def source_blocks(sources, block_size: int = 256):
         yield block, sel, inverse[sel] - start
 
 
-def pair_scores(rows, pairs, block_size: int = 256, blocks=None
-                ) -> np.ndarray:
+def pair_scores(rows, pairs, block_size: int = 256) -> np.ndarray:
     """Scores of explicit pairs from a rows(sources) -> (len, n) function.
 
-    One rows() call is shared by all pairs with the same source; `blocks`
-    reuses a grouping of pairs[:, 0] made earlier by source_blocks.
+    One rows() call is shared by all pairs with the same source, in
+    blocks of `block_size` sources.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if blocks is None:
-        blocks = source_blocks(pairs[:, 0], block_size)
     out = np.empty(len(pairs))
-    for block, sel, row in blocks:
+    for block, sel, row in source_blocks(pairs[:, 0], block_size):
         out[sel] = rows(block)[row, pairs[sel, 1]]
     return out
 

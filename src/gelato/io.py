@@ -2,7 +2,10 @@
 
 Edge-list file (text): one "u v" or "u v w" per line with 0-based node
 ids; '#' starts a comment; an optional first line "n <count>" fixes the
-node count (otherwise n = max id + 1).
+node count (otherwise n = max id + 1). Every line has the width of the
+first. Ids are parsed as integers and weights as floats by numpy's text
+reader, so an id written "3.0", "1_000" or with non-ASCII digits is
+rejected.
 
 Attribute file: either CSV (n rows x r comma-separated columns) or the
 binary layout: magic bytes "GATR", two little-endian 64-bit unsigned
@@ -15,52 +18,41 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .errors import DataError
 from .graph import AttributeMatrix, Graph, build_graph
 
 ATTR_MAGIC = b"GATR"
+_EDGE_FIELDS = [("u", np.int64), ("v", np.int64), ("w", np.float64)]
 
 
 def read_edge_list(path):
     """Parse an edge-list file; returns (edges array, n)."""
-    entries = []
-    n_header = None
-    width = None
+    n_header, skip, width = None, 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            # the header and the first data line; numpy parses the rest
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if n_header is None and not entries and parts[0] == "n":
-                    try:
-                        (n_header,) = map(int, parts[1:])
-                    except ValueError as exc:
-                        raise DataError(
-                            f"{path}:{lineno}: bad header line") from exc
-                    continue
-                if len(parts) not in (2, 3):
-                    raise DataError(
-                        f"{path}:{lineno}: expected 'u v' or 'u v w'")
-                if width is None:
+                parts = raw.split("#", 1)[0].split()
+                if parts[:1] == ["n"] and n_header is None:
+                    (n_header,) = map(int, parts[1:])
+                    skip = lineno
+                elif parts:
                     width = len(parts)
-                elif width != len(parts):
-                    raise DataError(
-                        f"{path}:{lineno}: mixed weighted/unweighted lines")
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                    w = float(parts[2]) if len(parts) == 3 else None
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                entries.append((u, v) if w is None else (u, v, w))
+                    break
+            if width not in (0, 2, 3):
+                raise DataError(f"{path}:{lineno}: expected 'u v' or 'u v w'")
+            edges = np.empty((0, 2))
+            if width:  # loadtxt warns on a file without data
+                fh.seek(0)
+                rows = np.loadtxt(fh, _EDGE_FIELDS[:width], ndmin=1,
+                                  skiprows=skip)
+                edges = structured_to_unstructured(rows, dtype=np.float64)
     except OSError as exc:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
-    if entries:
-        edges = np.asarray(entries, dtype=np.float64)
-    else:
-        edges = np.empty((0, 2))
+    except ValueError as exc:
+        raise DataError(f"cannot parse edge list {path}: {exc}") from exc
     max_id = int(edges[:, :2].max()) if len(edges) else -1
     n = n_header if n_header is not None else max_id + 1
     return edges, n
@@ -77,11 +69,8 @@ def write_edge_list(path, g: Graph) -> None:
     weighted = bool(len(weights)) and not np.all(weights == 1.0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n {g.n}\n")
-        for i in range(len(pairs)):
-            if weighted:
-                fh.write(f"{pairs[i, 0]} {pairs[i, 1]} {float(weights[i])!r}\n")
-            else:
-                fh.write(f"{pairs[i, 0]} {pairs[i, 1]}\n")
+        for (u, v), w in zip(pairs.tolist(), weights.tolist()):
+            fh.write(f"{u} {v} {w!r}\n" if weighted else f"{u} {v}\n")
 
 
 def read_attributes(path) -> AttributeMatrix:

@@ -21,7 +21,6 @@ float representation error in the ratios.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,6 @@ PHASES = ("train", "valid", "test")
 
 _NEG_TAG = 0x6E656773  # stream namespace for negative sampling
 _BATCH_TAG = 0x62617463  # stream namespace for batch partitions
-
-# the lines of a split section, each exactly two whitespace-separated tokens
-_PAIR_LINES = re.compile(r"\S+[^\S\n]+\S+(?:\n\S+[^\S\n]+\S+)*")
 
 
 @dataclass
@@ -240,15 +236,14 @@ def write_split(path, split: EdgeSplit) -> None:
         for name in ("TRAIN", "VALID", "TEST"):
             pairs = split.positives(name.lower())
             fh.write(f"{name} {len(pairs)}\n")
-            for u, v in pairs:
-                fh.write(f"{u} {v}\n")
+            np.savetxt(fh, pairs, fmt="%d")
 
 
 def read_split(path) -> EdgeSplit:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read split file {path}: {exc}") from exc
     lines = [ln for ln in lines if ln]
     header = {}
@@ -271,14 +266,16 @@ def read_split(path) -> EdgeSplit:
             if count < 0 or i + 1 + count > len(lines):
                 raise DataError(f"{path}: section {name} declares {count} "
                                 f"pairs but {len(lines) - i - 1} lines follow")
-            body = "\n".join(lines[i + 1:i + 1 + count])
-            if count and not _PAIR_LINES.fullmatch(body):
+            pairs = np.empty((0, 2), dtype=np.int64)
+            if count:  # loadtxt warns on an empty input
+                pairs = np.loadtxt(lines[i + 1:i + 1 + count],
+                                   dtype=np.int64, ndmin=2)
+            if pairs.shape[1] != 2:
                 raise DataError(f"{path}: section {name} has a line that is "
                                 "not two ids")
-            sections[name] = np.array(body.split(),
-                                      dtype=np.int64).reshape(count, 2)
+            sections[name] = pairs
             i += 1 + count
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad split section in {path}: {exc}") from exc
     for name in ("TRAIN", "VALID", "TEST"):
         if name not in sections:

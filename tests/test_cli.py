@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import gelato
-from gelato import AttributeMatrix, write_attributes_csv, write_edge_list
+from gelato import AttributeMatrix, cli, write_attributes_csv, write_edge_list
 from gelato.cli import build_parser, main
 from gelato.config import ExperimentConfig, config_from_text, config_to_text
+from gelato.errors import NumericError
 
 from conftest import make_attribute_sbm
 
@@ -290,6 +291,71 @@ def test_checkpoint_non_finite_is_data_error(dataset, tmp_path):
                dataset["attrs"], "--split", dataset["split"],
                "--mode", "gelato", "--hidden", "4", "--checkpoint", str(ck)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("size", [10, 25])  # in the header; mid-value
+def test_truncated_checkpoint_is_data_error(dataset, tmp_path, size):
+    ck = tmp_path / "cut.gpar"
+    gelato.save_params(ck, gelato.init_mlp_params(dataset["X"].r, 4))
+    ck.write_bytes(ck.read_bytes()[:size])
+    rc = main(["eval", "--edges", dataset["edges"], "--attributes",
+               dataset["attrs"], "--split", dataset["split"],
+               "--mode", "gelato", "--hidden", "4", "--checkpoint", str(ck)])
+    assert rc == 3
+
+
+def _train_argv(dataset, *outputs):
+    return ["train", "--edges", dataset["edges"], "--attributes",
+            dataset["attrs"], "--split", dataset["split"], "--epochs", "1",
+            "--batch-count", "3", "--neg-cap", "2", "--hidden", "4",
+            *outputs]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training ran")
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--out-checkpoint", "{bad}"],
+    ["--out-checkpoint", "{ck}", "--out-history", "{bad}"],
+])
+def test_train_checks_outputs_before_training(dataset, tmp_path, capsys,
+                                              monkeypatch, outputs):
+    monkeypatch.setattr(cli, "train", _no_training)
+    bad = str(tmp_path / "missing-dir" / "out")
+    ck = tmp_path / "c.gpar"
+    argv = _train_argv(dataset, *[a.format(bad=bad, ck=ck) for a in outputs])
+    assert main(argv) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+    assert not ck.exists()
+
+
+def test_failed_training_keeps_existing_outputs(dataset, tmp_path,
+                                                monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericError("diverged")
+
+    monkeypatch.setattr(cli, "train", diverge)
+    ck, hist = tmp_path / "c.gpar", tmp_path / "h.log"
+    ck.write_bytes(b"old checkpoint")
+    hist.write_text("old history\n")
+    assert main(_train_argv(dataset, "--out-checkpoint", str(ck),
+                            "--out-history", str(hist))) == 4
+    assert ck.read_bytes() == b"old checkpoint"
+    assert hist.read_text() == "old history\n"
+
+
+@pytest.mark.parametrize("flag, code", [("--edges", 3), ("--split", 3),
+                                        ("--config", 2)])
+def test_non_utf8_input_is_an_error(dataset, tmp_path, flag, code):
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    inputs = {"--edges": dataset["edges"], "--split": dataset["split"],
+              flag: str(bad)}
+    argv = ["eval", "--mode", "ac-only"]
+    for key, value in inputs.items():
+        argv += [key, value]
+    assert main(argv) == code
 
 
 def test_split_of_another_graph_is_data_error(tmp_path):
