@@ -248,16 +248,11 @@ def mlp_forward(params: MlpParams, Z: np.ndarray,
     return w
 
 
-def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair,
-                    training: bool = False, dropout_rate: float = 0.5,
-                    dropout_key: int = 0, pair_id: int = 0) -> float:
-    """Trained weight of one pair; symmetric in (u, v) by construction."""
+def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair) -> float:
+    """Trained weight of one pair (evaluation mode, no dropout); symmetric
+    in (u, v) by construction."""
     Z = pair_features(X, np.asarray([[pair[0], pair[1]]]))
-    mask = None
-    if training and dropout_rate > 0.0:
-        mask = dropout_masks(params.hidden, np.asarray([pair_id]),
-                             dropout_rate, dropout_key)
-    return float(mlp_forward(params, Z, mask, dropout_rate)[0])
+    return float(mlp_forward(params, Z)[0])
 
 
 # -- enhanced graph ---------------------------------------------------------

@@ -18,6 +18,9 @@ never materialized. Two exact paths count it, with the same result:
   learned weights). Each block of source nodes materializes the dense
   rows(sources) and counts its pool pairs. This path is the reference.
 
+Explicit pairs (positives, sampled negatives) are scored as the pool is:
+from the support view where the scorer offers one, else its dense rows.
+
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
 serialized in their input order where an integer rank is needed. AUC uses
@@ -35,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .heuristics import _values_at, pair_scores, source_blocks
+from .heuristics import pair_scores
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
 
@@ -75,9 +78,14 @@ def counts_against(sorted_neg_scores: np.ndarray,
     return above.astype(np.int64), (right - left).astype(np.int64)
 
 
-def _score_pairs(scorer, pairs: np.ndarray) -> np.ndarray:
-    """Score explicit pairs via the scorer's row interface, grouped by source."""
-    out = pair_scores(scorer.rows, pairs)
+def _score_pairs(scorer, pairs: np.ndarray, view=None,
+                 block_size: int = 256) -> np.ndarray:
+    """Scores of explicit pairs, grouped by source: from the support
+    `view` where there is one, else from the scorer's dense rows."""
+    if view is None:
+        out = pair_scores(scorer.rows, pairs, block_size)
+    else:
+        out = pair_scores(view.rows, pairs, block_size, view.background)
     if not np.isfinite(out).all():
         raise NumericError("scorer returned non-finite pair scores")
     return out
@@ -94,8 +102,9 @@ def _counts(vals, pos_scores):
 
 def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
     """Rank positives against an explicit (sampled) negative set."""
-    pos_scores = _score_pairs(scorer, positives)
-    above, tied = _counts(_score_pairs(scorer, negatives), pos_scores)
+    view = scorer.support() if hasattr(scorer, "support") else None
+    pos_scores = _score_pairs(scorer, positives, view)
+    above, tied = _counts(_score_pairs(scorer, negatives, view), pos_scores)
     return RankSummary(pos_scores, above, tied, len(negatives))
 
 
@@ -116,10 +125,11 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     pool = negative_pool_size(g, split, phase)
     view = scorer.support() if hasattr(scorer, "support") else None
     if view is None:
+        # dense rows of 1024 sources take longer than four blocks of 256
         pos_scores = _score_pairs(scorer, positives)
         block = partial(_stream_block, scorer)
     else:
-        pos_scores = _support_pair_scores(view, positives, n, block_size)
+        pos_scores = _score_pairs(scorer, positives, view, block_size)
         block = partial(_support_block, view)
     # the blocks count against the positives in ascending order: sorted
     # keys make each block's searches several times faster
@@ -167,21 +177,6 @@ def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     mask[ex // n - rows[0], ex % n] = False
     vals = block[mask]
     return (*_counts(vals, pos_scores), len(vals))
-
-
-def _support_pair_scores(view, pairs, n, block_size) -> np.ndarray:
-    """Scores of explicit pairs: the stored entry of the source's sparse
-    row, or the background."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(pairs))
-    for block, sel, row in source_blocks(pairs[:, 0], block_size):
-        u, v = pairs[sel, 0], pairs[sel, 1]
-        M = view.rows(block)
-        M.sort_indices()
-        out[sel] = _values_at(M, row * n + v, fill=view.background(u, v))
-    if not np.isfinite(out).all():
-        raise NumericError("scorer returned non-finite pair scores")
-    return out
 
 
 def _support_block(view, pos_scores, excl, n, start, block_size):

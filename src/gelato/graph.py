@@ -69,8 +69,7 @@ class Graph:
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "undirected",
-                 "_degrees", "_volume", "_num_edges", "_csr", "_pair_codes",
-                 "_pair_code_weights")
+                 "_degrees", "_volume", "_num_edges", "_csr")
 
     def __init__(self, n, indptr, indices, data, undirected=True):
         self.n = int(n)
@@ -84,8 +83,6 @@ class Graph:
         self._volume = None
         self._num_edges = None
         self._csr = None
-        self._pair_codes = None
-        self._pair_code_weights = None
 
     # -- elementary quantities -------------------------------------------
 
@@ -150,21 +147,25 @@ class Graph:
 
     def pair_weights(self, pairs: np.ndarray) -> np.ndarray:
         """Weights of canonical pairs (0.0 where absent), vectorized."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if self._pair_codes is None:
-            ep, w = self.edge_pairs(return_weights=True)
-            codes = ep[:, 0] * self.n + ep[:, 1]
-            order = np.argsort(codes, kind="stable")
-            self._pair_codes = codes[order]
-            self._pair_code_weights = w[order]
-        want = pairs[:, 0] * self.n + pairs[:, 1]
-        pos = np.searchsorted(self._pair_codes, want)
-        pos = np.minimum(pos, max(len(self._pair_codes) - 1, 0))
-        out = np.zeros(len(pairs))
-        if len(self._pair_codes):
-            hit = self._pair_codes[pos] == want
-            out[hit] = self._pair_code_weights[pos[hit]]
-        return out
+        return _values_at(self.adjacency(), pair_codes(pairs, self.n))
+
+
+def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Encode pairs as u * n + v for set arithmetic and lookups."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
+def _values_at(M, codes, fill=0.0):
+    """Entries of the sorted CSR matrix M at flat codes u * n + v, and
+    `fill` (a scalar or one value per code) where M stores none."""
+    if not M.nnz:
+        return np.full(len(codes), fill, dtype=np.float64)
+    n = M.shape[1]
+    own = (np.repeat(np.arange(M.shape[0], dtype=np.int64),
+                     np.diff(M.indptr)) * n + M.indices)
+    pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
+    return np.where(own[pos] == codes, M.data[pos], fill)
 
 
 def _assemble_csr(n, rows, cols, weights, undirected):
@@ -176,9 +177,9 @@ def _assemble_csr(n, rows, cols, weights, undirected):
     return Graph(n, indptr, cols, weights, undirected), order
 
 
-def build_graph(edges, n: int, undirected: bool = True,
-                default_weight: float = 1.0) -> Graph:
-    """Build a Graph from an edge list of (u, v) or (u, v, w) entries.
+def build_graph(edges, n: int, undirected: bool = True) -> Graph:
+    """Build a Graph from an edge list of (u, v) or (u, v, w) entries;
+    a (u, v) entry weighs 1.
 
     Node ids must lie in [0, n); weights must be finite and nonnegative.
     Duplicate edges (including an undirected edge listed in both
@@ -201,7 +202,7 @@ def build_graph(edges, n: int, undirected: bool = True,
         if arr.shape[1] == 3:
             w = arr[:, 2].astype(np.float64)
         else:
-            w = np.full(len(arr), float(default_weight))
+            w = np.ones(len(arr))
 
     if n < 0:
         raise DataError("node count must be nonnegative")

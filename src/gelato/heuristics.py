@@ -30,9 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericError
-from .graph import Graph
-
-HEURISTIC_KINDS = ("CN", "AA", "RA")
+from .graph import Graph, _values_at
 
 
 @dataclass(frozen=True)
@@ -69,42 +67,31 @@ def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int):
     return X
 
 
-def _values_at(M, codes, fill=0.0):
-    """Entries of the sorted CSR matrix M at flat codes u * n + v, and
-    `fill` (a scalar or one value per code) where M stores none."""
-    if not M.nnz:
-        return np.full(len(codes), fill, dtype=np.float64)
-    n = M.shape[1]
-    own = (np.repeat(np.arange(M.shape[0], dtype=np.int64),
-                     np.diff(M.indptr)) * n + M.indices)
-    pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
-    return np.where(own[pos] == codes, M.data[pos], fill)
-
-
-def source_blocks(sources, block_size: int = 256):
-    """Group entries by source node, `block_size` distinct sources at a time.
-
-    Yields (block, sel, row): the block's sorted distinct sources, the
-    mask of entries whose source is in the block, and each selected
-    entry's row in the block. Bounds row computations at block_size * n.
-    """
-    uniq, inverse = np.unique(sources, return_inverse=True)
-    for start in range(0, len(uniq), block_size):
-        block = uniq[start:start + block_size]
-        sel = (inverse >= start) & (inverse < start + len(block))
-        yield block, sel, inverse[sel] - start
-
-
-def pair_scores(rows, pairs, block_size: int = 256) -> np.ndarray:
-    """Scores of explicit pairs from a rows(sources) -> (len, n) function.
+def pair_scores(rows, pairs, block_size: int = 256,
+                background=None) -> np.ndarray:
+    """Scores of explicit pairs from a rows(sources) function.
 
     One rows() call is shared by all pairs with the same source, in
-    blocks of `block_size` sources.
+    blocks of `block_size` distinct sources, which bounds the rows at
+    block_size * n. rows() returns dense (len(sources), n) rows; with a
+    `background`, CSR rows instead, and a pair (u, v) that its row does
+    not store scores background(u, v).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    uniq, inverse = np.unique(pairs[:, 0], return_inverse=True)
     out = np.empty(len(pairs))
-    for block, sel, row in source_blocks(pairs[:, 0], block_size):
-        out[sel] = rows(block)[row, pairs[sel, 1]]
+    for start in range(0, len(uniq), block_size):
+        block = uniq[start:start + block_size]
+        sel = np.flatnonzero((inverse >= start)
+                             & (inverse < start + len(block)))
+        row, v = inverse[sel] - start, pairs[sel, 1]
+        M = rows(block)
+        if background is None:
+            out[sel] = M[row, v]
+        else:
+            M.sort_indices()
+            out[sel] = _values_at(M, row * M.shape[1] + v,
+                                  fill=background(pairs[sel, 0], v))
     return out
 
 

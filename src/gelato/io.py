@@ -7,7 +7,7 @@ first. Ids are parsed as integers and weights as floats by numpy's text
 reader, so an id written "3.0", "1_000" or with non-ASCII digits is
 rejected.
 
-Attribute file: either CSV (n rows x r comma-separated columns) or the
+Attribute file: either CSV (n >= 1 rows x r comma-separated columns) or the
 binary layout: magic bytes "GATR", two little-endian 64-bit unsigned
 integers n and r, then n*r little-endian 32-bit floats row-major. Values
 are held as float64 in memory regardless of storage width.
@@ -58,9 +58,9 @@ def read_edge_list(path):
     return edges, n
 
 
-def load_graph(path, undirected: bool = True) -> Graph:
+def load_graph(path) -> Graph:
     edges, n = read_edge_list(path)
-    return build_graph(edges, n, undirected=undirected)
+    return build_graph(edges, n)
 
 
 def write_edge_list(path, g: Graph) -> None:
@@ -88,6 +88,9 @@ def read_attributes(path) -> AttributeMatrix:
                     raise DataError(f"{path}: truncated attribute payload")
                 values = np.frombuffer(payload, dtype="<f4", count=n * r)
                 return AttributeMatrix(values.reshape(n, r))
+            fh.seek(0)
+            if not any(ln.split(b"#", 1)[0].strip() for ln in fh):
+                raise DataError(f"attribute file {path} has no rows")
     except OSError as exc:
         raise DataError(f"cannot read attributes {path}: {exc}") from exc
     try:

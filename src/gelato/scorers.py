@@ -1,8 +1,8 @@
 """Scorer adapters for the evaluator.
 
 A scorer exposes rows(sources) -> dense (len(sources), n) float64 block.
-The evaluator scores explicit pairs by slicing these rows
-(heuristics.pair_scores), so pair and pool scores are bitwise consistent.
+The evaluator scores explicit pairs from the same rows or support view
+as the pool (heuristics.pair_scores): pair and pool scores agree bitwise.
 
 A scorer whose rows are sparse over a closed-form background may also
 offer support() -> SupportView, or None where streaming the dense rows

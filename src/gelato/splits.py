@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, pair_codes
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -67,12 +67,6 @@ class MaskedBatch:
 def _check_phase(phase):
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}; expected one of {PHASES}")
-
-
-def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Encode canonical pairs as u * n + v for set arithmetic."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0] * n + pairs[:, 1]
 
 
 def _first_occurrences(codes: np.ndarray) -> np.ndarray:

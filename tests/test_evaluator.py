@@ -11,10 +11,11 @@ from gelato import (RankSummary, auc, average_precision, biased_sample_metrics,
                     rank_summary, report_to_json, split_edges, write_pr_csv)
 from gelato import scorers
 from gelato.errors import ConfigError, NumericError
-from gelato.evaluator import counts_against, pr_curve
+from gelato.evaluator import counts_against, pr_curve, sampled_rank_summary
 from gelato.scorers import (AutocovarianceScorer, LocalHeuristicScorer,
                             SupportView)
-from gelato.splits import PHASES, EdgeSplit, excluded_codes, train_graph
+from gelato.splits import (PHASES, EdgeSplit, excluded_codes,
+                           negative_pool_size, sample_negatives, train_graph)
 
 from conftest import (brute_force_counts, brute_force_metrics, enumerate_pool,
                       random_graph)
@@ -180,15 +181,22 @@ class TestRankSummarySupport:
         looped = gelato.add_self_loops(train_graph(g, split), "isolated-only")
         scorer = AutocovarianceScorer(looped, t) if kind == "AC" \
             else LocalHeuristicScorer(kind, looped)
+        positives = split.positives(phase)
+        negatives = sample_negatives(
+            g, split, phase, min(negative_pool_size(g, split, phase), 40),
+            graph_seed)
         # take the support path whatever the number of distinct degrees
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scorers, "_support_pays", lambda classes, n: True)
             assert scorer.support() is not None
             rs = rank_summary(scorer, g, split, phase, block_size=block_size,
                               workers=workers)
+            sampled = sampled_rank_summary(scorer, positives, negatives)
         streamed = rank_summary(_Streamed(scorer), g, split, phase,
                                 block_size=block_size, workers=workers)
         _assert_same_summary(rs, streamed)
+        _assert_same_summary(sampled, sampled_rank_summary(
+            _Streamed(scorer), positives, negatives))
         _assert_same_summary(rs, RankSummary(
             *_brute_force_summary(scorer, split, phase),
             len(enumerate_pool(split, phase))))
@@ -234,10 +242,19 @@ class TestRankSummarySupport:
         CountingAc.calls = 0
         unweighted = random_graph(rng, 40, 120)
         assert AutocovarianceScorer(unweighted).support() is not None
-        rank_summary(CountingAc(unweighted), unweighted,
-                     split_edges(unweighted, (0.6, 0.2, 0.2), seed=0), "test")
+        u_split = split_edges(unweighted, (0.6, 0.2, 0.2), seed=0)
+        rank_summary(CountingAc(unweighted), unweighted, u_split, "test")
+        # sampled negatives are scored from the view too
+        biased_sample_metrics(CountingAc(unweighted), unweighted, u_split,
+                              5, seed=0)
         assert CountingAc.calls == 0
         assert LocalHeuristicScorer("RA", g).support() is not None
+
+        class NoRowsRa(LocalHeuristicScorer):
+            def rows(self, sources):
+                raise AssertionError("rows() called")
+
+        biased_sample_metrics(NoRowsRa("RA", g), g, split, 5, seed=0)
 
 
 class TestMetricOracle:

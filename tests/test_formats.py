@@ -100,7 +100,6 @@ def test_split_prefixes(scratch, split):
     _prefixes_load_or_raise_data_error(scratch, data, read_split)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(0, 4), r=st.integers(0, 3), seed=st.integers(0, 99))
 def test_attribute_binary_prefixes(scratch, n, r, seed):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gelato
 from gelato import (AttributeMatrix, add_self_loops, build_graph,
@@ -74,6 +75,21 @@ class TestBuildGraph:
         g = build_graph([(0, 1, 0.5), (2, 3, 1.5)], 4)
         w = g.pair_weights(np.array([[0, 1], [2, 3], [0, 2]]))
         assert w.tolist() == [0.5, 1.5, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_pair_weights_match_the_edge_list(self, n, data):
+        # self-loops, zero weights and the empty graph included
+        pairs = data.draw(st.lists(st.sampled_from(
+            [(u, v) for u in range(n) for v in range(u, n)]), unique=True))
+        weights = data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e300),
+            min_size=len(pairs), max_size=len(pairs)))
+        g = build_graph([(u, v, w) for (u, v), w in zip(pairs, weights)], n)
+        listed = dict(zip(pairs, weights))
+        canonical = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        got = g.pair_weights(np.array(canonical, dtype=np.int64))
+        assert got.tolist() == [listed.get(p, 0.0) for p in canonical]
 
     def test_immutability(self):
         g = build_graph([(0, 1)], 2)

@@ -80,6 +80,14 @@ def test_attributes_truncated_binary_payload(tmp_path):
         read_attributes(path)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
+def test_attributes_without_rows(tmp_path, text):
+    path = tmp_path / "attrs.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="attrs.csv"):
+        read_attributes(path)
+
+
 def test_missing_file():
     with pytest.raises(DataError):
         read_edge_list("/nonexistent/file.edges")
