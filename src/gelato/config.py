@@ -2,9 +2,10 @@
 
 A config file holds one "key value" pair per line ('#' comments allowed).
 Unknown keys are rejected. Flags given on the command line win over file
-values. parse -> serialize -> parse is the identity. ExperimentConfig
-declares every field once: the CLI flags and the enhancer and trainer
-settings are derived from its fields by name.
+values. parse -> serialize -> parse is the identity; serializing refuses
+a string with a '#', a line break or surrounding whitespace.
+ExperimentConfig declares every field once: the CLI flags and the
+enhancer and trainer settings are derived from its fields by name.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
             value = " ".join(repr(x) for x in value)
         elif isinstance(value, float):
             value = repr(value)
+        elif isinstance(value, str) and ("#" in value or len(
+                value.splitlines()) > 1 or value != value.strip()):
+            raise ConfigError(f"{f.name} {value!r} cannot be written")
         lines.append(f"{f.name} {value}")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,12 @@ scorer:
    zeros are dropped from the structure. Self-loops are then added per
    config so every row has a valid transition distribution.
 
+A run freezes its pair set once (AugmentedPairs): the training edges
+plus the augmentation, sorted by pair code, each with all but its MLP
+weight. Every enhanced graph of the run is assembled from row ids into
+that set, and a pair's row keys its dropout mask, so a pair has the same
+mask in every graph built with the same key.
+
 Checkpoint format (binary): magic "GPAR", little-endian 64-bit unsigned
 r and hidden, then the float64 little-endian values of flatten_params:
 W1 (hidden x 2r, row-major), b1, W2, b2.
@@ -33,7 +39,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError
-from .graph import AttributeMatrix, Graph, _assemble_csr, cosine_pairs
+from .graph import (AttributeMatrix, Graph, _assemble_csr, cosine_pairs,
+                    pair_codes)
 from .rng import Stream, counter_uniforms, derive
 
 PARAM_MAGIC = b"GPAR"
@@ -214,16 +221,16 @@ def pair_features(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
     return np.hstack([xu + xv, np.abs(xu - xv)])
 
 
-def dropout_masks(hidden: int, pair_ids: np.ndarray, rate: float,
+def dropout_masks(hidden: int, ids: np.ndarray, rate: float,
                   key: int) -> np.ndarray:
     """Inverted-dropout keep masks, keyed by (stream key, pair id, unit).
 
     Counter-based, so a pair's mask is independent of which batch or
     worker touches it.
     """
-    pair_ids = np.asarray(pair_ids, dtype=np.int64).reshape(-1)
-    counters = pair_ids[:, None] * hidden + np.arange(hidden)[None, :]
-    u = counter_uniforms(key, counters.reshape(-1)).reshape(len(pair_ids), hidden)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    counters = ids[:, None] * hidden + np.arange(hidden)[None, :]
+    u = counter_uniforms(key, counters.reshape(-1)).reshape(len(ids), hidden)
     return u >= rate
 
 
@@ -257,6 +264,42 @@ def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair) -> float:
 
 # -- enhanced graph ---------------------------------------------------------
 
+_Z_CACHE_BYTES = 500 * 2 ** 20  # a pair set keeps encodings smaller than this
+
+
+class AugmentedPairs:
+    """The frozen pair set of a run, sorted by pair code: the pairs `base`
+    of `g` plus the augmentation `added`, with each pair's weight in `g`
+    (0 for an added pair, even a held-out edge of `g`), cosine and, while
+    they fit in _Z_CACHE_BYTES, encoding (`Z`, else None)."""
+
+    def __init__(self, g: Graph, X: AttributeMatrix, base, added):
+        base = np.asarray(base, dtype=np.int64).reshape(-1, 2)
+        added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
+        pairs = np.vstack([base, added])
+        codes = pair_codes(pairs, g.n)
+        order = np.argsort(codes)
+        self.n, self.X = g.n, X
+        self.codes = codes[order]
+        if (self.codes[1:] == self.codes[:-1]).any():
+            raise ConfigError("the augmentation repeats a base pair")
+        self.pairs = pairs[order]
+        self.weights = np.concatenate([g.pair_weights(base),
+                                       np.zeros(len(added))])[order]
+        self.cos = cosine_pairs(X, self.pairs)
+        self.Z = (pair_features(X, self.pairs) if len(pairs) * 2 * X.r * 8
+                  < _Z_CACHE_BYTES else None)
+        self.added_rows = np.argsort(order)[len(base):]
+
+    def ids(self, base) -> np.ndarray:
+        """Rows of the pairs `base`, then those of the augmentation."""
+        codes = pair_codes(base, self.n)
+        rows = np.searchsorted(self.codes, codes)
+        if (np.r_[self.codes, -1][rows] != codes).any():
+            raise ConfigError("a base pair is not in the frozen pair set")
+        return np.concatenate([rows, self.added_rows])
+
+
 @dataclass
 class EnhancedGraph:
     """Learned adjacency over the augmented edge set, self-loops applied.
@@ -277,53 +320,30 @@ class EnhancedGraph:
     mlp_cache: dict | None = None  # Z, Hpre mask, Hd kept for backward
 
 
-def assemble_enhanced(X: AttributeMatrix, params: MlpParams | None,
-                      cfg: EnhancerConfig, n: int,
-                      base_pairs: np.ndarray, base_weights: np.ndarray,
-                      added_pairs: np.ndarray,
-                      training: bool = False, dropout_rate: float = 0.0,
-                      dropout_key: int = 0,
-                      pair_ids: np.ndarray | None = None,
-                      cos: np.ndarray | None = None,
-                      Z: np.ndarray | None = None,
+def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
+                      params: MlpParams | None, cfg: EnhancerConfig,
+                      dropout_rate: float = 0.0, dropout_key: int = 0,
                       keep_cache: bool = False) -> EnhancedGraph:
-    """Combine weights over an explicit augmented pair set and build CSR.
-
-    `base_pairs` carries the structural edges in play (the residual set
-    during positive-masked training); `added_pairs` is the frozen
-    augmentation. `pair_ids` indexes pairs into the frozen full pair list
-    for dropout keying and defaults to positional ids. Precomputed
-    cosines / pair encodings may be passed in to avoid re-gathering them
-    every batch; with keep_cache the MLP intermediates are retained for
-    reverse-mode replay.
-    """
-    base_pairs = np.asarray(base_pairs, dtype=np.int64).reshape(-1, 2)
-    added_pairs = np.asarray(added_pairs, dtype=np.int64).reshape(-1, 2)
-    pairs = np.vstack([base_pairs, added_pairs])
-    a_w = np.concatenate([np.asarray(base_weights, dtype=np.float64),
-                          np.zeros(len(added_pairs))])
-    if pair_ids is None:
-        pair_ids = np.arange(len(pairs))
-
-    if cos is None:
-        cos = cosine_pairs(X, pairs) if len(pairs) else np.empty(0)
-
+    """Combine weights over the rows `ids` (from `aug.ids`) of `aug` and
+    build CSR. With `dropout_rate` > 0 the MLP drops hidden units by masks
+    keyed by (`dropout_key`, row id); with keep_cache its intermediates
+    are kept for reverse-mode replay."""
+    pairs = aug.pairs[ids]
     mlp_cache = {} if keep_cache else None
     if cfg.beta > 0.0 and cfg.alpha < 1.0:
         if params is None:
             raise ConfigError("MLP parameters required when beta > 0")
-        if Z is None:
-            Z = pair_features(X, pairs)
+        Z = aug.Z[ids] if aug.Z is not None else pair_features(aug.X, pairs)
         mask = None
-        if training and dropout_rate > 0.0:
-            mask = dropout_masks(params.hidden, pair_ids, dropout_rate,
+        if dropout_rate > 0.0:
+            mask = dropout_masks(params.hidden, ids, dropout_rate,
                                  dropout_key)
         w = mlp_forward(params, Z, mask, dropout_rate, cache=mlp_cache)
     else:
         w = np.zeros(len(pairs))
 
-    combined = (cfg.alpha * a_w
-                + (1.0 - cfg.alpha) * (cfg.beta * w + (1.0 - cfg.beta) * cos))
+    combined = (cfg.alpha * aug.weights[ids] + (1.0 - cfg.alpha)
+                * (cfg.beta * w + (1.0 - cfg.beta) * aug.cos[ids]))
     weights = np.maximum(combined, 0.0)
     active = weights > 0.0
 
@@ -334,16 +354,15 @@ def assemble_enhanced(X: AttributeMatrix, params: MlpParams | None,
     dat = np.concatenate([act_w, act_w])
 
     # self-loops per config, after the zero-drop
+    n = aug.n
     deg = np.bincount(rows, weights=dat, minlength=n)
-    if cfg.self_loop_mode == "all":
-        loop_nodes = np.arange(n)
-    else:
-        loop_nodes = np.flatnonzero(deg == 0.0)
+    loop_nodes = (np.arange(n) if cfg.self_loop_mode == "all"
+                  else np.flatnonzero(deg == 0.0))
     rows = np.concatenate([rows, loop_nodes])
     cols = np.concatenate([cols, loop_nodes])
     dat = np.concatenate([dat, np.full(len(loop_nodes), cfg.self_loop_weight)])
 
-    graph, order = _assemble_csr(n, rows, cols, dat, undirected=True)
+    graph, order = _assemble_csr(n, rows, cols, dat)
     position = np.empty(len(rows), dtype=np.int64)
     position[order] = np.arange(len(rows))
     k = len(act_pairs)
@@ -357,20 +376,13 @@ def assemble_enhanced(X: AttributeMatrix, params: MlpParams | None,
 
 def build_enhanced_graph(g: Graph, X: AttributeMatrix,
                          params: MlpParams | None, cfg: EnhancerConfig,
-                         training: bool = False,
-                         added_pairs: np.ndarray | None = None,
-                         dropout_rate: float = 0.0,
-                         dropout_key: int = 0) -> EnhancedGraph:
-    """Enhanced graph over the full edge set of `g` plus the augmentation.
-
-    When `added_pairs` is None the augmentation is selected here from the
-    untrained similarities; callers that rebuild the graph per batch
-    should select once and pass the frozen array.
-    """
-    base_pairs, base_weights = g.edge_pairs(return_weights=True)
-    if added_pairs is None:
-        added_pairs, _ = select_augmentation_pairs(X, g, cfg.eta)
-    return assemble_enhanced(
-        X, params, cfg, g.n, base_pairs, base_weights, added_pairs,
-        training=training, dropout_rate=dropout_rate,
-        dropout_key=dropout_key)
+                         training: bool = False) -> EnhancedGraph:
+    """Evaluation-mode enhanced graph over the edges of `g` plus their
+    augmentation from the untrained similarities; `training` must be
+    False."""
+    if training:
+        raise ConfigError("training graphs are built by gelato.trainer")
+    base = g.edge_pairs()
+    aug = AugmentedPairs(g, X, base,
+                         select_augmentation_pairs(X, g, cfg.eta)[0])
+    return assemble_enhanced(aug, aug.ids(base), params, cfg)

@@ -1,8 +1,8 @@
 """Sparse graph and node-attribute containers plus elementary quantities.
 
 Graphs are stored in compressed-row (CSR) form and are immutable after
-construction: undirected graphs keep both arcs (u, v) and (v, u) with
-equal weight, self-loops are stored as a single diagonal entry, and the
+construction. Graphs are undirected: both arcs (u, v) and (v, u) are
+stored with equal weight, self-loops as a single diagonal entry, and the
 weighted degree of a node is the sum of its row. Both containers are safe
 to share across concurrent readers.
 """
@@ -68,15 +68,14 @@ class Graph:
     constructor expects already-sorted CSR arrays.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "undirected",
+    __slots__ = ("n", "indptr", "indices", "data",
                  "_degrees", "_volume", "_num_edges", "_csr")
 
-    def __init__(self, n, indptr, indices, data, undirected=True):
+    def __init__(self, n, indptr, indices, data):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.undirected = bool(undirected)
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
         self._degrees = None
@@ -92,13 +91,10 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        """Number of edges: undirected pairs count once, loops count once."""
+        """Number of edges: a pair of arcs counts once, a loop once."""
         if self._num_edges is None:
-            if self.undirected:
-                loops = int(np.sum(self.row_of_arcs() == self.indices))
-                self._num_edges = (self.num_arcs - loops) // 2 + loops
-            else:
-                self._num_edges = self.num_arcs
+            loops = int(np.sum(self.row_of_arcs() == self.indices))
+            self._num_edges = (self.num_arcs - loops) // 2 + loops
         return self._num_edges
 
     @property
@@ -136,10 +132,7 @@ class Graph:
     def edge_pairs(self, return_weights=False):
         """Canonical (u < v) non-loop edge pairs as an (m, 2) array."""
         rows = self.row_of_arcs()
-        if self.undirected:
-            keep = rows < self.indices
-        else:
-            keep = rows != self.indices
+        keep = rows < self.indices
         pairs = np.column_stack([rows[keep], self.indices[keep]])
         if return_weights:
             return pairs, self.data[keep].copy()
@@ -168,28 +161,42 @@ def _values_at(M, codes, fill=0.0):
     return np.where(own[pos] == codes, M.data[pos], fill)
 
 
-def _assemble_csr(n, rows, cols, weights, undirected):
+def _assemble_csr(n, rows, cols, weights):
     """Build sorted CSR arrays from arc arrays (already symmetrized)."""
     order = np.lexsort((cols, rows))
     rows, cols, weights = rows[order], cols[order], weights[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, cols, weights, undirected), order
+    return Graph(n, indptr, cols, weights), order
+
+
+# The largest n whose pair codes u * n + v fit in int64; below 2^53, so
+# node ids read as float64 are exact up to it.
+MAX_NODES = 3_037_000_499
+
+
+def check_node_count(n: int) -> None:
+    """Refuse a node count whose pair codes do not fit in int64."""
+    if not 0 <= n <= MAX_NODES:
+        raise DataError(f"node count {n} is outside [0, {MAX_NODES}], where "
+                        "pair codes fit in 64 bits")
 
 
 def build_graph(edges, n: int, undirected: bool = True) -> Graph:
-    """Build a Graph from an edge list of (u, v) or (u, v, w) entries;
-    a (u, v) entry weighs 1.
+    """Build an undirected Graph from an edge list of (u, v) or (u, v, w)
+    entries; a (u, v) entry weighs 1. `undirected` must be True.
 
     Node ids must lie in [0, n); weights must be finite and nonnegative.
-    Duplicate edges (including an undirected edge listed in both
-    directions) are rejected rather than merged so that downstream edge
-    splits operate on an unambiguous edge set.
+    Duplicate edges (including an edge listed in both directions) are
+    rejected rather than merged so that downstream edge splits operate
+    on an unambiguous edge set.
     """
+    if not undirected:
+        raise DataError("directed graphs are not supported")
+    check_node_count(n)
     edges = list(edges) if not isinstance(edges, np.ndarray) else edges
     if len(edges) == 0:
-        u = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.int64)
+        u = v = np.empty(0, dtype=np.int64)
         w = np.empty(0, dtype=np.float64)
     else:
         arr = np.asarray(edges)
@@ -199,13 +206,9 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
         v = arr[:, 1].astype(np.int64)
         if not np.allclose(arr[:, 0], u) or not np.allclose(arr[:, 1], v):
             raise DataError("node ids must be integers")
-        if arr.shape[1] == 3:
-            w = arr[:, 2].astype(np.float64)
-        else:
-            w = np.ones(len(arr))
+        w = (arr[:, 2].astype(np.float64) if arr.shape[1] == 3
+             else np.ones(len(arr)))
 
-    if n < 0:
-        raise DataError("node count must be nonnegative")
     if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
         raise DataError("node id out of range [0, n)")
     if not np.isfinite(w).all():
@@ -213,22 +216,15 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
     if len(w) and w.min() < 0:
         raise DataError("edge weights must be nonnegative")
 
-    if undirected:
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-    else:
-        lo, hi = u, v
-    codes = np.sort(lo * n + hi)
+    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     if (codes[1:] == codes[:-1]).any():
         raise DataError("duplicate edges in input")
 
     loops = u == v
-    if undirected:
-        rows = np.concatenate([u[~loops], v[~loops], u[loops]])
-        cols = np.concatenate([v[~loops], u[~loops], u[loops]])
-        weights = np.concatenate([w[~loops], w[~loops], w[loops]])
-    else:
-        rows, cols, weights = u, v, w
-    g, _ = _assemble_csr(n, rows, cols, weights, undirected)
+    rows = np.concatenate([u[~loops], v[~loops], u[loops]])
+    cols = np.concatenate([v[~loops], u[~loops], u[loops]])
+    weights = np.concatenate([w[~loops], w[~loops], w[loops]])
+    g, _ = _assemble_csr(n, rows, cols, weights)
     return g
 
 
@@ -257,5 +253,5 @@ def add_self_loops(g: Graph, mode: str = "isolated-only",
     new_rows = np.concatenate([rows, targets])
     new_cols = np.concatenate([g.indices, targets])
     new_w = np.concatenate([g.data, np.full(len(targets), float(weight))])
-    out, _ = _assemble_csr(g.n, new_rows, new_cols, new_w, g.undirected)
+    out, _ = _assemble_csr(g.n, new_rows, new_cols, new_w)
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, pair_codes
+from .graph import Graph, build_graph, check_node_count, pair_codes
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -89,7 +89,7 @@ def train_graph(g: Graph, split: EdgeSplit) -> Graph:
     """The graph of the training positives, with their weights in `g`."""
     return build_graph(
         np.column_stack([split.train_pos, g.pair_weights(split.train_pos)]),
-        split.n, undirected=True)
+        split.n)
 
 
 def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
@@ -98,8 +98,6 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     Deterministic for a fixed (graph, ratios, seed); the remainder after
     flooring the valid/test sizes goes to train.
     """
-    if not g.undirected:
-        raise DataError("edge splits are defined for undirected graphs")
     ratios = tuple(float(x) for x in ratios)
     # `not ok` form, so that nan fails the checks too
     if len(ratios) != 3 or not all(x > 0 for x in ratios):
@@ -252,6 +250,7 @@ def read_split(path) -> EdgeSplit:
         ratios = tuple(float(x) for x in header["ratios"])
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"bad split header in {path}: {exc}") from exc
+    check_node_count(n)
     sections = {}
     try:
         while i < len(lines):

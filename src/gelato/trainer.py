@@ -10,7 +10,10 @@ The forward pass per masked batch is
         -> ranking loss (N-pair softmax contrast, or cross entropy
            through a trainable affine+sigmoid head)
 
-and the Tape records enough of it to replay backward analytically:
+The pairs of every enhanced graph are rows of the run's frozen pair set
+(enhancer.AugmentedPairs), and a pair's dropout mask is keyed by the
+seed, the epoch and its row: the same in every batch of an epoch. The
+Tape records enough of the forward pass to replay backward analytically:
 gradients flow through the similarity entries, the transition matrix,
 the degree vector and volume (all functions of the learned weights), the
 zero-clamp (subgradient 0 where clamped), and the MLP.
@@ -40,10 +43,10 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .enhancer import (EnhancerConfig, MlpParams, assemble_enhanced,
-                       dropout_masks, flatten_params, init_mlp_params,
-                       mlp_forward, pair_features, select_augmentation_pairs,
-                       unflatten_params)
+from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
+                       assemble_enhanced, dropout_masks, flatten_params,
+                       init_mlp_params, mlp_forward, pair_features,
+                       select_augmentation_pairs, unflatten_params)
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
 from .graph import AttributeMatrix, Graph, _values_at, pair_codes
@@ -426,8 +429,9 @@ class Tape:
 
 def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
              enh_cfg: EnhancerConfig, cfg: TrainConfig, batch: MaskedBatch,
-             added_pairs, pair_ids, epoch: int, head,
-             training: bool, want_tape: bool, cos=None, Z=None):
+             aug: AugmentedPairs | None, epoch: int, head,
+             training: bool, want_tape: bool):
+    """(loss, Tape or None) of a batch; `aug` is the run's pair set."""
     pos = np.asarray(batch.batch_pos, dtype=np.int64).reshape(-1, 2)
     negs = np.asarray([] if batch.negatives is None else batch.negatives,
                       dtype=np.int64).reshape(-1, 2)
@@ -448,14 +452,10 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
                           cfg.dropout, cache=mlp_cache)
         eg, walk = None, None
     else:
-        residual = np.asarray(batch.residual_edges, dtype=np.int64).reshape(-1, 2)
-        res_w = g.pair_weights(residual)
         eg = assemble_enhanced(
-            X, params, enh_cfg, g.n, residual, res_w,
-            () if added_pairs is None else added_pairs,
-            training=training, dropout_rate=cfg.dropout if training else 0.0,
-            dropout_key=drop_key, pair_ids=pair_ids, cos=cos, Z=Z,
-            keep_cache=want_tape)
+            aug, aug.ids(batch.residual_edges), params, enh_cfg,
+            dropout_rate=cfg.dropout if training else 0.0,
+            dropout_key=drop_key, keep_cache=want_tape)
         walk = _walk(transition_matrix(eg.graph), scored, cfg.ac_t)
         raw = autocovariance_from_walk(eg.graph, scored[:, 0], scored[:, 1],
                                        walk.values)
@@ -482,28 +482,28 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
                       head_grads=head_grads, walk=walk, mlp_cache=mlp_cache)
 
 
-def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=None,
-                 pair_ids=None, epoch: int = 1, head=None,
-                 training: bool = False, cos=None, Z=None) -> float:
+def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
+                 epoch: int = 1, head=None, training: bool = False) -> float:
     """Loss of one batch without gradients (finite-difference probes)."""
-    loss, _ = _forward(g, X, params, enh_cfg, cfg, batch, added_pairs,
-                       pair_ids, epoch, head, training, want_tape=False,
-                       cos=cos, Z=Z)
-    return loss
+    aug = None if cfg.direct_mlp else AugmentedPairs(
+        g, X, batch.residual_edges, added_pairs)
+    return _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch, head,
+                    training, want_tape=False)[0]
 
 
-def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=None,
-                      pair_ids=None, epoch: int = 1, head=None,
-                      training: bool = False, cos=None, Z=None):
-    """Loss and parameter gradients for one masked batch.
+def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
+                      epoch: int = 1, head=None, training: bool = False):
+    """Loss and parameter gradients for one masked batch, its enhanced
+    graph built from the batch's residual edges plus `added_pairs`.
 
     Returns (loss, grads) where grads maps W1/b1/W2/b2 (and head_a/head_b
     under the cross-entropy loss) to arrays. Non-finite values are
     returned as-is; callers decide whether to skip the update.
     """
-    loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, added_pairs,
-                          pair_ids, epoch, head, training, want_tape=True,
-                          cos=cos, Z=Z)
+    aug = None if cfg.direct_mlp else AugmentedPairs(
+        g, X, batch.residual_edges, added_pairs)
+    loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch,
+                          head, training, want_tape=True)
     return loss, tape.backward()
 
 
@@ -515,24 +515,16 @@ def grads_finite(loss: float, grads: dict) -> bool:
 
 # -- training loop ------------------------------------------------------------
 
-def _eval_scorer(g, X, split, enh_cfg, cfg, params, added_pairs,
-                 cos=None, Z=None):
-    """Evaluation-mode scorer over the full training structure."""
+def _validation_prec(g, X, split, enh_cfg, cfg, params, aug, valid_negs):
+    """Validation prec@100%, scored over all training edges."""
     from .scorers import AutocovarianceScorer, MlpScorer
-    if cfg.direct_mlp:
-        return MlpScorer(params, X)
-    res_w = g.pair_weights(split.train_pos)
-    eg = assemble_enhanced(X, params, enh_cfg, g.n, split.train_pos, res_w,
-                           added_pairs, training=False, cos=cos, Z=Z)
-    return AutocovarianceScorer(eg.graph, cfg.ac_t)
-
-
-def _validation_prec(g, X, split, enh_cfg, cfg, params, added_pairs,
-                     valid_negs, cos=None, Z=None):
     if len(split.valid_pos) == 0:
         return float("nan")
-    scorer = _eval_scorer(g, X, split, enh_cfg, cfg, params, added_pairs,
-                          cos=cos, Z=Z)
+    if cfg.direct_mlp:
+        scorer = MlpScorer(params, X)
+    else:
+        eg = assemble_enhanced(aug, aug.ids(split.train_pos), params, enh_cfg)
+        scorer = AutocovarianceScorer(eg.graph, cfg.ac_t)
     if valid_negs is None:
         rs = rank_summary(scorer, g, split, "valid")
     else:
@@ -555,26 +547,11 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             "alpha=1 or beta=0 leaves no trainable influence on the "
             "scores; use the ac-only/cos-ac modes instead of training")
 
-    added_pairs = np.empty((0, 2), dtype=np.int64)
-    if not cfg.direct_mlp and enh_cfg.eta > 0.0:
-        added_pairs, _ = select_augmentation_pairs(
-            X, train_graph(g, split), enh_cfg.eta)
-
-    # lexsorted pairs have ascending codes, so ids are a searchsorted away
-    full_pairs = np.vstack([split.train_pos, added_pairs])
-    order = np.lexsort((full_pairs[:, 1], full_pairs[:, 0]))
-    full_pairs = full_pairs[order]
-    full_codes = pair_codes(full_pairs, split.n)
-
-    # per-pair inputs are static across batches; gather them once when the
-    # footprint is reasonable (pairs x 2r float64)
-    full_cos = full_Z = None
+    aug = None
     if not cfg.direct_mlp:
-        from .graph import cosine_pairs
-        full_cos = cosine_pairs(X, full_pairs)
-        if full_pairs.size and len(full_pairs) * 2 * X.r * 8 < 500 * 2 ** 20:
-            full_Z = pair_features(X, full_pairs)
-    eval_ids = np.argsort(order)      # each pair's row in full_pairs
+        added_pairs = () if enh_cfg.eta == 0.0 else select_augmentation_pairs(
+            X, train_graph(g, split), enh_cfg.eta)[0]
+        aug = AugmentedPairs(g, X, split.train_pos, added_pairs)
 
     params = init_mlp_params(X.r, cfg.hidden, cfg.seed)
     head = np.array([1.0, 0.0]) if cfg.loss == "bce" else None
@@ -607,16 +584,10 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             batch.negatives = sample_negatives(
                 g, split, "train", npp * len(batch.batch_pos),
                 derive(cfg.seed, _NEG_TAG, epoch, bi))
-            ids = cos = Z = None
-            if not cfg.direct_mlp:
-                ids = np.searchsorted(full_codes, pair_codes(
-                    np.vstack([batch.residual_edges, added_pairs]), split.n))
-                cos = full_cos[ids]
-                Z = full_Z[ids] if full_Z is not None else None
-            loss, grads = compute_gradients(
-                g, X, params, enh_cfg, cfg, batch, added_pairs=added_pairs,
-                pair_ids=ids, epoch=epoch, head=head, training=True,
-                cos=cos, Z=Z)
+            loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug,
+                                  epoch, head, True, True)
+            grads = tape.backward()
+            del tape  # free its walk and MLP cache before the next batch
             if not grads_finite(loss, grads):
                 skipped += 1
                 continue
@@ -632,10 +603,8 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             losses.append(loss)
 
         mean_loss = float(np.mean(losses)) if losses else float("nan")
-        vprec = _validation_prec(
-            g, X, split, enh_cfg, cfg, params, added_pairs, valid_negs,
-            cos=None if full_cos is None else full_cos[eval_ids],
-            Z=None if full_Z is None else full_Z[eval_ids])
+        vprec = _validation_prec(g, X, split, enh_cfg, cfg, params, aug,
+                                 valid_negs)
         history.append(EpochRecord(epoch, mean_loss, vprec, skipped))
         if np.isnan(vprec):
             key = -mean_loss if np.isfinite(mean_loss) else -np.inf

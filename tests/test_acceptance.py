@@ -18,7 +18,7 @@ from gelato import (EnhancerConfig, RankSummary, TrainConfig, auc,
                     negative_pool_size, positive_masking_batches,
                     precision_at_k, rank_summary, sample_negatives,
                     split_edges, train)
-from gelato.enhancer import assemble_enhanced
+from gelato.enhancer import AugmentedPairs, assemble_enhanced
 from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
 from gelato.splits import pair_codes
 
@@ -195,10 +195,9 @@ def test_criterion_5_citation_benchmark_ordering():
                           epochs=30, batch_count=10, seed=seed, dropout=0.5,
                           ac_t=3, hidden=128)
         params, _ = train(g, X, split, enh, cfg)
-        res_w = g.pair_weights(split.train_pos)
         added, _ = gelato.select_augmentation_pairs(X, g_train, enh.eta)
-        eg = assemble_enhanced(X, params, enh, g.n, split.train_pos, res_w,
-                               added, training=False)
+        aug = AugmentedPairs(g, X, split.train_pos, added)
+        eg = assemble_enhanced(aug, aug.ids(split.train_pos), params, enh)
         rs = rank_summary(AutocovarianceScorer(eg.graph, 3), g, split,
                           "test", workers=os.cpu_count())
         trained_ap = average_precision(rs)
@@ -236,10 +235,10 @@ def test_criterion_6_loss_regime_ablation():
                               epochs=15, batch_count=5, seed=seed,
                               dropout=0.5, ac_t=3, hidden=32, neg_cap=40)
             params, _ = train(g, X, split, enh, cfg)
-            res_w = g.pair_weights(split.train_pos)
-            eg = assemble_enhanced(X, params, enh, g.n, split.train_pos,
-                                   res_w, np.empty((0, 2), dtype=np.int64),
-                                   training=False)
+            aug = AugmentedPairs(g, X, split.train_pos,
+                                 np.empty((0, 2), dtype=np.int64))
+            eg = assemble_enhanced(aug, aug.ids(split.train_pos), params,
+                                   enh)
             rs = rank_summary(AutocovarianceScorer(eg.graph, 3), g, split,
                               "test")
             aps[name] = average_precision(rs)

@@ -51,6 +51,14 @@ def test_missing_edges_is_data_error(tmp_path):
     assert rc == 3
 
 
+def test_node_ids_whose_codes_overflow_are_data_errors(tmp_path):
+    edges = tmp_path / "huge.edges"
+    edges.write_text(f"0 1\n1 {2 ** 62}\n")
+    out = tmp_path / "huge.split"
+    assert main(["split", "--edges", str(edges), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_split_with_an_empty_phase_is_data_error(tmp_path):
     # 8 edges floor to 0 valid and 0 test positives at the default ratios
     edges = tmp_path / "path.edges"
@@ -200,6 +208,14 @@ def test_config_round_trip():
     cfg2 = config_from_text(text)
     assert cfg2 == cfg
     assert config_to_text(cfg2) == text
+
+
+@pytest.mark.parametrize("value", ["data#1/g.edges", " g.edges",
+                                   "g.edges\t"])
+def test_show_config_refuses_an_unwritable_value(capsys, value):
+    # the line would read back as another value
+    assert main(["show-config", "--edges", value]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_plus_flag_override(dataset, tmp_path, capsys):

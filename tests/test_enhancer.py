@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import gelato
@@ -9,11 +10,12 @@ from gelato import (AcParams, AttributeMatrix, EnhancerConfig, MlpParams,
                     autocovariance_rows, build_enhanced_graph, build_graph,
                     init_mlp_params, load_params, mlp_edge_weight,
                     save_params, select_augmentation_pairs)
-from gelato.enhancer import (assemble_enhanced, dropout_masks,
-                             flatten_params, pair_features)
+from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
+                             dropout_masks, flatten_params, pair_features)
 from gelato.errors import ConfigError
+from gelato.trainer import TrainConfig, compute_gradients
 
-from conftest import random_attributes, random_graph
+from conftest import gradcheck_instance, random_attributes, random_graph
 
 
 class TestAugmentation:
@@ -203,6 +205,12 @@ class TestEnhancedGraph:
         b = build_enhanced_graph(g, X, params, cfg, training=False)
         np.testing.assert_array_equal(a.pair_weights, b.pair_weights)
 
+    def test_training_mode_is_refused(self):
+        g, X, params = self._setup(seed=5)
+        with pytest.raises(ConfigError, match="trainer"):
+            build_enhanced_graph(g, X, params, EnhancerConfig(),
+                                 training=True)
+
     def test_checkpoint_round_trip(self, tmp_path):
         params = init_mlp_params(7, hidden=11, seed=6)
         path = tmp_path / "params.gpar"
@@ -234,3 +242,95 @@ class TestEnhancedGraph:
         save_params(path, params)
         with pytest.raises(gelato.DataError, match="non-finite"):
             load_params(path)
+
+
+def _assert_same_enhanced(a, b):
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a.graph, name),
+                                      getattr(b.graph, name))
+    for name in ("pairs", "pair_weights", "active", "arc_positions"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestAugmentedPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 30),
+           eta=st.sampled_from([0.0, 0.3, 1.0]),
+           alpha=st.sampled_from([0.0, 0.5]),
+           beta=st.sampled_from([0.25, 1.0]),
+           loops=st.sampled_from(["all", "isolated-only"]))
+    def test_batch_graph_equals_one_from_its_own_pair_set(
+            self, seed, n, eta, alpha, beta, loops):
+        # a run's training edges, a batch's residual among them, and an
+        # augmentation that may hold held-out edges of g
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, n, weighted=True,
+                         ensure_positive_degree=False)
+        pairs = g.edge_pairs()
+        train = pairs[rng.random(len(pairs)) < 0.8]
+        residual = train[rng.random(len(train)) < 0.7]
+        X = random_attributes(rng, n, 3)
+        g_train = build_graph(
+            np.column_stack([train, g.pair_weights(train)]), n)
+        added, _ = select_augmentation_pairs(X, g_train, eta)
+        params = init_mlp_params(3, hidden=5, seed=seed % 97)
+        cfg = EnhancerConfig(eta=eta, alpha=alpha, beta=beta,
+                             self_loop_mode=loops)
+        run = AugmentedPairs(g, X, train, added)
+        own = AugmentedPairs(g, X, residual, added)
+        _assert_same_enhanced(
+            assemble_enhanced(run, run.ids(residual), params, cfg),
+            assemble_enhanced(own, own.ids(residual), params, cfg))
+
+    def test_rows_weights_and_dropout_keys(self):
+        # (0, 1) is an edge of g but held out of the run: as an added pair
+        # it weighs 0
+        g = build_graph([(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5), (0, 3, 3.0)],
+                        5)
+        X = random_attributes(np.random.default_rng(0), 5, 3)
+        train, added = np.array([[2, 3], [1, 2], [0, 3]]), np.array([[0, 1]])
+        aug = AugmentedPairs(g, X, train, added)
+        np.testing.assert_array_equal(aug.pairs, [[0, 1], [0, 3], [1, 2],
+                                                  [2, 3]])
+        np.testing.assert_array_equal(aug.weights, [0.0, 3.0, 0.5, 1.5])
+        np.testing.assert_array_equal(aug.ids(train), [3, 2, 1, 0])
+        np.testing.assert_array_equal(aug.ids(train[1:]), [2, 1, 0])
+        # a pair's dropout mask follows its row, whatever the batch
+        params = init_mlp_params(3, hidden=16, seed=0)
+        cfg = EnhancerConfig(alpha=0.0, beta=1.0)
+        masks = [assemble_enhanced(aug, aug.ids(base), params, cfg,
+                                   dropout_rate=0.5, dropout_key=7,
+                                   keep_cache=True).mlp_cache["keep_mask"]
+                 for base in (train, train[1:])]
+        np.testing.assert_array_equal(masks[0][1:], masks[1])
+        with pytest.raises(ConfigError, match="not in the frozen"):
+            aug.ids([[0, 2]])
+        with pytest.raises(ConfigError, match="repeats"):
+            AugmentedPairs(g, X, train, [[1, 2]])
+
+    def test_encoding_fallback_equals_the_cache(self, monkeypatch):
+        g, X, params, enh, _, batch, added, _ = gradcheck_instance(21, "npair")
+        cfg = TrainConfig(loss="npair", dropout=0.4, ac_t=2,
+                          hidden=params.hidden, epochs=1)
+        base = batch.residual_edges
+
+        def outputs():
+            aug = AugmentedPairs(g, X, base, added)
+            egs = [assemble_enhanced(aug, aug.ids(base), params, enh,
+                                     dropout_rate=rate, dropout_key=3,
+                                     keep_cache=True) for rate in (0.0, 0.4)]
+            return aug, egs, compute_gradients(g, X, params, enh, cfg, batch,
+                                               added_pairs=added,
+                                               training=True)
+
+        cached, cached_egs, (loss, grads) = outputs()
+        monkeypatch.setattr(gelato.enhancer, "_Z_CACHE_BYTES", 0)
+        fallback, fallback_egs, (loss2, grads2) = outputs()
+        assert cached.Z is not None and fallback.Z is None
+        for a, b in zip(cached_egs, fallback_egs):
+            _assert_same_enhanced(a, b)
+            np.testing.assert_array_equal(a.mlp_cache["Z"], b.mlp_cache["Z"])
+            np.testing.assert_array_equal(a.mlp_cache["w"], b.mlp_cache["w"])
+        assert loss == loss2
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], grads2[name])

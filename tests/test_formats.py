@@ -2,18 +2,23 @@
 
 Every prefix of a valid file (a truncated download, a full disk) either
 loads or raises DataError, never another exception; and writing then
-reading returns the same data bit for bit.
+reading returns the same data bit for bit. A config value that a config
+line cannot hold is refused when written.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gelato import (AttributeMatrix, build_graph, init_mlp_params,
+from gelato import (AttributeMatrix, ExperimentConfig, build_graph,
+                    config_from_text, config_to_text, init_mlp_params,
                     load_graph, load_params, read_attributes,
                     read_edge_list, read_split, save_params,
                     write_attributes_binary, write_edge_list, write_split)
-from gelato.errors import DataError
+from gelato.config import MODES
+from gelato.errors import ConfigError, DataError
 from gelato.splits import EdgeSplit
 
 FINITE = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308,
@@ -169,3 +174,54 @@ def test_split_round_trip(scratch, split):
             split.positives(phase).shape
         np.testing.assert_array_equal(got, split.positives(phase))
     assert _file_bytes(scratch, write_split, back) == data
+
+
+def _read_back(name, value):
+    """What a config line "name value" reads as, None where it is refused."""
+    try:
+        return getattr(config_from_text(f"{name} {value}\n"), name)
+    except ConfigError:
+        return None
+
+
+_WRITABLE = st.text(max_size=12).filter(lambda s: _read_back("edges", s) == s)
+_POSITIVE = st.floats(1e-6, 1e6)
+_INTEGERS = st.integers(1, 2 ** 62)
+_CONFIG_VALUES = {
+    "edges": _WRITABLE, "attributes": _WRITABLE, "split": _WRITABLE,
+    "ratios": st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
+    "eta": st.floats(0.0, 1e6), "alpha": st.floats(0.0, 1.0),
+    "beta": st.floats(0.0, 1.0), "self_loop_weight": _POSITIVE,
+    "self_loop_mode": st.sampled_from(["all", "isolated-only"]),
+    "mode": st.sampled_from(MODES), "loss": st.sampled_from(["npair", "bce"]),
+    "regime": st.sampled_from(["unbiased", "biased"]), "lr": _POSITIVE,
+    "dropout": st.floats(0.0, 0.999),
+    "phase": st.sampled_from(["train", "valid", "test"]),
+    "prec": st.lists(st.floats(1e-3, 1.0), max_size=4).map(tuple),
+    "hits": st.lists(st.integers(1, 10 ** 9), max_size=4).map(tuple),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_valid_config_round_trips(data):
+    values = {f.name: data.draw(_CONFIG_VALUES.get(f.name, _INTEGERS),
+                                label=f.name)
+              for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**values).validate()
+    text = config_to_text(cfg)
+    back = config_from_text(text)
+    assert back == cfg
+    assert config_to_text(back) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.text(max_size=8) | st.sampled_from(
+    ["data#1/g.edges", " a", "a\n", "a\nb", "a\x85b", "a\u2028", "a b"]))
+def test_a_string_value_is_written_exactly_or_refused(value):
+    cfg = ExperimentConfig(edges=value)
+    if _read_back("edges", value) == value:
+        assert config_from_text(config_to_text(cfg)) == cfg
+    else:
+        with pytest.raises(ConfigError):
+            config_to_text(cfg)

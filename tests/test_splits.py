@@ -311,6 +311,21 @@ class TestSplitFile:
         with pytest.raises(DataError):
             read_split(path)
 
+    def test_node_count_whose_codes_overflow_is_refused(self, tmp_path):
+        # codes u * n + v of 2^62 nodes do not fit in int64
+        big = 2 ** 62
+        path = tmp_path / "huge.split"
+        path.write_text(f"n {big + 1}\nseed 0\nratios 0.5 0.25 0.25\n"
+                        f"TRAIN 1\n1 {big}\nVALID 1\n0 1\n"
+                        f"TEST 1\n0 {big}\n")
+        with pytest.raises(DataError, match="node count"):
+            read_split(path)
+        with pytest.raises(DataError, match="node count"):
+            build_graph([(0, 1), (1, big)], big + 1)
+        # the largest code of n nodes is (n - 1) * n + n - 1 = n^2 - 1
+        max_n = gelato.graph.MAX_NODES
+        assert max_n ** 2 - 1 <= 2 ** 63 - 1 < (max_n + 1) ** 2 - 1
+
     def test_excluded_codes_by_phase(self):
         g = random_graph(np.random.default_rng(13), 12, 18,
                          ensure_positive_degree=False)

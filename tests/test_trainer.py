@@ -306,6 +306,7 @@ class TestWalkKernels:
     @pytest.mark.parametrize("graph,t", [("ring", t) for t in range(5)]
                              + [("dense", t) for t in range(1, 5)])
     def test_training_gradients_match_finite_differences(self, graph, t):
+        from gelato.enhancer import AugmentedPairs
         from gelato.trainer import _DenseWalk, _SparseWalk, _forward
         rng = np.random.default_rng(30 + t)
         g = {"ring": _ring, "dense": _dense_graph}[graph](seed=t, loops=False)
@@ -328,8 +329,9 @@ class TestWalkKernels:
                                 ("bce", np.array([0.8, -0.1]))):
             cfg = TrainConfig(loss=loss_kind, dropout=0.0, ac_t=t, hidden=4,
                               epochs=1)
-            _, tape = _forward(g, X, params, enh, cfg, batch, added, None, 1,
-                               head, False, True)
+            aug = AugmentedPairs(g, X, batch.residual_edges, added)
+            _, tape = _forward(g, X, params, enh, cfg, batch, aug, 1, head,
+                               False, True)
             side = _SparseWalk if graph == "ring" else _DenseWalk
             assert type(tape.walk) is side
             assert _fd_check(g, X, params, enh, cfg, batch, added, head) < 1e-4
@@ -390,17 +392,17 @@ class TestTrainLoop:
         g, X, split, enh = _sbm_setup(4)
         cfg = TrainConfig(epochs=2, batch_count=3, seed=1, dropout=0.0,
                           ac_t=1, hidden=8, neg_cap=3)
-        real = trainer_mod.compute_gradients
+        real = trainer_mod.Tape.backward
         state = {"calls": 0}
 
-        def poisoned(*args, **kwargs):
-            loss, grads = real(*args, **kwargs)
+        def poisoned(tape):
+            grads = real(tape)
             state["calls"] += 1
             if state["calls"] % 2 == 1:  # every other batch goes bad
                 grads["W1"] = grads["W1"] + np.nan
-            return loss, grads
+            return grads
 
-        monkeypatch.setattr(trainer_mod, "compute_gradients", poisoned)
+        monkeypatch.setattr(trainer_mod.Tape, "backward", poisoned)
         _, history = train(g, X, split, enh, cfg)
         assert [rec.skipped for rec in history] == [2, 1]
         assert all(np.isfinite(rec.loss) for rec in history)
@@ -441,9 +443,11 @@ class TestTrainLoop:
         params, history = train(g, X, split, enh, cfg)
         best = max(history, key=lambda rec: rec.valid_prec)
         # the returned parameters reproduce the best epoch's validation score
+        from gelato.enhancer import AugmentedPairs
         from gelato.trainer import _validation_prec
-        got = _validation_prec(g, X, split, enh, cfg, params,
-                               np.empty((0, 2), dtype=np.int64), None)
+        aug = AugmentedPairs(g, X, split.train_pos,
+                             np.empty((0, 2), dtype=np.int64))
+        got = _validation_prec(g, X, split, enh, cfg, params, aug, None)
         assert got == pytest.approx(best.valid_prec)
 
 
