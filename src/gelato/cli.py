@@ -232,20 +232,14 @@ def cmd_export_scores(args) -> int:
             f"subset of {len(nodes)} exceeds the memory budget "
             f"({cfg.block_size} rows); raise --block-size deliberately")
     scorer, structure = _build_scorer(cfg, g, X, split, args.checkpoint)
-    rows = scorer.rows(nodes)
-    _write_dense_csv(args.out_scores, nodes, rows)
-    adj = structure.adjacency()[nodes].toarray()
-    _write_dense_csv(args.out_weights, nodes, adj)
+    for path, rows in ((args.out_scores, scorer.rows(nodes)),
+                       (args.out_weights,
+                        structure.adjacency()[nodes].toarray())):
+        np.savetxt(path, np.column_stack([nodes, rows]), delimiter=",",
+                   fmt=["%d"] + ["%.17g"] * g.n)
     print(f"wrote {args.out_scores} and {args.out_weights} "
           f"({len(nodes)} rows x {g.n} columns)")
     return 0
-
-
-def _write_dense_csv(path, nodes, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, row in zip(nodes, rows):
-            fh.write(str(node) + "," + ",".join("%.17g" % x for x in row)
-                     + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -223,10 +223,12 @@ def pair_features(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
 
 def dropout_masks(hidden: int, ids: np.ndarray, rate: float,
                   key: int) -> np.ndarray:
-    """Inverted-dropout keep masks, keyed by (stream key, pair id, unit).
+    """Inverted-dropout keep masks, keyed by (stream key, id, unit).
 
-    Counter-based, so a pair's mask is independent of which batch or
-    worker touches it.
+    Counter-based, so a mask depends only on its id, not on the batch or
+    worker. mlp_forward draws them: the ids are rows of the run's pair set
+    from assemble_enhanced, or positions in the batch on the trainer's
+    direct-MLP path (so there a pair's mask follows its batch position).
     """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     counters = ids[:, None] * hidden + np.arange(hidden)[None, :]
@@ -235,24 +237,44 @@ def dropout_masks(hidden: int, ids: np.ndarray, rate: float,
 
 
 def mlp_forward(params: MlpParams, Z: np.ndarray,
-                keep_mask: np.ndarray | None = None,
-                rate: float = 0.0, cache: dict | None = None) -> np.ndarray:
+                ids: np.ndarray | None = None, rate: float = 0.0,
+                key: int = 0, cache: dict | None = None) -> np.ndarray:
     """Batched forward pass: w = sigmoid(W2 . relu(W1 z + b1) + b2).
 
-    With `cache` given, the intermediates needed for the backward pass
-    (input encoding, ReLU support, post-dropout hidden) are stored in it.
+    With `rate` > 0 the hidden units are dropped by the masks that
+    dropout_masks draws for the ids `ids` (one per row of Z: a row of the
+    pair set, or a position in the batch) under `key`. With `cache` given,
+    the intermediates mlp_backward needs are stored in it.
     """
+    # drawn first, so its temporaries are freed before the n x hidden ones
+    mask = dropout_masks(params.hidden, ids, rate, key) if rate > 0 else None
     Hpre = Z @ params.W1.T + params.b1
     H = np.maximum(Hpre, 0.0)
-    if keep_mask is not None:
-        Hd = H * (keep_mask / (1.0 - rate))
-    else:
-        Hd = H
+    Hd = H if mask is None else H * (mask / (1.0 - rate))
     w = expit(Hd @ params.W2 + params.b2)
     if cache is not None:
-        cache.update(Z=Z, relu_support=Hpre > 0.0, Hd=Hd,
-                     keep_mask=keep_mask, rate=rate, w=w)
+        cache.update(Z=Z, relu_support=Hpre > 0.0, Hd=Hd, keep_mask=mask,
+                     rate=rate, w=w)
     return w
+
+
+def mlp_backward(params: MlpParams, cache: dict | None, g_w) -> dict:
+    """Gradients of W1, b1, W2 and b2 for the loss gradient g_w w.r.t. the
+    weights mlp_forward returned, from its cache and with its dropout
+    masks. With no cache the MLP did not feed the scores (alpha=1 or
+    beta=0), so every gradient is zero."""
+    if cache is None:
+        return {"W1": np.zeros_like(params.W1),
+                "b1": np.zeros_like(params.b1),
+                "W2": np.zeros_like(params.W2), "b2": 0.0}
+    Z, relu_support, Hd = cache["Z"], cache["relu_support"], cache["Hd"]
+    mask, rate, w = cache["keep_mask"], cache["rate"], cache["w"]
+    gpre = g_w * w * (1.0 - w)
+    gHd = np.outer(gpre, params.W2)
+    gH = gHd if mask is None else gHd * (mask / (1.0 - rate))
+    gHpre = gH * relu_support
+    return {"W1": gHpre.T @ Z, "b1": gHpre.sum(axis=0), "W2": Hd.T @ gpre,
+            "b2": float(gpre.sum())}
 
 
 def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair) -> float:
@@ -334,11 +356,8 @@ def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
         if params is None:
             raise ConfigError("MLP parameters required when beta > 0")
         Z = aug.Z[ids] if aug.Z is not None else pair_features(aug.X, pairs)
-        mask = None
-        if dropout_rate > 0.0:
-            mask = dropout_masks(params.hidden, ids, dropout_rate,
-                                 dropout_key)
-        w = mlp_forward(params, Z, mask, dropout_rate, cache=mlp_cache)
+        w = mlp_forward(params, Z, ids, dropout_rate, dropout_key,
+                        cache=mlp_cache)
     else:
         w = np.zeros(len(pairs))
 

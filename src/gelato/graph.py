@@ -4,10 +4,14 @@ Graphs are stored in compressed-row (CSR) form and are immutable after
 construction. Graphs are undirected: both arcs (u, v) and (v, u) are
 stored with equal weight, self-loops as a single diagonal entry, and the
 weighted degree of a node is the sum of its row. Both containers are safe
-to share across concurrent readers.
+to share across concurrent readers: a Graph keeps each derived array from
+its first read, and readers racing on that read may compute it twice,
+with the same value.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -68,9 +72,6 @@ class Graph:
     constructor expects already-sorted CSR arrays.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data",
-                 "_degrees", "_volume", "_num_edges", "_csr")
-
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -78,10 +79,6 @@ class Graph:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
-        self._degrees = None
-        self._volume = None
-        self._num_edges = None
-        self._csr = None
 
     # -- elementary quantities -------------------------------------------
 
@@ -89,39 +86,35 @@ class Graph:
     def num_arcs(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
         """Number of edges: a pair of arcs counts once, a loop once."""
-        if self._num_edges is None:
-            loops = int(np.sum(self.row_of_arcs() == self.indices))
-            self._num_edges = (self.num_arcs - loops) // 2 + loops
-        return self._num_edges
+        loops = int(np.sum(self.row_of_arcs() == self.indices))
+        return (self.num_arcs - loops) // 2 + loops
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Weighted degrees d_u = sum of row u."""
-        if self._degrees is None:
-            d = np.bincount(self.row_of_arcs(), weights=self.data,
-                            minlength=self.n).astype(np.float64)
-            d.flags.writeable = False
-            self._degrees = d
-        return self._degrees
+        d = np.bincount(self.row_of_arcs(), weights=self.data,
+                        minlength=self.n).astype(np.float64)
+        d.flags.writeable = False
+        return d
 
-    @property
+    @cached_property
     def volume(self) -> float:
-        if self._volume is None:
-            self._volume = float(self.degrees.sum())
-        return self._volume
+        return float(self.degrees.sum())
 
     def row_of_arcs(self) -> np.ndarray:
         """Row index of every stored arc, aligned with `indices`/`data`."""
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
+    @cached_property
+    def _csr(self) -> sparse.csr_matrix:
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
     def adjacency(self) -> sparse.csr_matrix:
         """Zero-copy scipy CSR view of the adjacency matrix."""
-        if self._csr is None:
-            self._csr = sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.n, self.n))
         return self._csr
 
     # -- lookups -----------------------------------------------------------
@@ -224,8 +217,11 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
     rows = np.concatenate([u[~loops], v[~loops], u[loops]])
     cols = np.concatenate([v[~loops], u[~loops], u[loops]])
     weights = np.concatenate([w[~loops], w[~loops], w[loops]])
-    g, _ = _assemble_csr(n, rows, cols, weights)
-    return g
+    try:  # its O(n) arrays may not fit for a huge node count
+        return _assemble_csr(n, rows, cols, weights)[0]
+    except MemoryError as exc:
+        raise DataError(f"node count {n}: not enough memory for the "
+                        "graph's arrays") from exc
 
 
 def add_self_loops(g: Graph, mode: str = "isolated-only",

@@ -9,8 +9,8 @@ rejected.
 
 Attribute file: either CSV (n >= 1 rows x r comma-separated columns) or the
 binary layout: magic bytes "GATR", two little-endian 64-bit unsigned
-integers n and r, then n*r little-endian 32-bit floats row-major. Values
-are held as float64 in memory regardless of storage width.
+integers n and r, then exactly n*r little-endian 32-bit floats row-major.
+Values are held as float64 in memory regardless of storage width.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ def read_attributes(path) -> AttributeMatrix:
                     raise DataError(f"{path}: truncated attribute header")
                 n, r = struct.unpack("<QQ", meta)
                 payload = fh.read()
-                if len(payload) < 4 * n * r:
-                    raise DataError(f"{path}: truncated attribute payload")
+                if len(payload) != 4 * n * r:
+                    raise DataError(f"{path}: expected {n * r} float32 "
+                                    f"values, got {len(payload)} bytes")
                 values = np.frombuffer(payload, dtype="<f4", count=n * r)
                 return AttributeMatrix(values.reshape(n, r))
             fh.seek(0)

@@ -125,28 +125,23 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     )
 
 
+def _excluded(split: EdgeSplit, phase: str) -> list:
+    """The positives left out of the phase's pool: those of the phase and
+    of every earlier phase in PHASES."""
+    _check_phase(phase)
+    return [split.positives(p) for p in PHASES[:PHASES.index(phase) + 1]]
+
+
 def negative_pool_size(g: Graph, split: EdgeSplit, phase: str) -> int:
     """Exact size of the phase's negative pool (never materialized)."""
-    _check_phase(phase)
     n = split.n
-    total = n * (n - 1) // 2
-    base = total - split.num_edges
-    if phase == "test":
-        return base
-    if phase == "valid":
-        return base + len(split.test_pos)
-    return base + len(split.test_pos) + len(split.valid_pos)
+    return n * (n - 1) // 2 - sum(map(len, _excluded(split, phase)))
 
 
 def excluded_codes(split: EdgeSplit, phase: str) -> np.ndarray:
     """Sorted codes of the positive pairs excluded from the phase's pool."""
-    _check_phase(phase)
-    sets = [split.train_pos]
-    if phase in ("valid", "test"):
-        sets.append(split.valid_pos)
-    if phase == "test":
-        sets.append(split.test_pos)
-    return np.sort(np.concatenate([pair_codes(s, split.n) for s in sets]))
+    return np.sort(np.concatenate(
+        [pair_codes(s, split.n) for s in _excluded(split, phase)]))
 
 
 def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,

@@ -44,8 +44,8 @@ from scipy import sparse
 from scipy.special import expit
 
 from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
-                       assemble_enhanced, dropout_masks, flatten_params,
-                       init_mlp_params, mlp_forward, pair_features,
+                       assemble_enhanced, flatten_params, init_mlp_params,
+                       mlp_backward, mlp_forward, pair_features,
                        select_augmentation_pairs, unflatten_params)
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
@@ -395,43 +395,18 @@ class Tape:
         return gpair * (1.0 - eg.alpha) * eg.beta
 
     def _mlp_backward(self, g_w):
-        """Backprop g_w through the MLP from its forward cache. With no
-        cache the MLP did not feed the scores (alpha=1 or beta=0), so
-        every gradient is zero."""
-        params = self.params
-        cache = self.mlp_cache
-        if cache is None:
-            return {"W1": np.zeros_like(params.W1),
-                    "b1": np.zeros_like(params.b1),
-                    "W2": np.zeros_like(params.W2), "b2": 0.0}
-        Z, relu_support, Hd = cache["Z"], cache["relu_support"], cache["Hd"]
-        mask, rate, w = cache["keep_mask"], cache["rate"], cache["w"]
-        gpre = g_w * w * (1.0 - w)
-        gW2 = Hd.T @ gpre
-        gb2 = float(gpre.sum())
-        gHd = np.outer(gpre, params.W2)
-        if mask is not None:
-            gH = gHd * (mask / (1.0 - rate))
-        else:
-            gH = gHd
-        gHpre = gH * relu_support
-        gW1 = gHpre.T @ Z
-        gb1 = gHpre.sum(axis=0)
-        return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
+        return mlp_backward(self.params, self.mlp_cache, g_w)
 
     def backward(self) -> dict:
         g_w = self.g_raw if self.walk is None else self._ac_backward(
             self.g_raw)
-        grads = self._mlp_backward(g_w)
-        grads.update(self.head_grads)
-        return grads
+        return {**self._mlp_backward(g_w), **self.head_grads}
 
 
 def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
              enh_cfg: EnhancerConfig, cfg: TrainConfig, batch: MaskedBatch,
-             aug: AugmentedPairs | None, epoch: int, head,
-             training: bool, want_tape: bool):
-    """(loss, Tape or None) of a batch; `aug` is the run's pair set."""
+             aug: AugmentedPairs | None, epoch: int, head, training: bool):
+    """(loss, Tape) of a batch; `aug` is the run's pair set."""
     pos = np.asarray(batch.batch_pos, dtype=np.int64).reshape(-1, 2)
     negs = np.asarray([] if batch.negatives is None else batch.negatives,
                       dtype=np.int64).reshape(-1, 2)
@@ -440,22 +415,19 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
                           f"{len(pos)} positives")
     k = len(negs) // len(pos)  # positive i vs negatives i*k .. (i+1)*k - 1
     scored = np.vstack([pos, negs])
+    rate = cfg.dropout if training else 0.0
     drop_key = derive(cfg.seed, _DROP_TAG, epoch)
 
     if cfg.direct_mlp:
-        mask = None
-        if training and cfg.dropout > 0.0:
-            mask = dropout_masks(params.hidden, np.arange(len(scored)),
-                                 cfg.dropout, drop_key)
-        mlp_cache = {} if want_tape else None
-        raw = mlp_forward(params, pair_features(X, scored), mask,
-                          cfg.dropout, cache=mlp_cache)
+        mlp_cache = {}
+        raw = mlp_forward(params, pair_features(X, scored),
+                          np.arange(len(scored)), rate, drop_key,
+                          cache=mlp_cache)
         eg, walk = None, None
     else:
-        eg = assemble_enhanced(
-            aug, aug.ids(batch.residual_edges), params, enh_cfg,
-            dropout_rate=cfg.dropout if training else 0.0,
-            dropout_key=drop_key, keep_cache=want_tape)
+        eg = assemble_enhanced(aug, aug.ids(batch.residual_edges), params,
+                               enh_cfg, dropout_rate=rate,
+                               dropout_key=drop_key, keep_cache=True)
         walk = _walk(transition_matrix(eg.graph), scored, cfg.ac_t)
         raw = autocovariance_from_walk(eg.graph, scored[:, 0], scored[:, 1],
                                        walk.values)
@@ -471,8 +443,6 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
         a, b = head if head is not None else (1.0, 0.0)
         loss, gz, head_grads = _bce(z, labels, a, b)
 
-    if not want_tape:
-        return loss, None
     # through the z-score; a floored sigma is a constant
     g_raw = gz - gz.mean()
     if std >= _STD_FLOOR:
@@ -488,7 +458,7 @@ def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
     aug = None if cfg.direct_mlp else AugmentedPairs(
         g, X, batch.residual_edges, added_pairs)
     return _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch, head,
-                    training, want_tape=False)[0]
+                    training)[0]
 
 
 def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
@@ -503,7 +473,7 @@ def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
     aug = None if cfg.direct_mlp else AugmentedPairs(
         g, X, batch.residual_edges, added_pairs)
     loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch,
-                          head, training, want_tape=True)
+                          head, training)
     return loss, tape.backward()
 
 
@@ -585,7 +555,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
                 g, split, "train", npp * len(batch.batch_pos),
                 derive(cfg.seed, _NEG_TAG, epoch, bi))
             loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug,
-                                  epoch, head, True, True)
+                                  epoch, head, True)
             grads = tape.backward()
             del tape  # free its walk and MLP cache before the next batch
             if not grads_finite(loss, grads):

@@ -59,6 +59,34 @@ def test_node_ids_whose_codes_overflow_are_data_errors(tmp_path):
     assert not out.exists()
 
 
+def test_unallocatable_node_count_is_data_error(tmp_path):
+    """A node count that fits the pair codes but whose O(n) graph arrays
+    (22.6 GiB) cannot be allocated exits 3. The child caps its own address
+    space at 1 GiB before importing gelato, so the allocation fails at
+    once and the arrays are never touched, whatever the host's memory."""
+    import os
+    import subprocess
+    import sys
+    from gelato.graph import MAX_NODES
+    edges = tmp_path / "big.edges"
+    edges.write_text(f"n {MAX_NODES}\n0 1\n")
+    out = tmp_path / "big.split"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.path.insert(0, sys.argv.pop(1))\n"
+            "from gelato.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, "split", "--edges", str(edges),
+         "--out", str(out)], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 3, done.stderr
+    assert f"node count {MAX_NODES}" in done.stderr
+    assert not out.exists()
+
+
 def test_split_with_an_empty_phase_is_data_error(tmp_path):
     # 8 edges floor to 0 valid and 0 test positives at the default ratios
     edges = tmp_path / "path.edges"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 import gelato
@@ -282,6 +282,32 @@ class TestMetricOracle:
                     assert precision_at_k(rs, f) == ref["prec"][f]
             for k in ks:
                 assert hits_at_k(rs, k) == ref["hits"][k]
+
+    # few distinct levels make heavy ties; any finite float otherwise
+    _SCORES = st.integers(0, 3).map(float) | st.floats(-1e6, 1e6)
+
+    @settings(max_examples=200, deadline=None)
+    @example(pos=[1.0], neg=[1.0, 0.0, 2.0], ks=[1, 2, 50],
+             fractions=[0.5, 1.0])  # P = 1, k beyond N
+    @example(pos=[0.0] * 5, neg=[0.0] * 3, ks=[4, 9, 100],
+             fractions=[0.1, 1.0])  # all tied, k beyond P and N
+    @given(pos=st.lists(_SCORES, min_size=1, max_size=25),
+           neg=st.lists(_SCORES, min_size=1, max_size=60),
+           ks=st.lists(st.integers(1, 100), min_size=1, max_size=3),
+           fractions=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+    def test_metrics_match_brute_force_property(self, pos, neg, ks,
+                                                fractions):
+        pos, neg = np.asarray(pos), np.asarray(neg)
+        rs = RankSummary(pos, *brute_force_counts(pos, neg), len(neg))
+        ref = brute_force_metrics(pos, neg, prec_fractions=fractions,
+                                  hits_ks=ks)
+        assert average_precision(rs) == ref["ap"]
+        assert auc(rs) == ref["auc"]
+        for f in fractions:
+            if int(np.floor(f * len(pos) + 0.5)) >= 1:
+                assert precision_at_k(rs, f) == ref["prec"][f]
+        for k in ks:
+            assert hits_at_k(rs, k) == ref["hits"][k]
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)

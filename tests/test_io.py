@@ -80,6 +80,14 @@ def test_attributes_truncated_binary_payload(tmp_path):
         read_attributes(path)
 
 
+def test_attributes_binary_payload_with_trailing_bytes(tmp_path):
+    path = tmp_path / "attrs.bin"
+    write_attributes_binary(path, AttributeMatrix(np.ones((3, 2))))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(DataError, match="expected 6 float32 values"):
+        read_attributes(path)
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
 def test_attributes_without_rows(tmp_path, text):
     path = tmp_path / "attrs.csv"

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gelato
 from gelato import (build_graph, negative_pool_size, positive_masking_batches,
                     read_split, sample_negatives, split_edges, write_split)
 from gelato.errors import ConfigError, DataError
 from gelato.rng import Stream, derive
-from gelato.splits import _NEG_TAG, excluded_codes, pair_codes
+from gelato.splits import PHASES, _NEG_TAG, excluded_codes, pair_codes
 
 from conftest import enumerate_pool, random_graph
 
@@ -127,6 +127,33 @@ class TestNegativePools:
         for phase in ("train", "valid", "test"):
             assert negative_pool_size(g, split, phase) == \
                 len(enumerate_pool(split, phase))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(5, 20), density=st.floats(0.1, 0.8),
+           graph_seed=st.integers(0, 2 ** 16),
+           ratios=st.sampled_from([(0.6, 0.2, 0.2), (0.8, 0.1, 0.1),
+                                   (0.4, 0.3, 0.3)]),
+           split_seed=st.integers(0, 2 ** 16))
+    def test_pools_match_enumeration_property(self, n, density, graph_seed,
+                                              ratios, split_seed):
+        g = random_graph(np.random.default_rng(graph_seed), n,
+                         max(5, int(density * n * (n - 1) / 2)),
+                         ensure_positive_degree=False)
+        try:
+            split = split_edges(g, ratios, seed=split_seed)
+        except DataError:  # too few edges for a non-empty phase
+            assume(False)
+        every_pair = {u * n + v for u in range(n) for v in range(u + 1, n)}
+        for i, phase in enumerate(PHASES):
+            pool = enumerate_pool(split, phase)
+            assert negative_pool_size(g, split, phase) == len(pool)
+            excluded = excluded_codes(split, phase)
+            earlier = np.concatenate([pair_codes(split.positives(p), n)
+                                      for p in PHASES[:i + 1]])
+            np.testing.assert_array_equal(excluded, np.sort(earlier))
+            # and the pool is exactly every other pair
+            assert set(excluded.tolist()) == \
+                every_pair - set(pair_codes(pool, n).tolist())
 
 
 class TestSampleNegatives:

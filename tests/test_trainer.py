@@ -331,7 +331,7 @@ class TestWalkKernels:
                               epochs=1)
             aug = AugmentedPairs(g, X, batch.residual_edges, added)
             _, tape = _forward(g, X, params, enh, cfg, batch, aug, 1, head,
-                               False, True)
+                               False)
             side = _SparseWalk if graph == "ring" else _DenseWalk
             assert type(tape.walk) is side
             assert _fd_check(g, X, params, enh, cfg, batch, added, head) < 1e-4
