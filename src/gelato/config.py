@@ -49,7 +49,6 @@ class ExperimentConfig:
     dropout: float = 0.5
     t: int = 3
     seed: int = 1
-    valid_subsample: int = 1_000_000
     # evaluation
     phase: str = "test"
     prec: tuple = (0.25, 0.5, 1.0)
@@ -68,6 +67,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
+        if not all(0.0 < f <= 1.0 for f in self.prec):  # nan fails too
+            raise ConfigError("prec fractions must be in (0, 1]")
+        if not all(k >= 1 for k in self.hits):
+            raise ConfigError("hits k must be >= 1")
+        if min(self.workers, self.biased_neg_per_pos) < 0:
+            raise ConfigError("workers and biased_neg_per_pos must be >= 0")
         self.enhancer()
         self.trainer()
         return self

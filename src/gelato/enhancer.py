@@ -66,8 +66,8 @@ class EnhancerConfig:
         if self.self_loop_mode not in ("all", "isolated-only"):
             raise ConfigError(
                 f"unknown self-loop mode {self.self_loop_mode!r}")
-        if not self.self_loop_weight > 0:
-            raise ConfigError("self-loop weight must be positive")
+        if not 0 < self.self_loop_weight < math.inf:
+            raise ConfigError("self-loop weight must be positive and finite")
 
 
 @dataclass
@@ -185,13 +185,14 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     unit = X.unit_rows()
     cand_s, cand_u, cand_v = [], [], []
     cols = np.arange(n)
+    arc_rows = g.row_of_arcs()
     for start in range(0, n, block_size):
-        rows = np.arange(start, min(start + block_size, n))
+        stop = min(start + block_size, n)
+        rows = np.arange(start, stop)
         sims = unit[rows] @ unit.T
         mask = cols[None, :] > rows[:, None]
-        for i, u in enumerate(rows):
-            nbrs = g.neighbors(u)
-            mask[i, nbrs] = False
+        arcs = slice(g.indptr[start], g.indptr[stop])  # the block's arcs
+        mask[arc_rows[arcs] - start, g.indices[arcs]] = False
         ru, cu = np.nonzero(mask)
         s = sims[ru, cu]
         if len(s) > count:

@@ -197,7 +197,7 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
             raise DataError("edges must be (u, v) or (u, v, w) entries")
         u = arr[:, 0].astype(np.int64)
         v = arr[:, 1].astype(np.int64)
-        if not np.allclose(arr[:, 0], u) or not np.allclose(arr[:, 1], v):
+        if (arr[:, 0] != u).any() or (arr[:, 1] != v).any():
             raise DataError("node ids must be integers")
         w = (arr[:, 2].astype(np.float64) if arr.shape[1] == 3
              else np.ones(len(arr)))
@@ -233,8 +233,8 @@ def add_self_loops(g: Graph, mode: str = "isolated-only",
     result has positive degree. Existing loops keep their weight
     (no loop is added on top of one).
     """
-    if not weight > 0:  # also rejects nan
-        raise DataError("self-loop weight must be positive")
+    if not 0 < weight < np.inf:  # also rejects nan
+        raise DataError("self-loop weight must be positive and finite")
     if mode not in ("all", "isolated-only"):
         raise DataError(f"unknown self-loop mode: {mode!r}")
     has_loop = np.zeros(g.n, dtype=bool)

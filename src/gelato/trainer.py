@@ -29,9 +29,9 @@ a few block x n arrays.
 
 Adam steps on the flat layout of enhancer.flatten_params. Batches whose
 loss or gradient has any non-finite component are skipped and counted
-rather than applied. The best epoch is selected by prec@100% on the
-unbiased validation pool (streamed exactly when small, otherwise a
-fixed-seed subsample shared by all epochs).
+rather than applied. The best epoch is selected by prec@100% counted
+exactly over the whole unbiased validation pool, as `gelato eval --phase
+valid` counts it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
                        mlp_backward, mlp_forward, pair_features,
                        select_augmentation_pairs, unflatten_params)
 from .errors import ConfigError
-from .evaluator import precision_at_k, rank_summary, sampled_rank_summary
+from .evaluator import precision_at_k, rank_summary
 from .graph import AttributeMatrix, Graph, _values_at, pair_codes
 from .heuristics import (autocovariance_from_walk, pair_scores,
                          transition_matrix, _walk_hits)
@@ -65,7 +65,6 @@ _STD_FLOOR = 1e-12
 _EPOCH_TAG = 0x65706F63
 _NEG_TAG = 0x6E626174
 _DROP_TAG = 0x64726F70
-_VALID_TAG = 0x766E6567
 
 
 @dataclass
@@ -80,7 +79,6 @@ class TrainConfig:
     dropout: float = 0.5
     ac_t: int = 3
     hidden: int = 128
-    valid_subsample: int = 1_000_000
     direct_mlp: bool = False       # score pairs by w_uv directly, skip AC
 
     def __post_init__(self):
@@ -88,8 +86,8 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.regime not in ("unbiased", "biased"):
             raise ConfigError(f"unknown regime {self.regime!r}")
-        if not self.lr > 0:  # also rejects nan
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # also rejects nan
+            raise ConfigError("lr must be positive and finite")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.neg_cap < 0:
@@ -100,8 +98,6 @@ class TrainConfig:
             raise ConfigError("ac_t must be >= 0")
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
-        if self.valid_subsample < 1:
-            raise ConfigError("valid_subsample must be >= 1")
 
 
 class EpochRecord(NamedTuple):
@@ -485,8 +481,8 @@ def grads_finite(loss: float, grads: dict) -> bool:
 
 # -- training loop ------------------------------------------------------------
 
-def _validation_prec(g, X, split, enh_cfg, cfg, params, aug, valid_negs):
-    """Validation prec@100%, scored over all training edges."""
+def _validation_prec(g, X, split, enh_cfg, cfg, params, aug):
+    """Exact validation prec@100%, scored over all training edges."""
     from .scorers import AutocovarianceScorer, MlpScorer
     if len(split.valid_pos) == 0:
         return float("nan")
@@ -495,11 +491,7 @@ def _validation_prec(g, X, split, enh_cfg, cfg, params, aug, valid_negs):
     else:
         eg = assemble_enhanced(aug, aug.ids(split.train_pos), params, enh_cfg)
         scorer = AutocovarianceScorer(eg.graph, cfg.ac_t)
-    if valid_negs is None:
-        rs = rank_summary(scorer, g, split, "valid")
-    else:
-        rs = sampled_rank_summary(scorer, split.valid_pos, valid_negs)
-    return precision_at_k(rs, 1.0)
+    return precision_at_k(rank_summary(scorer, g, split, "valid"), 1.0)
 
 
 def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
@@ -536,12 +528,6 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
     else:
         npp = 1
 
-    valid_negs = None
-    vpool = negative_pool_size(g, split, "valid")
-    if len(split.valid_pos) and vpool > cfg.valid_subsample:
-        valid_negs = sample_negatives(g, split, "valid", cfg.valid_subsample,
-                                      derive(cfg.seed, _VALID_TAG))
-
     history = []
     best_key = None
     best_params = params.copy()
@@ -573,8 +559,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             losses.append(loss)
 
         mean_loss = float(np.mean(losses)) if losses else float("nan")
-        vprec = _validation_prec(g, X, split, enh_cfg, cfg, params, aug,
-                                 valid_negs)
+        vprec = _validation_prec(g, X, split, enh_cfg, cfg, params, aug)
         history.append(EpochRecord(epoch, mean_loss, vprec, skipped))
         if np.isnan(vprec):
             key = -mean_loss if np.isfinite(mean_loss) else -np.inf

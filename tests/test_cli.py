@@ -261,10 +261,11 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--lr", "-1"), ("--lr", "nan"), ("--hidden", "0"),
-    ("--valid-subsample", "-5"), ("--block-size", "0"),
-    ("--eta", "nan"), ("--eta", "inf"), ("--self-loop-weight", "nan"),
-    ("--neg-cap", "-5"),
+    ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"), ("--hidden", "0"),
+    ("--block-size", "0"), ("--eta", "nan"), ("--eta", "inf"),
+    ("--self-loop-weight", "nan"), ("--self-loop-weight", "inf"),
+    ("--neg-cap", "-5"), ("--prec", "1.5"), ("--prec", "0"), ("--hits", "0"),
+    ("--workers", "-1"), ("--biased-neg-per-pos", "-1"),
 ])
 def test_show_config_rejects_invalid_values(capsys, flag, value):
     assert main(["show-config", flag, value]) == 2
@@ -294,7 +295,7 @@ SEED_FLAGS = {
     "--edges", "--attributes", "--split", "--split-seed", "--eta", "--alpha",
     "--beta", "--self-loop-mode", "--self-loop-weight", "--hidden", "--mode",
     "--loss", "--regime", "--lr", "--epochs", "--batch-count", "--neg-cap",
-    "--dropout", "--t", "--seed", "--valid-subsample", "--phase",
+    "--dropout", "--t", "--seed", "--phase",
     "--biased-neg-per-pos", "--eval-seed", "--block-size", "--workers",
     "--ratios", "--prec", "--hits",
 }
@@ -309,7 +310,23 @@ def test_parser_flags_are_the_config_fields():
     show = {opt for action in sub["show-config"]._actions
             for opt in action.option_strings}
     assert show - {"-h", "--help", "--config"} == SEED_FLAGS
-    assert len(SEED_FLAGS) == 29
+    assert len(SEED_FLAGS) == 28
+
+
+def test_readme_flags_are_accepted():
+    import os
+    import re
+    parser = build_parser()
+    accepted = {opt for p in (parser, *parser._subparsers._group_actions[0]
+                              .choices.values())
+                for action in p._actions for opt in action.option_strings}
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        named = {flag for line in fh if "pip install" not in line
+                 for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
+    assert named
+    assert not named - accepted, sorted(named - accepted)
 
 
 def test_sub_config_defaults_agree():

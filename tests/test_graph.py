@@ -44,6 +44,11 @@ class TestBuildGraph:
         with pytest.raises(DataError, match="out of range"):
             build_graph([(0, 3)], 3)
 
+    def test_fractional_id_rejected(self):
+        # within a relative tolerance of the integer id, but not equal to it
+        with pytest.raises(DataError, match="integers"):
+            build_graph(np.array([[1000000.5, 1.0]]), 2_000_000)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(DataError, match="nonnegative"):
             build_graph([(0, 1, -0.5)], 3)

@@ -447,8 +447,31 @@ class TestTrainLoop:
         from gelato.trainer import _validation_prec
         aug = AugmentedPairs(g, X, split.train_pos,
                              np.empty((0, 2), dtype=np.int64))
-        got = _validation_prec(g, X, split, enh, cfg, params, aug, None)
+        got = _validation_prec(g, X, split, enh, cfg, params, aug)
         assert got == pytest.approx(best.valid_prec)
+
+    def test_validation_counts_the_whole_pool(self):
+        # a validation pool of over a million pairs is still counted
+        # exactly: the recorded prec@100% is the one `rank_summary` gives
+        from gelato.enhancer import AugmentedPairs, assemble_enhanced
+        from gelato.evaluator import precision_at_k, rank_summary
+        from gelato.scorers import AutocovarianceScorer
+        from gelato.splits import negative_pool_size, train_graph
+        g, X = make_attribute_sbm(1700, 0, p_in=0.02, p_out=0.0005)
+        split = split_edges(g, (0.85, 0.05, 0.10), seed=0)
+        assert negative_pool_size(g, split, "valid") > 1_000_000
+        enh = EnhancerConfig(eta=0.5, alpha=0.5, beta=0.5,
+                             self_loop_mode="all")
+        cfg = TrainConfig(epochs=1, batch_count=3, seed=1, dropout=0.0,
+                          hidden=4, neg_cap=3)
+        params, history = train(g, X, split, enh, cfg)
+        added = select_augmentation_pairs(X, train_graph(g, split),
+                                          enh.eta)[0]
+        aug = AugmentedPairs(g, X, split.train_pos, added)
+        eg = assemble_enhanced(aug, aug.ids(split.train_pos), params, enh)
+        rs = rank_summary(AutocovarianceScorer(eg.graph, cfg.ac_t), g, split,
+                          "valid")
+        assert history[0].valid_prec == precision_at_k(rs, 1.0)
 
 
 def test_benchmark_layer_hooks_resolve():
