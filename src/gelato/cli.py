@@ -21,7 +21,7 @@ from .config import (ExperimentConfig, TRAINED_MODES, TUPLE_TYPES,
 from .enhancer import build_enhanced_graph, load_params, save_params
 from .errors import ConfigError, DataError, GelatoError, NumericError
 from .evaluator import (biased_sample_metrics, compute_report, rank_summary,
-                        report_to_json, write_pr_csv)
+                        report_to_json, top_k, write_pr_csv)
 from .graph import add_self_loops
 from .io import load_graph, read_attributes
 from .scorers import (AutocovarianceScorer, CosineScorer,
@@ -181,6 +181,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_reportable(cfg, split):
+    """Refuse, before any scoring, a phase whose metrics cannot be
+    reported: one without positives, or a prec fraction giving k = 0."""
+    count = len(split.positives(cfg.phase))
+    if count == 0:
+        raise DataError(f"the {cfg.phase} phase has no positives to rank")
+    for fraction in cfg.prec:
+        top_k(fraction, count)
+
+
 def _report(cfg, g, X, split, checkpoint):
     scorer, _ = _build_scorer(cfg, g, X, split, checkpoint)
     if cfg.biased_neg_per_pos > 0:
@@ -197,6 +207,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     g, X = _load_inputs(cfg, need_attrs=_needs_attributes(cfg.mode))
     split = _load_split(cfg, g)
+    _check_reportable(cfg, split)
     report = _report(cfg, g, X, split, args.checkpoint)
     if report.biased:
         print("=" * 60)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from .enhancer import EnhancerConfig
 from .errors import ConfigError
+from .splits import check_ratios
 from .trainer import TrainConfig
 
 MODES = ("gelato", "ac-only", "mlp-only", "cos-ac", "mlp-ac-two-stage",
@@ -65,6 +66,7 @@ class ExperimentConfig:
                               f"expected one of {MODES}")
         if self.phase not in ("train", "valid", "test"):
             raise ConfigError(f"unknown phase {self.phase!r}")
+        check_ratios(self.ratios)
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
         if not all(0.0 < f <= 1.0 for f in self.prec):  # nan fails too

@@ -38,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .graph import _in_sorted
 from .heuristics import pair_scores
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
@@ -184,9 +185,7 @@ def _support_block(view, pos_scores, excl, n, start, block_size):
     v = M.indices.astype(np.int64)
     keep = v > u
     ex = _excluded_in(excl, rows, n)
-    # searchsorted beats np.isin here; the -1 past the end matches no code
-    codes = u[keep] * n + v[keep]
-    keep[keep] = np.r_[ex, -1][np.searchsorted(ex, codes)] != codes
+    keep[keep] = ~_in_sorted(ex, u[keep] * n + v[keep])
     above, tied = _counts(M.data[keep], pos_scores)
     bg_above, bg_tied = _counts(np.concatenate([
         view.background(u[keep], v[keep]),
@@ -222,23 +221,24 @@ def _sorted_order(rs: RankSummary) -> np.ndarray:
     return np.argsort(-rs.pos_scores, kind="stable")
 
 
-def round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+def top_k(k_fraction: float, num_positives: int) -> int:
+    """k = round(k_fraction * num_positives), half-up; refuses k = 0."""
+    if not 0.0 < k_fraction <= 1.0:
+        raise ConfigError("k_fraction must be in (0, 1]")
+    k = int(np.floor(k_fraction * num_positives + 0.5))
+    if k < 1:
+        raise ConfigError(f"k_fraction={k_fraction} rounds to k=0 positives")
+    return k
 
 
 def precision_at_k(rs: RankSummary, k_fraction: float) -> float:
     """Fraction of the top-k globally ranked candidates that are positive.
 
-    k = round(k_fraction * |positives|), half-up. A positive's global
-    rank counts every higher-scored candidate, all tied negatives, and
-    tied positives that precede it in input order.
+    k = top_k(k_fraction, |positives|). A positive's global rank counts
+    every higher-scored candidate, all tied negatives, and tied positives
+    that precede it in input order.
     """
-    if not 0.0 < k_fraction <= 1.0:
-        raise ConfigError("k_fraction must be in (0, 1]")
-    k = round_half_up(k_fraction * rs.num_positives)
-    if k < 1:
-        raise ConfigError(
-            f"k_fraction={k_fraction} rounds to k=0 positives")
+    k = top_k(k_fraction, rs.num_positives)
     order = _sorted_order(rs)
     ranks = (rs.neg_above[order] + rs.neg_tied[order]
              + np.arange(rs.num_positives) + 1)

@@ -26,6 +26,8 @@ class AttributeMatrix:
         values = np.array(values, dtype=np.float64, copy=True, order="C")
         if values.ndim != 2:
             raise DataError("attribute matrix must be 2-dimensional")
+        if values.shape[1] == 0:
+            raise DataError("attribute matrix has no columns")
         if not np.isfinite(values).all():
             raise DataError("attribute matrix contains non-finite entries")
         values.flags.writeable = False
@@ -152,6 +154,11 @@ def _values_at(M, codes, fill=0.0):
                      np.diff(M.indptr)) * n + M.indices)
     pos = np.minimum(np.searchsorted(own, codes), len(own) - 1)
     return np.where(own[pos] == codes, M.data[pos], fill)
+
+
+def _in_sorted(ranked, codes):
+    """Mask of the nonnegative `codes` found in the ascending `ranked`."""
+    return np.r_[ranked, -1][np.searchsorted(ranked, codes)] == codes
 
 
 def _assemble_csr(n, rows, cols, weights):

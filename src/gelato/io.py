@@ -9,8 +9,9 @@ rejected.
 
 Attribute file: either CSV (n >= 1 rows x r comma-separated columns) or the
 binary layout: magic bytes "GATR", two little-endian 64-bit unsigned
-integers n and r, then exactly n*r little-endian 32-bit floats row-major.
-Values are held as float64 in memory regardless of storage width.
+integers n and r >= 1, then exactly n*r little-endian 32-bit floats
+row-major. Values are held as float64 in memory regardless of storage
+width.
 """
 
 from __future__ import annotations

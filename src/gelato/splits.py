@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, build_graph, check_node_count, pair_codes
+from .graph import Graph, _in_sorted, build_graph, check_node_count, pair_codes
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -69,27 +69,23 @@ def _check_phase(phase):
         raise ConfigError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
 
-def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Mask keeping the first occurrence of each value, in input order.
-
-    An unstable argsort groups equal values and each group keeps its
-    smallest position: the same mask as np.unique(return_index=True),
-    whose stable argsort costs several times more.
-    """
-    order = np.argsort(codes)
-    ranked = codes[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    keep = np.zeros(len(codes), dtype=bool)
-    if len(codes):
-        keep[np.minimum.reduceat(order, starts)] = True
-    return keep
-
-
 def train_graph(g: Graph, split: EdgeSplit) -> Graph:
     """The graph of the training positives, with their weights in `g`."""
     return build_graph(
         np.column_stack([split.train_pos, g.pair_weights(split.train_pos)]),
         split.n)
+
+
+def check_ratios(ratios) -> tuple:
+    """The train/valid/test ratios as floats, refused unless they are three
+    positive numbers that sum to 1."""
+    ratios = tuple(float(x) for x in ratios)
+    # `not ok` form, so that nan fails the checks too
+    if len(ratios) != 3 or not all(x > 0 for x in ratios):
+        raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ConfigError(f"ratios must sum to 1, got {ratios}")
+    return ratios
 
 
 def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit:
@@ -98,12 +94,7 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
     Deterministic for a fixed (graph, ratios, seed); the remainder after
     flooring the valid/test sizes goes to train.
     """
-    ratios = tuple(float(x) for x in ratios)
-    # `not ok` form, so that nan fails the checks too
-    if len(ratios) != 3 or not all(x > 0 for x in ratios):
-        raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
-    if not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios}")
+    ratios = check_ratios(ratios)
     pairs = g.edge_pairs()
     m = len(pairs)
     if m < 3:
@@ -169,16 +160,16 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
         us = stream.below(n, k)
         vs = stream.below(n, k)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        codes = lo * n + hi
-        codes = codes[lo != hi]
-        if len(excl):
-            pos = np.searchsorted(excl, codes)
-            pos = np.minimum(pos, len(excl) - 1)
-            codes = codes[excl[pos] != codes]
-        codes = codes[_first_occurrences(codes)]
-        if len(chosen):
-            codes = codes[~np.isin(codes, chosen)]
-        chosen = np.concatenate([chosen, codes[:count - len(chosen)]])
+        codes = (lo * n + hi)[lo != hi]
+        # one unstable sort groups the repeats; each group whose code is
+        # neither excluded nor chosen before keeps its first draw position
+        order = np.argsort(codes)
+        ranked = codes[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        fresh = ~_in_sorted(np.sort(np.r_[excl, chosen]), ranked[starts])
+        keep = np.zeros(len(codes), dtype=bool)
+        keep[np.minimum.reduceat(order, starts)[fresh]] = True
+        chosen = np.concatenate([chosen, codes[keep][:count - len(chosen)]])
     return np.column_stack([chosen // n, chosen % n])
 
 
@@ -198,17 +189,13 @@ def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,
         raise ConfigError("batch_count=1 leaves an empty residual graph")
     perm = Stream(derive(seed, _BATCH_TAG)).permutation(m)
     shuffled = split.train_pos[perm]
-    base, rem = divmod(m, batch_count)
-    batches = []
-    start = 0
-    for i in range(batch_count):
-        size = base + (1 if i < rem else 0)
-        sel = np.zeros(m, dtype=bool)
-        sel[start:start + size] = True
-        batches.append(MaskedBatch(batch_pos=shuffled[sel],
-                                   residual_edges=shuffled[~sel]))
-        start += size
-    return batches
+    # batch i holds bounds[i]:bounds[i + 1]; the first m % batch_count
+    # batches hold one more positive than the rest
+    i = np.arange(batch_count + 1)
+    bounds = i * (m // batch_count) + np.minimum(i, m % batch_count)
+    return [MaskedBatch(batch_pos=shuffled[a:b],
+                        residual_edges=np.delete(shuffled, np.s_[a:b], 0))
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # -- split file format ----------------------------------------------------

@@ -88,8 +88,8 @@ class TrainConfig:
             raise ConfigError(f"unknown regime {self.regime!r}")
         if not 0 < self.lr < np.inf:  # also rejects nan
             raise ConfigError("lr must be positive and finite")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if min(self.epochs, self.batch_count) < 1:
+            raise ConfigError("epochs and batch_count must be >= 1")
         if self.neg_cap < 0:
             raise ConfigError("neg_cap must be >= 0")
         if not 0.0 <= self.dropout < 1.0:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +126,67 @@ def test_baseline_matches_library_path(dataset, tmp_path):
     rs = gelato.rank_summary(AutocovarianceScorer(looped, 2), g, split,
                              "test")
     assert payload["ap"] == gelato.average_precision(rs)
+
+
+def test_cosine_baseline_matches_brute_force(dataset, tmp_path):
+    from conftest import brute_force_counts, enumerate_pool
+    from gelato.scorers import CosineScorer
+    report_path = tmp_path / "cos.json"
+    rc = main(["baseline", "--kind", "cos", "--edges", dataset["edges"],
+               "--attributes", dataset["attrs"], "--split", dataset["split"],
+               "--report", str(report_path)])
+    assert rc == 0
+    payload = json.loads(report_path.read_text())
+
+    split = gelato.read_split(dataset["split"])
+    g = gelato.load_graph(dataset["edges"])
+    X = gelato.read_attributes(dataset["attrs"])
+    rs = gelato.rank_summary(CosineScorer(X), g, split, "test")
+    pos = gelato.cosine_pairs(X, split.test_pos)
+    above, tied = brute_force_counts(
+        pos, gelato.cosine_pairs(X, enumerate_pool(split, "test")))
+    # the scorer's matrix product and cosine_pairs' einsum round apart
+    np.testing.assert_allclose(rs.pos_scores, pos, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(rs.neg_above, above)
+    np.testing.assert_array_equal(rs.neg_tied, tied)
+    assert payload["ap"] == gelato.average_precision(rs)
+
+
+def _no_scoring(*args):
+    raise AssertionError("the pool was scored")
+
+
+def test_unreportable_phase_is_refused_before_scoring(dataset, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "_build_scorer", _no_scoring)
+    base = ["baseline", "--kind", "cn", "--edges", dataset["edges"]]
+    # a fraction that rounds to k = 0 of the split's test positives
+    assert main(base + ["--split", dataset["split"],
+                        "--prec", "0.0001"]) == 2
+    # a hand-written split whose test phase has no positives
+    split = gelato.read_split(dataset["split"])
+    empty = gelato.EdgeSplit(
+        n=split.n, train_pos=np.vstack([split.train_pos, split.test_pos]),
+        valid_pos=split.valid_pos, test_pos=np.empty((0, 2), np.int64),
+        seed=0, ratios=split.ratios)
+    path = tmp_path / "no-test.split"
+    gelato.write_split(path, empty)
+    assert main(base + ["--split", str(path)]) == 3
+
+
+def test_zero_width_attributes_are_a_data_error(tmp_path, capsys):
+    from conftest import random_graph
+    edges = tmp_path / "g.edges"
+    write_edge_list(edges, random_graph(np.random.default_rng(0), 60, 150))
+    split = tmp_path / "g.split"
+    assert main(["split", "--edges", str(edges), "--out", str(split)]) == 0
+    attrs = tmp_path / "empty.gatr"
+    attrs.write_bytes(b"GATR" + struct.pack("<QQ", 60, 0))
+    rc = main(["train", "--edges", str(edges), "--attributes", str(attrs),
+               "--split", str(split), "--epochs", "1", "--hidden", "4",
+               "--out-checkpoint", str(tmp_path / "m.gpar")])
+    assert rc == 3
+    assert "no columns" in capsys.readouterr().err
 
 
 def test_train_eval_round_trip(dataset, tmp_path, capsys):
@@ -266,9 +328,12 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
     ("--self-loop-weight", "nan"), ("--self-loop-weight", "inf"),
     ("--neg-cap", "-5"), ("--prec", "1.5"), ("--prec", "0"), ("--hits", "0"),
     ("--workers", "-1"), ("--biased-neg-per-pos", "-1"),
+    ("--ratios", "nan 0.2 0.2"), ("--ratios", "0.5 0.5 0.5"),
+    ("--ratios", "0.7 0.3 0"), ("--batch-count", "0"),
 ])
 def test_show_config_rejects_invalid_values(capsys, flag, value):
-    assert main(["show-config", flag, value]) == 2
+    """`value` holds the flag's space-separated values."""
+    assert main(["show-config", flag, *value.split()]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -327,6 +392,25 @@ def test_readme_flags_are_accepted():
                  for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
     assert named
     assert not named - accepted, sorted(named - accepted)
+
+
+def test_readme_exit_2_examples_are_refused(capsys):
+    """Every backticked `--flag value...` example in README's exit-code-2
+    bullet is refused before any input is read; the output flags, listed
+    without a value, are skipped."""
+    import os
+    import re
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    bullet = text[text.index("* `2`:"):text.index("* `3`:")]
+    examples = re.findall(r"`(--[a-z][a-z0-9-]*(?: [^`\s]+)+)`",
+                          " ".join(bullet.split()))
+    assert "--ratios nan 0.2 0.2" in examples
+    for example in examples:
+        assert main(["show-config", *example.split()]) == 2, example
+    assert capsys.readouterr().out == ""
 
 
 def test_sub_config_defaults_agree():

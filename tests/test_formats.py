@@ -106,7 +106,7 @@ def test_split_prefixes(scratch, split):
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.integers(0, 4), r=st.integers(0, 3), seed=st.integers(0, 99))
+@given(n=st.integers(0, 4), r=st.integers(1, 3), seed=st.integers(0, 99))
 def test_attribute_binary_prefixes(scratch, n, r, seed):
     X = AttributeMatrix(np.random.default_rng(seed).normal(size=(n, r)))
     data = _file_bytes(scratch, write_attributes_binary, X)
@@ -189,7 +189,8 @@ _POSITIVE = st.floats(1e-6, 1e6)
 _INTEGERS = st.integers(1, 2 ** 62)
 _CONFIG_VALUES = {
     "edges": _WRITABLE, "attributes": _WRITABLE, "split": _WRITABLE,
-    "ratios": st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
+    "ratios": st.tuples(_POSITIVE, _POSITIVE, _POSITIVE).map(
+        lambda r: tuple(x / sum(r) for x in r)),  # valid ratios sum to 1
     "eta": st.floats(0.0, 1e6), "alpha": st.floats(0.0, 1.0),
     "beta": st.floats(0.0, 1.0), "self_loop_weight": _POSITIVE,
     "self_loop_mode": st.sampled_from(["all", "isolated-only"]),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,13 @@ def test_attributes_binary_payload_with_trailing_bytes(tmp_path):
     write_attributes_binary(path, AttributeMatrix(np.ones((3, 2))))
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(DataError, match="expected 6 float32 values"):
+        read_attributes(path)
+
+
+def test_attributes_binary_without_columns(tmp_path):
+    path = tmp_path / "attrs.bin"
+    path.write_bytes(b"GATR" + struct.pack("<QQ", 5, 0))
+    with pytest.raises(DataError, match="no columns"):
         read_attributes(path)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -382,6 +384,25 @@ class TestTrainLoop:
             train(g, X, split, EnhancerConfig(alpha=1.0, beta=0.5), cfg)
         with pytest.raises(ConfigError, match="trainable"):
             train(g, X, split, EnhancerConfig(alpha=0.5, beta=0.0), cfg)
+
+    def test_empty_validation_selects_the_lowest_loss(self):
+        g, X, split, enh = _sbm_setup(6)
+        split = gelato.EdgeSplit(
+            n=split.n,
+            train_pos=np.vstack([split.train_pos, split.valid_pos]),
+            valid_pos=np.empty((0, 2), np.int64), test_pos=split.test_pos,
+            seed=split.seed, ratios=split.ratios)
+        cfg = TrainConfig(epochs=6, batch_count=3, seed=1, lr=0.05,
+                          dropout=0.5, ac_t=2, hidden=8, neg_cap=5)
+        params, history = train(g, X, split, enh, cfg)
+        assert all(np.isnan(rec.valid_prec) for rec in history)
+        losses = [rec.loss for rec in history]
+        best = losses.index(min(losses)) + 1  # the first lowest epoch
+        assert best < cfg.epochs  # so the last epoch is not the pick
+        again, _ = train(g, X, split, enh, replace(cfg, epochs=best))
+        for name in ("W1", "b1", "W2", "b2"):
+            np.testing.assert_array_equal(getattr(params, name),
+                                          getattr(again, name))
 
     def test_epochs_zero_rejected(self):
         with pytest.raises(ConfigError):
