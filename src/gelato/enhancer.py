@@ -19,10 +19,11 @@ scorer:
    config so every row has a valid transition distribution.
 
 A run freezes its pair set once (AugmentedPairs): the training edges
-plus the augmentation, sorted by pair code, each with all but its MLP
-weight. Every enhanced graph of the run is assembled from row ids into
-that set, and a pair's row keys its dropout mask, so a pair has the same
-mask in every graph built with the same key.
+plus the augmentation, sorted by pair code, each with its structural
+weight and cosine. Every enhanced graph of the run is assembled from row
+ids into that set and encodes those rows for the MLP, and a pair's row
+keys its dropout mask, so a pair has the same mask in every graph built
+with the same key.
 
 Checkpoint format (binary): magic "GPAR", little-endian 64-bit unsigned
 r and hidden, then the float64 little-endian values of flatten_params:
@@ -215,11 +216,14 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
 # -- MLP edge weights -------------------------------------------------------
 
 def pair_features(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
-    """Permutation-invariant encoding [x_u + x_v ; |x_u - x_v|]."""
+    """Permutation-invariant encoding [x_u + x_v ; |x_u - x_v|], written
+    straight into one (k, 2r) array."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    xu = X.values[pairs[:, 0]]
-    xv = X.values[pairs[:, 1]]
-    return np.hstack([xu + xv, np.abs(xu - xv)])
+    xu, xv = X.values[pairs].swapaxes(0, 1)  # one gather of both ends
+    Z = np.empty((len(pairs), 2 * X.r))
+    np.add(xu, xv, out=Z[:, :X.r])
+    np.abs(np.subtract(xu, xv, out=Z[:, X.r:]), out=Z[:, X.r:])
+    return Z
 
 
 def dropout_masks(hidden: int, ids: np.ndarray, rate: float,
@@ -287,14 +291,11 @@ def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair) -> float:
 
 # -- enhanced graph ---------------------------------------------------------
 
-_Z_CACHE_BYTES = 500 * 2 ** 20  # a pair set keeps encodings smaller than this
-
-
 class AugmentedPairs:
     """The frozen pair set of a run, sorted by pair code: the pairs `base`
     of `g` plus the augmentation `added`, with each pair's weight in `g`
-    (0 for an added pair, even a held-out edge of `g`), cosine and, while
-    they fit in _Z_CACHE_BYTES, encoding (`Z`, else None)."""
+    (0 for an added pair, even a held-out edge of `g`) and cosine. Their
+    encodings are not kept: each enhanced graph encodes its own rows."""
 
     def __init__(self, g: Graph, X: AttributeMatrix, base, added):
         base = np.asarray(base, dtype=np.int64).reshape(-1, 2)
@@ -310,8 +311,6 @@ class AugmentedPairs:
         self.weights = np.concatenate([g.pair_weights(base),
                                        np.zeros(len(added))])[order]
         self.cos = cosine_pairs(X, self.pairs)
-        self.Z = (pair_features(X, self.pairs) if len(pairs) * 2 * X.r * 8
-                  < _Z_CACHE_BYTES else None)
         self.added_rows = np.argsort(order)[len(base):]
 
     def ids(self, base) -> np.ndarray:
@@ -356,9 +355,8 @@ def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
     if cfg.beta > 0.0 and cfg.alpha < 1.0:
         if params is None:
             raise ConfigError("MLP parameters required when beta > 0")
-        Z = aug.Z[ids] if aug.Z is not None else pair_features(aug.X, pairs)
-        w = mlp_forward(params, Z, ids, dropout_rate, dropout_key,
-                        cache=mlp_cache)
+        w = mlp_forward(params, pair_features(aug.X, pairs), ids,
+                        dropout_rate, dropout_key, cache=mlp_cache)
     else:
         w = np.zeros(len(pairs))
 

@@ -252,6 +252,17 @@ def hits_at_k(rs: RankSummary, k: int) -> float:
     return float(np.mean(rs.neg_above + rs.neg_tied < k))
 
 
+def _precision_at_positives(rs: RankSummary):
+    """(scores, i, precision) at each positive by descending score, with i
+    the positives scoring at or above it (itself and ties included) and
+    the precision there i / (i + negatives at or above), ties pessimistic."""
+    order = _sorted_order(rs)
+    s = rs.pos_scores[order]
+    at_or_above = np.searchsorted(-s, -s, side="right")
+    return s, at_or_above, at_or_above / (
+        at_or_above + rs.neg_above[order] + rs.neg_tied[order])
+
+
 def average_precision(rs: RankSummary) -> float:
     """Mean precision at each positive, pessimistic ties.
 
@@ -261,11 +272,7 @@ def average_precision(rs: RankSummary) -> float:
     """
     if rs.num_positives == 0:
         raise DataError("average precision needs at least one positive")
-    order = _sorted_order(rs)
-    s = rs.pos_scores[order]
-    at_or_above = np.searchsorted(-s, -s, side="right")
-    terms = at_or_above / (at_or_above + rs.neg_above[order] + rs.neg_tied[order])
-    return float(np.mean(terms))
+    return float(np.mean(_precision_at_positives(rs)[2]))
 
 
 def auc(rs: RankSummary) -> float:
@@ -279,10 +286,7 @@ def auc(rs: RankSummary) -> float:
 
 def pr_curve(rs: RankSummary) -> np.ndarray:
     """(recall, precision) step points, one per distinct positive score."""
-    order = _sorted_order(rs)
-    s = rs.pos_scores[order]
-    at_or_above = np.searchsorted(-s, -s, side="right")
-    prec = at_or_above / (at_or_above + rs.neg_above[order] + rs.neg_tied[order])
+    s, at_or_above, prec = _precision_at_positives(rs)
     last_of_group = np.r_[s[1:] != s[:-1], True]
     recall = at_or_above / rs.num_positives
     return np.column_stack([recall[last_of_group], prec[last_of_group]])

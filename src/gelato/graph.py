@@ -89,10 +89,14 @@ class Graph:
         return len(self.indices)
 
     @cached_property
+    def num_edge_pairs(self) -> int:
+        """Number of non-loop edges, the pairs edge_pairs() lists."""
+        return int(np.sum(self.row_of_arcs() != self.indices)) // 2
+
+    @property
     def num_edges(self) -> int:
         """Number of edges: a pair of arcs counts once, a loop once."""
-        loops = int(np.sum(self.row_of_arcs() == self.indices))
-        return (self.num_arcs - loops) // 2 + loops
+        return self.num_arcs - self.num_edge_pairs
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -124,7 +124,13 @@ def _excluded(split: EdgeSplit, phase: str) -> list:
 
 
 def negative_pool_size(g: Graph, split: EdgeSplit, phase: str) -> int:
-    """Exact size of the phase's negative pool (never materialized)."""
+    """Exact size of the phase's negative pool (never materialized). The
+    pool comes from the split alone, so `g` must be the graph it splits:
+    the same node count and as many non-loop edges."""
+    if g.n != split.n or g.num_edge_pairs != split.num_edges:
+        raise DataError(
+            f"the split ({split.n} nodes, {split.num_edges} edges) does not "
+            f"describe the graph ({g.n} nodes, {g.num_edge_pairs} edges)")
     n = split.n
     return n * (n - 1) // 2 - sum(map(len, _excluded(split, phase)))
 

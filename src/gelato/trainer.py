@@ -237,7 +237,8 @@ class _SparseWalk:
 
         With M_k = (P^T)^k G (P^T)^(t-2-k), term k < t-1 of the sum at arc
         (i, j) is sum_l M_k[i, l] P[j, l], and the last term is
-        sum_l P[l, i] M_{t-2}[l, j]: each visits row j or column i of P.
+        sum_l P[l, i] M_{t-2}[l, j]: each visits row j or column i of P,
+        and M_{t-2} is read once, for both of its terms.
         """
         P, t, n = self.P, self.t, self.n
         if t == 0:
@@ -265,19 +266,19 @@ class _SparseWalk:
         by_col = arc[order], code[order], R.data[order]
         out = np.zeros(P.nnz)
         L = G                                 # (P^T)^k G
-        for k in range(t - 1):
-            M = L
-            if k < t - 2:
-                Lc = L.tocsc()                # both products take L
-                M = _product(Lc, PT)
-                for _ in range(t - 3 - k):
-                    M = _product(M, PT)
+        for k in range(t - 2):
+            Lc = L.tocsc()                    # both products take L
+            M = _product(Lc, PT)
+            for _ in range(t - 3 - k):
+                M = _product(M, PT)
             out += np.bincount(by_row[0], minlength=P.nnz, weights=(
                 _values_at(M, by_row[1]) * by_row[2]))
-            if k < t - 2:
-                L = _product(PT, Lc)
-        return out + np.bincount(by_col[0], minlength=P.nnz, weights=(
-            _values_at(L, by_col[1]) * by_col[2]))
+            L = _product(PT, Lc)
+        at = np.split(_values_at(L, np.r_[by_row[1], by_col[1]]),
+                      [len(by_row[1])])
+        for (arcs, _, entries), vals in zip((by_row, by_col), at):
+            out += np.bincount(arcs, minlength=P.nnz, weights=vals * entries)
+        return out
 
 
 class _DenseWalk:

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 import gelato
@@ -13,9 +14,8 @@ from gelato import (AcParams, AttributeMatrix, EnhancerConfig, MlpParams,
 from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
                              dropout_masks, flatten_params, pair_features)
 from gelato.errors import ConfigError
-from gelato.trainer import TrainConfig, compute_gradients
 
-from conftest import gradcheck_instance, random_attributes, random_graph
+from conftest import random_attributes, random_graph
 
 
 class TestAugmentation:
@@ -308,29 +308,45 @@ class TestAugmentedPairs:
         with pytest.raises(ConfigError, match="repeats"):
             AugmentedPairs(g, X, train, [[1, 2]])
 
-    def test_encoding_fallback_equals_the_cache(self, monkeypatch):
-        g, X, params, enh, _, batch, added, _ = gradcheck_instance(21, "npair")
-        cfg = TrainConfig(loss="npair", dropout=0.4, ac_t=2,
-                          hidden=params.hidden, epochs=1)
-        base = batch.residual_edges
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 30),
+           r=st.integers(1, 5), rate=st.sampled_from([0.0, 0.5]))
+    def test_graph_encodes_its_rows(self, seed, n, r, rate):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, n, weighted=True,
+                         ensure_positive_degree=False)
+        base = g.edge_pairs()
+        base = base[rng.random(len(base)) < 0.8]
+        X = random_attributes(rng, n, r)
+        added, _ = select_augmentation_pairs(
+            X, build_graph(np.column_stack([base, g.pair_weights(base)]), n),
+            0.5)
+        aug = AugmentedPairs(g, X, base, added)
+        ids = aug.ids(base)
+        eg = assemble_enhanced(aug, ids, init_mlp_params(r, 4, seed % 97),
+                               EnhancerConfig(alpha=0.5, beta=0.5),
+                               dropout_rate=rate, dropout_key=seed,
+                               keep_cache=True)
+        want = pair_features(X, aug.pairs[ids])
+        assert eg.mlp_cache["Z"].tobytes() == want.tobytes()
 
-        def outputs():
-            aug = AugmentedPairs(g, X, base, added)
-            egs = [assemble_enhanced(aug, aug.ids(base), params, enh,
-                                     dropout_rate=rate, dropout_key=3,
-                                     keep_cache=True) for rate in (0.0, 0.4)]
-            return aug, egs, compute_gradients(g, X, params, enh, cfg, batch,
-                                               added_pairs=added,
-                                               training=True)
 
-        cached, cached_egs, (loss, grads) = outputs()
-        monkeypatch.setattr(gelato.enhancer, "_Z_CACHE_BYTES", 0)
-        fallback, fallback_egs, (loss2, grads2) = outputs()
-        assert cached.Z is not None and fallback.Z is None
-        for a, b in zip(cached_egs, fallback_egs):
-            _assert_same_enhanced(a, b)
-            np.testing.assert_array_equal(a.mlp_cache["Z"], b.mlp_cache["Z"])
-            np.testing.assert_array_equal(a.mlp_cache["w"], b.mlp_cache["w"])
-        assert loss == loss2
-        for name in grads:
-            np.testing.assert_array_equal(grads[name], grads2[name])
+class TestPairFeatures:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), r=st.integers(1, 6))
+    def test_equals_the_stacked_sum_and_distance(self, data, n, r):
+        # any finite values, subnormals and -0.0 included; pairs with
+        # u == v, repeats, either order, or none at all
+        values = data.draw(arrays(np.float64, (n, r), elements=st.floats(
+            -1e300, 1e300, allow_nan=False)))
+        pairs = np.array(data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)),
+            dtype=np.int64).reshape(-1, 2)
+        X = AttributeMatrix(values)
+        before = X.values.tobytes()
+        xu, xv = values[pairs[:, 0]], values[pairs[:, 1]]
+        want = np.hstack([xu + xv, np.abs(xu - xv)])
+        got = pair_features(X, pairs)
+        assert got.dtype == want.dtype and got.shape == (len(pairs), 2 * r)
+        assert got.tobytes() == want.tobytes()
+        assert X.values.tobytes() == before

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gelato
 from gelato import (build_graph, negative_pool_size, positive_masking_batches,
-                    read_split, sample_negatives, split_edges, write_split)
+                    rank_summary, read_split, sample_negatives, split_edges,
+                    write_split)
 from gelato.errors import ConfigError, DataError
 from gelato.rng import Stream, derive
 from gelato.splits import PHASES, _NEG_TAG, excluded_codes, pair_codes
@@ -128,6 +129,26 @@ class TestNegativePools:
             assert negative_pool_size(g, split, phase) == \
                 len(enumerate_pool(split, phase))
 
+    def test_graph_the_split_does_not_describe_is_refused(self):
+        # the pool comes from the split alone: an edge it does not list
+        # would count as a negative, and a node count it does not cover
+        # would leave pairs out
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+        g = build_graph(edges, 6)
+        split = split_edges(g, (0.2, 0.4, 0.4), seed=0)
+        scorer = gelato.LocalHeuristicScorer("cn", g)
+        for ok in (g, gelato.add_self_loops(g, "all")):  # loops do not count
+            assert negative_pool_size(ok, split, "test") == 15 - 5
+            assert len(sample_negatives(ok, split, "test", 3, seed=0)) == 3
+            assert rank_summary(scorer, ok, split, "test").total_negatives \
+                == 10
+        for bad in (build_graph(edges + [(2, 5)], 6), build_graph(edges, 7)):
+            for call in (lambda: negative_pool_size(bad, split, "test"),
+                         lambda: sample_negatives(bad, split, "test", 3, 0),
+                         lambda: rank_summary(scorer, bad, split, "test")):
+                with pytest.raises(DataError, match="does not describe"):
+                    call()
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(5, 20), density=st.floats(0.1, 0.8),
            graph_seed=st.integers(0, 2 ** 16),
@@ -174,9 +195,8 @@ class TestSampleNegatives:
         assert got == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_count_exceeds_pool(self):
-        g = build_graph([(0, 1), (2, 3)], 4)
-        split = split_edges(build_graph([(0, 1), (1, 2), (2, 3)], 4),
-                            (0.2, 0.4, 0.4), seed=0)
+        g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
+        split = split_edges(g, (0.2, 0.4, 0.4), seed=0)
         with pytest.raises(ConfigError):
             sample_negatives(g, split, "test", 10 ** 6, seed=0)
 

@@ -248,6 +248,24 @@ class TestWalkKernels:
             for t in (1, 2, 3, 4):
                 assert type(_walk(P, pairs, t)) is side
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_sparse_gradient_reads_each_product_once(self, monkeypatch, t):
+        # M_k for k < t - 2 once each, then (P^T)^(t-2) G once for both
+        # its row and its column term
+        from gelato import trainer
+        _, P, pairs, gvals = _walk_case("ring")
+        walk = trainer._walk(P, pairs, t)
+        assert isinstance(walk, trainer._SparseWalk)
+        lookup, calls = trainer._values_at, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_values_at", counted)
+        walk.grad(gvals)
+        assert len(calls) == t - 1
+
     @pytest.mark.parametrize("graph", ["ring", "dense"])
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
     def test_values_match_dense_oracle(self, graph, t):
