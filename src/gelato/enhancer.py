@@ -217,8 +217,11 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
 
 def pair_features(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
     """Permutation-invariant encoding [x_u + x_v ; |x_u - x_v|], written
-    straight into one (k, 2r) array."""
+    straight into one (k, 2r) array; a node id outside [0, n) is a
+    DataError."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < X.n:
+        raise DataError(f"node ids must lie in [0, {X.n})")
     xu, xv = X.values[pairs].swapaxes(0, 1)  # one gather of both ends
     Z = np.empty((len(pairs), 2 * X.r))
     np.add(xu, xv, out=Z[:, :X.r])

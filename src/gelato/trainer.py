@@ -20,12 +20,14 @@ zero-clamp (subgradient 0 where clamped), and the MLP.
 
 The walk of a batch, T = P^t at its scored pairs and its gradient w.r.t.
 P, is one whole-batch kernel chosen from the fill of P. While P is
-sparse, pairs are looked up in the sparse matrix P^t and the gradient
-is formed by sparse products sampled on P's arcs, so the work follows
-the support of the products, not n. Once P fills 1.5% of n^2, the walk
-runs as dense rows per block of 256 sources, as the evaluator's scorers
-do, and the gradient is built per block of 256 columns; memory stays at
-a few block x n arrays.
+sparse, pairs are looked up in the sparse matrix P^t, and the gradient
+is formed by sparse products sampled on P's arcs from the pairs on the
+support of P^t alone (a pair off it has no t-step path and feeds no
+arc), so its work follows the on-support pairs and the support of the
+products, not n. Once P fills 1.5% of n^2, the walk runs as dense rows
+per block of 256 sources, as the evaluator's scorers do, and the
+gradient is built per block of 256 columns; memory stays at a few
+block x n arrays.
 
 Adam steps on the flat layout of enhancer.flatten_params. Batches whose
 loss or gradient has any non-finite component are skipped and counted
@@ -206,10 +208,12 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
 
 # P filling more than this share of n^2 sends a batch to the dense side.
 # The sparse side's cost follows the support of the products and the
-# number of scored pairs, the dense side's n times the arcs of P. On
-# random graphs of 400-2708 nodes (t = 3, 15k-366k scored pairs) the two
-# cost the same where P fills between 0.6% and 2.4% of n^2 (less with
-# fewer scored pairs), whatever the fill of P^3.
+# scored pairs on the support of P^t, the dense side's n times the arcs
+# of P. On random graphs of 400-2708 nodes (t = 3, 15k-366k scored
+# pairs) the two cost the same where P fills between 0.6% and 2.4% of
+# n^2 (less with fewer scored pairs). At 2708 nodes and 1.2% fill, where
+# P^3 holds nearly every pair, a batch took 2.12 s sparse against 1.45 s
+# dense with 45k pairs, and 2.90 against 3.13 s with 366k.
 _DENSE_FILL = 0.015
 
 
@@ -222,7 +226,14 @@ def _product(A, B):
 class _SparseWalk:
     """The walk on the support of P^t: scored pairs are looked up in the
     sparse matrix P^t, and the gradient is built meet-in-the-middle from
-    sparse products with G, touching only the support of each product."""
+    sparse products with G, touching only the support of each product.
+
+    G holds only the pairs at which P^t stores an entry: P has no
+    negative entries, so any other pair has no t-step path and feeds
+    nothing that an arc's gradient reads. But scipy's product drops sums
+    that are exactly 0, so a pair whose every t-step product underflows
+    scores 0 (as on the dense side) and also gets no gradient.
+    """
 
     def __init__(self, P, pairs, t, Pt):
         n = P.shape[0]
@@ -230,10 +241,14 @@ class _SparseWalk:
         # return_inverse sorts; plain np.unique hashes, 10x slower here
         self.keys, self.inverse = np.unique(pair_codes(pairs, n),
                                             return_inverse=True)
-        self.values = _values_at(Pt, self.keys)[self.inverse]
+        # P has no negative entries, so -inf marks the codes P^t lacks
+        at = _values_at(Pt, self.keys, fill=-np.inf)
+        self.stored = at != -np.inf
+        self.values = np.where(self.stored, at, 0.0)[self.inverse]
 
     def grad(self, g):
-        """dL/dP on P's arcs for the loss gradient g at the pairs.
+        """dL/dP on P's arcs for the loss gradient g at the pairs; G sums
+        g over repeated pairs and keeps only the pairs on P^t's support.
 
         With M_k = (P^T)^k G (P^T)^(t-2-k), term k < t-1 of the sum at arc
         (i, j) is sum_l M_k[i, l] P[j, l], and the last term is
@@ -245,9 +260,10 @@ class _SparseWalk:
             return np.zeros(P.nnz)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
         cols = P.indices.astype(np.int64)
+        keys = self.keys[self.stored]
         G = sparse.csr_matrix(
-            (np.bincount(self.inverse, weights=g), self.keys % n,
-             np.searchsorted(self.keys, np.arange(n + 1) * n)), shape=(n, n))
+            (np.bincount(self.inverse, weights=g)[self.stored], keys % n,
+             np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
         if t == 1:
             return _values_at(G, rows * n + cols)
         PT = P.T

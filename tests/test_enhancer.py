@@ -115,6 +115,14 @@ class TestMlpEdgeWeight:
         w = mlp_forward(params, pair_features(X, pairs))
         assert (w > 0).all() and (w < 1).all()
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_node_ids_outside_the_matrix_rejected(self, pair):
+        # -1 would wrap to node 3 and 4 escape as a raw IndexError
+        X = random_attributes(np.random.default_rng(9), 4, 3)
+        params = init_mlp_params(3, hidden=4, seed=0)
+        with pytest.raises(gelato.DataError, match=r"\[0, 4\)"):
+            mlp_edge_weight(params, X, pair)
+
     def test_param_count_independent_of_graph(self):
         params = init_mlp_params(10, hidden=16, seed=0)
         assert params.count == 2 * 10 * 16 + 16 + 16 + 1
@@ -350,3 +358,12 @@ class TestPairFeatures:
         assert got.dtype == want.dtype and got.shape == (len(pairs), 2 * r)
         assert got.tobytes() == want.tobytes()
         assert X.values.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_node_ids_outside_the_matrix_rejected(self, bad):
+        X = AttributeMatrix(np.arange(10.0).reshape(5, 2))
+        pairs = np.array([[0, 1], [2, bad], [3, 4]])
+        with pytest.raises(gelato.DataError, match=r"\[0, 5\)"):
+            pair_features(X, pairs)
+        with pytest.raises(gelato.DataError):
+            pair_features(X, pairs[:, ::-1])

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import gelato
@@ -265,6 +267,70 @@ class TestWalkKernels:
         monkeypatch.setattr(trainer, "_values_at", counted)
         walk.grad(gvals)
         assert len(calls) == t - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9), t=st.integers(0, 4))
+    def test_sparse_gradient_follows_the_support_of_Pt(self, data, n, t):
+        # a pair off the support of P^t has no t-step path, so it feeds
+        # no arc's gradient: the walk equals one given only the pairs
+        # on support, and G stores exactly their distinct codes
+        from gelato import trainer
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.sets(st.tuples(node, node).filter(
+            lambda e: e[0] < e[1]), max_size=2 * n))
+        weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(
+            edges), max_size=len(edges)))
+        g = gelato.add_self_loops(build_graph(
+            [(u, v, w) for (u, v), w in zip(sorted(edges), weights)], n),
+            "all")
+        P = transition_matrix(g)
+        pairs = np.array(data.draw(st.lists(st.tuples(node, node),
+                                            min_size=1, max_size=30)))
+        pairs = np.vstack([pairs, pairs[::2]])  # repeats sum
+        gvals = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=len(pairs), max_size=len(pairs))))
+        pattern = (P.toarray() != 0).astype(float)
+        for s in (t, 2):
+            # on the support of P^s: some path of s steps
+            on = np.linalg.matrix_power(pattern, s)[pairs[:, 0],
+                                                    pairs[:, 1]] > 0
+            with mock.patch.object(trainer, "_DENSE_FILL", 1.0):
+                walk = trainer._walk(P, pairs, s)
+                sub = trainer._walk(P, pairs[on], s)
+            assert isinstance(walk, trainer._SparseWalk)
+            assert walk.values.tobytes() == np.where(
+                on, walk.values, 0.0).tobytes()
+            assert walk.values[on].tobytes() == sub.values.tobytes()
+            lookup, seen = trainer._values_at, []
+
+            def spy(M, *args, **kwargs):
+                seen.append(M)
+                return lookup(M, *args, **kwargs)
+
+            with mock.patch.object(trainer, "_values_at", spy):
+                got = walk.grad(gvals)
+            assert got.tobytes() == sub.grad(gvals[on]).tobytes()
+            if s == 2:  # (P^T)^0 G is looked up once: G itself
+                G = seen[0].tocoo()
+                assert np.array_equal(np.sort(G.row * n + G.col), np.unique(
+                    pairs[on, 0] * n + pairs[on, 1]))
+
+    def test_an_underflowed_pair_gets_no_gradient(self):
+        # the only 2-step path from 0 to 2 multiplies two entries of
+        # 1e-200; the product underflows to 0, so P^2 stores no entry
+        # there and the pair scores 0 and, off support, adds no gradient,
+        # where the exact gradient would be 1e-200 at both arcs
+        g = gelato.add_self_loops(build_graph(
+            [(0, 1, 1e-200), (1, 2, 1e-200)], 3), "all")
+        P = transition_matrix(g)
+        sp, dn = _kernels(P, np.array([[0, 2]]), 2)
+        assert sp.values[0] == 0.0 and dn.values[0] == 0.0
+        assert not sp.grad(np.array([1.0])).any()
+        arcs = {(0, 1): P[1, 2], (1, 2): P[0, 1]}
+        got = dn.grad(np.array([1.0]))
+        rows = np.repeat(np.arange(3), np.diff(P.indptr))
+        for k, (i, j) in enumerate(zip(rows, P.indices)):
+            assert got[k] == arcs.get((i, j), 0.0)
 
     @pytest.mark.parametrize("graph", ["ring", "dense"])
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
