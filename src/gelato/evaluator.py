@@ -79,12 +79,18 @@ def counts_against(sorted_neg_scores: np.ndarray,
     return above.astype(np.int64), (right - left).astype(np.int64)
 
 
+# Sources per call of a scorer's dense rows, for explicit pairs and for
+# each streamed block of the pool: a call returns a _DENSE_ROWS x n
+# array, so a worker holds a few of them whatever the block size, and
+# 256 took less time than fewer, larger calls.
+_DENSE_ROWS = 256
+
+
 def _score_pairs(scorer, pairs: np.ndarray, view=None) -> np.ndarray:
     """Scores of explicit pairs, grouped by source: from the support
     `view` where there is one, in blocks of 1024 sources, else from the
-    scorer's dense rows in blocks of 256, which take less time than
-    fewer, larger blocks."""
-    out = (pair_scores(scorer.rows, pairs, 256) if view is None
+    scorer's dense rows, _DENSE_ROWS sources at a time."""
+    out = (pair_scores(scorer.rows, pairs, _DENSE_ROWS) if view is None
            else pair_scores(view.rows, pairs, 1024, view.background))
     if not np.isfinite(out).all():
         raise NumericError("scorer returned non-finite pair scores")
@@ -116,8 +122,9 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     support view (see gelato.scorers) each block counts its sparse
     entries and other jobs count the background over class pairs;
     otherwise each block streams the scorer's dense rows(sources) ->
-    (len(sources), n) float64. Block results are combined by integer
-    addition, so counts are deterministic under any worker schedule.
+    (len(sources), n) float64, _DENSE_ROWS sources at a time. Block
+    results are combined by integer addition, so counts are
+    deterministic under any worker schedule.
     """
     positives = split.positives(phase)
     n = split.n
@@ -165,14 +172,20 @@ def _excluded_in(excl, rows, n):
 
 def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     """Counts over the pool pairs of one block of sources, from the
-    scorer's dense rows."""
-    rows = np.arange(start, min(start + block_size, n))
-    block = scorer.rows(rows)
-    mask = np.arange(n)[None, :] > rows[:, None]
-    ex = _excluded_in(excl, rows, n)
-    mask[ex // n - rows[0], ex % n] = False
-    vals = block[mask]
-    return (*_counts(vals, pos_scores), len(vals))
+    scorer's dense rows, _DENSE_ROWS sources at a time."""
+    above = tied = counted = 0
+    stop = min(start + block_size, n)
+    for lo in range(start, stop, _DENSE_ROWS):
+        rows = np.arange(lo, min(lo + _DENSE_ROWS, stop))
+        block = scorer.rows(rows)
+        mask = np.arange(n)[None, :] > rows[:, None]
+        ex = _excluded_in(excl, rows, n)
+        mask[ex // n - rows[0], ex % n] = False
+        vals = block[mask]
+        del block, mask
+        a, t = _counts(vals, pos_scores)
+        above, tied, counted = above + a, tied + t, counted + len(vals)
+    return above, tied, counted
 
 
 def _support_block(view, pos_scores, excl, n, start, block_size):

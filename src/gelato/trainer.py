@@ -560,7 +560,9 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug,
                                   epoch, head, True)
             grads = tape.backward()
-            del tape  # free its walk and MLP cache before the next batch
+            # free the walk, MLP cache and negatives before the next batch
+            del tape
+            batch.negatives = None
             if not grads_finite(loss, grads):
                 skipped += 1
                 continue

@@ -116,6 +116,23 @@ class TestRankSummaryStreaming:
         np.testing.assert_array_equal(a.neg_above, b.neg_above)
         np.testing.assert_array_equal(a.neg_tied, b.neg_tied)
 
+    def test_block_streams_bounded_rows(self, monkeypatch):
+        g, split, scorer = self._random_instance(3)
+        whole = rank_summary(scorer, g, split, "test", block_size=1000)
+        sizes = []
+
+        class Recording(_TableScorer):
+            def rows(self, sources):
+                sizes.append(len(sources))
+                return super().rows(sources)
+
+        monkeypatch.setattr(gelato.evaluator, "_DENSE_ROWS", 2)
+        rs = rank_summary(Recording(scorer.table), g, split, "test",
+                          block_size=1000)
+        _assert_same_summary(rs, whole)
+        # rows come at most two sources per call, whatever the block
+        assert max(sizes) == 2
+
     def test_workers_equal_serial(self):
         g, split, scorer = self._random_instance(4)
         a = rank_summary(scorer, g, split, "test", block_size=4, workers=1)
