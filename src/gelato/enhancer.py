@@ -22,8 +22,8 @@ A run freezes its pair set once (AugmentedPairs): the training edges
 plus the augmentation, sorted by pair code, each with its structural
 weight and cosine. Every enhanced graph of the run is assembled from row
 ids into that set and encodes those rows for the MLP, and a pair's row
-keys its dropout mask, so a pair has the same mask in every graph built
-with the same key.
+keys its dropout mask, drawn once per key over all rows of the set: a
+pair has the same mask in every graph built with the same key.
 
 Checkpoint format (binary): magic "GPAR", little-endian 64-bit unsigned
 r and hidden, then the float64 little-endian values of flatten_params:
@@ -42,7 +42,7 @@ from scipy.special import expit
 from .errors import ConfigError, DataError
 from .graph import (AttributeMatrix, Graph, _assemble_csr, cosine_pairs,
                     pair_codes)
-from .rng import Stream, counter_uniforms, derive
+from .rng import Stream, counter_words, derive
 
 PARAM_MAGIC = b"GPAR"
 
@@ -234,28 +234,29 @@ def dropout_masks(hidden: int, ids: np.ndarray, rate: float,
     """Inverted-dropout keep masks, keyed by (stream key, id, unit).
 
     Counter-based, so a mask depends only on its id, not on the batch or
-    worker. mlp_forward draws them: the ids are rows of the run's pair set
-    from assemble_enhanced, or positions in the batch on the trainer's
+    worker. The ids are rows of the run's pair set (AugmentedPairs draws
+    all of them once per key), or positions in the batch on the trainer's
     direct-MLP path (so there a pair's mask follows its batch position).
+    A unit is kept where its uniform is >= rate (rng.counter_words).
     """
+    if not 0.0 <= rate < 1.0:  # `not` form: nan fails too
+        raise ConfigError(f"dropout rate {rate} is not in [0, 1)")
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     counters = ids[:, None] * hidden + np.arange(hidden)[None, :]
-    u = counter_uniforms(key, counters.reshape(-1)).reshape(len(ids), hidden)
-    return u >= rate
+    words = counter_words(key, counters.reshape(-1)).reshape(len(ids), hidden)
+    return words >= np.uint64(math.ceil(rate * 2.0 ** 53))
 
 
 def mlp_forward(params: MlpParams, Z: np.ndarray,
-                ids: np.ndarray | None = None, rate: float = 0.0,
-                key: int = 0, cache: dict | None = None) -> np.ndarray:
+                mask: np.ndarray | None = None, rate: float = 0.0,
+                cache: dict | None = None) -> np.ndarray:
     """Batched forward pass: w = sigmoid(W2 . relu(W1 z + b1) + b2).
 
-    With `rate` > 0 the hidden units are dropped by the masks that
-    dropout_masks draws for the ids `ids` (one per row of Z: a row of the
-    pair set, or a position in the batch) under `key`. With `cache` given,
-    the intermediates mlp_backward needs are stored in it.
+    With a keep `mask` from dropout_masks (one row per row of Z) the
+    hidden units it clears are dropped and the rest scaled by
+    1 / (1 - rate). With `cache` given, the intermediates mlp_backward
+    needs are stored in it.
     """
-    # drawn first, so its temporaries are freed before the n x hidden ones
-    mask = dropout_masks(params.hidden, ids, rate, key) if rate > 0 else None
     Hpre = Z @ params.W1.T + params.b1
     H = np.maximum(Hpre, 0.0)
     Hd = H if mask is None else H * (mask / (1.0 - rate))
@@ -315,6 +316,7 @@ class AugmentedPairs:
                                        np.zeros(len(added))])[order]
         self.cos = cosine_pairs(X, self.pairs)
         self.added_rows = np.argsort(order)[len(base):]
+        self._masks = None, None  # (hidden, rate, key), the last draw
 
     def ids(self, base) -> np.ndarray:
         """Rows of the pairs `base`, then those of the augmentation."""
@@ -323,6 +325,14 @@ class AugmentedPairs:
         if (np.r_[self.codes, -1][rows] != codes).any():
             raise ConfigError("a base pair is not in the frozen pair set")
         return np.concatenate([rows, self.added_rows])
+
+    def dropout_masks(self, hidden, ids, rate, key) -> np.ndarray:
+        """dropout_masks of the rows `ids`, gathered from one draw over all
+        rows, kept while (hidden, rate, key) repeat: an epoch's batches."""
+        if self._masks[0] != (hidden, rate, key):
+            self._masks = (hidden, rate, key), dropout_masks(
+                hidden, np.arange(len(self.codes)), rate, key)
+        return self._masks[1][ids]
 
 
 @dataclass
@@ -350,16 +360,19 @@ def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
                       dropout_rate: float = 0.0, dropout_key: int = 0,
                       keep_cache: bool = False) -> EnhancedGraph:
     """Combine weights over the rows `ids` (from `aug.ids`) of `aug` and
-    build CSR. With `dropout_rate` > 0 the MLP drops hidden units by masks
-    keyed by (`dropout_key`, row id); with keep_cache its intermediates
+    build CSR. With a `dropout_rate` other than 0 the MLP drops hidden
+    units by masks keyed by (`dropout_key`, row id), from one draw over
+    `aug` per key (aug.dropout_masks); with keep_cache its intermediates
     are kept for reverse-mode replay."""
     pairs = aug.pairs[ids]
     mlp_cache = {} if keep_cache else None
     if cfg.beta > 0.0 and cfg.alpha < 1.0:
         if params is None:
             raise ConfigError("MLP parameters required when beta > 0")
-        w = mlp_forward(params, pair_features(aug.X, pairs), ids,
-                        dropout_rate, dropout_key, cache=mlp_cache)
+        mask = (aug.dropout_masks(params.hidden, ids, dropout_rate,
+                                  dropout_key) if dropout_rate else None)
+        w = mlp_forward(params, pair_features(aug.X, pairs), mask,
+                        dropout_rate, cache=mlp_cache)
     else:
         w = np.zeros(len(pairs))
 

@@ -12,8 +12,8 @@ vol, and transition matrix P = D^-1 A is
 
 the gap between the t-step and stationary co-visit probabilities of a
 random walk. Every path forms R_uv from its walk term T = (P^t)_uv
-with autocovariance_from_walk. Rows of P^t come from repeated
-vector-times-sparse-matrix products per block of sources, so the n x n
+with autocovariance_from_walk. Rows of P^t come per block of sources
+from their rows of P times t - 1 more factors of P, so the n x n
 matrix is never materialized; training batches on sparse structure look
 their pairs up in the sparse matrix P^t (see `gelato.trainer`). Off the
 support of P^t, T = 0 and R is the rank-1 term -d_u d_v / vol^2, so the
@@ -59,10 +59,13 @@ def transition_matrix(g: Graph) -> sparse.csr_matrix:
 
 
 def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int):
-    """Rows of P^t for the given sources: (len(sources), n) dense."""
-    X = np.zeros((len(sources), P.shape[0]))
-    X[np.arange(len(sources)), sources] = 1.0
-    for _ in range(t):
+    """Rows of P^t for the given sources: (len(sources), n) dense. The
+    walk starts from P's rows, the same bits as t steps from identity
+    rows: scipy's products start each sum at 0 and add terms in index
+    order, so that first step would only multiply by 1 and add +0."""
+    X = (P if t else sparse.identity(P.shape[0], format="csr"))[sources]
+    X = X.toarray()
+    for _ in range(t - 1):
         X = X @ P
     return X
 
@@ -122,15 +125,10 @@ def autocovariance_support(g: Graph, params: AcParams):
 
     def rows(sources):
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        if params.t == 0:
-            T = sparse.csr_matrix(
-                (np.ones(len(sources)), sources, np.arange(len(sources) + 1)),
-                shape=(len(sources), g.n))
-        else:
-            T = P[sources]
-            for _ in range(params.t - 1):
-                T.sort_indices()
-                T = T @ P
+        T = (P if params.t else sparse.identity(g.n, format="csr"))[sources]
+        for _ in range(params.t - 1):
+            T.sort_indices()
+            T = T @ P
         u = np.repeat(sources, np.diff(T.indptr))
         T.data = autocovariance_from_walk(g, u, T.indices, T.data)
         return T

@@ -105,13 +105,11 @@ class Stream:
         return np.asarray(arr)[self.permutation(len(arr))]
 
 
-def counter_uniforms(key: int, counters: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) at explicit counter positions of the `key` stream.
-
-    Stateless companion to Stream.uniforms: position i of stream `key`
-    yields the same value either way. Used for schedule-independent
-    dropout masks keyed by (epoch, edge index, unit).
-    """
+def counter_words(key: int, counters: np.ndarray) -> np.ndarray:
+    """The 53-bit words ``output >> 11`` (uint64) at explicit counter
+    positions of the `key` stream; ``word * 2.0**-53`` is Stream.uniforms
+    there. Dropout masks keep the units whose uniform is >= rate, found
+    exactly as word >= ceil(rate * 2**53) (rate * 2**53 is exact)."""
     c = counters.astype(np.uint64) + np.uint64(1)
     vals = mix64_array(np.uint64(key & _MASK) + c * np.uint64(GOLDEN))
-    return (vals >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return vals >> np.uint64(11)

@@ -11,8 +11,8 @@ The forward pass per masked batch is
            through a trainable affine+sigmoid head)
 
 The pairs of every enhanced graph are rows of the run's frozen pair set
-(enhancer.AugmentedPairs), and a pair's dropout mask is keyed by the
-seed, the epoch and its row: the same in every batch of an epoch. The
+(enhancer.AugmentedPairs), and an epoch draws one dropout mask over it,
+keyed by the seed, the epoch and the row, which its batches share. The
 Tape records enough of the forward pass to replay backward analytically:
 gradients flow through the similarity entries, the transition matrix,
 the degree vector and volume (all functions of the learned weights), the
@@ -25,9 +25,9 @@ is formed by sparse products sampled on P's arcs from the pairs on the
 support of P^t alone (a pair off it has no t-step path and feeds no
 arc), so its work follows the on-support pairs and the support of the
 products, not n. Once P fills 1.5% of n^2, the walk runs as dense rows
-per block of 256 sources, as the evaluator's scorers do, and the
-gradient is built per block of 256 columns; memory stays at a few
-block x n arrays.
+per block of 256 sources from their rows of P, as the evaluator's
+scorers do, and the gradient per block of 256 columns from G's columns
+and P's rows; memory stays at a few block x n arrays.
 
 Adam steps on the flat layout of enhancer.flatten_params. Batches whose
 loss or gradient has any non-finite component are skipped and counted
@@ -46,9 +46,10 @@ from scipy import sparse
 from scipy.special import expit
 
 from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
-                       assemble_enhanced, flatten_params, init_mlp_params,
-                       mlp_backward, mlp_forward, pair_features,
-                       select_augmentation_pairs, unflatten_params)
+                       assemble_enhanced, dropout_masks, flatten_params,
+                       init_mlp_params, mlp_backward, mlp_forward,
+                       pair_features, select_augmentation_pairs,
+                       unflatten_params)
 from .errors import ConfigError
 from .evaluator import precision_at_k, rank_summary
 from .graph import AttributeMatrix, Graph, _values_at, pair_codes
@@ -316,7 +317,8 @@ class _DenseWalk:
         Columns C of G (P^T)^m are G times the transposed rows C of P^m,
         so the columns C of the sum come right to left: acc = G W_0^T,
         then acc = P^T acc + G W_m^T for m = 1 .. t-1, with W_m the rows
-        C of P^m.
+        C of P^m; G W_0^T is G's columns C and W_1 P's rows C, bit for bit
+        as if multiplied out from identity rows (see _walk_hits).
         """
         P, t = self.P, self.t
         n = P.shape[0]
@@ -331,11 +333,9 @@ class _DenseWalk:
         col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
         for lo in range(0, n, self.block_size):
             hi = min(n, lo + self.block_size)
-            W = np.zeros((hi - lo, n))
-            W[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-            acc = G @ W.T
-            for _ in range(t - 1):
-                W = W @ P
+            acc = G[:, lo:hi].toarray()
+            for m in range(1, t):
+                W = P[lo:hi].toarray() if m == 1 else W @ P
                 acc = PT @ acc + G @ W.T
             arcs = by_col[col_start[lo]:col_start[hi]]
             out[arcs] = acc[rows[arcs], P.indices[arcs] - lo]
@@ -433,8 +433,9 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
 
     if cfg.direct_mlp:
         mlp_cache = {}
-        raw = mlp_forward(params, pair_features(X, scored),
-                          np.arange(len(scored)), rate, drop_key,
+        mask = dropout_masks(params.hidden, np.arange(len(scored)), rate,
+                             drop_key) if rate else None
+        raw = mlp_forward(params, pair_features(X, scored), mask, rate,
                           cache=mlp_cache)
         eg, walk = None, None
     else:

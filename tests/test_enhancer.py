@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from gelato import (AcParams, AttributeMatrix, EnhancerConfig, MlpParams,
 from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
                              dropout_masks, flatten_params, pair_features)
 from gelato.errors import ConfigError
+from gelato.rng import Stream
 
 from conftest import random_attributes, random_graph
+
+# dropout rates next to the ends of [0, 1) and two in the middle
+_RATES = [2.0 ** -53, 0.1, 0.5, 1.0 - 2.0 ** -53]
 
 
 class TestAugmentation:
@@ -134,6 +139,64 @@ class TestMlpEdgeWeight:
         np.testing.assert_array_equal(m1[1], m2[0])
         m3 = dropout_masks(8, np.array([3, 5]), 0.5, key=43)
         assert not np.array_equal(m1, m3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.integers(0, 2 ** 64 - 1), hidden=st.integers(1, 9),
+           ids=st.lists(st.integers(0, 999), max_size=30),
+           rate=st.sampled_from(_RATES) | st.floats(0.0, 1.0,
+                                                    exclude_max=True))
+    def test_dropout_mask_keeps_the_uniforms_at_or_above_rate(
+            self, key, hidden, ids, rate):
+        # the documented uniform: position c of the stream `key`
+        ids = np.asarray(ids, dtype=np.int64)
+        counters = ids[:, None] * hidden + np.arange(hidden)
+        u = Stream(key).uniforms(1000 * hidden)[counters]
+        np.testing.assert_array_equal(
+            dropout_masks(hidden, ids, rate, key), u >= rate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from(_RATES) | st.floats(0.0, 1.0,
+                                                    exclude_max=True))
+    def test_dropout_threshold_is_exact_at_its_boundary(self, rate):
+        # words next to ceil(rate * 2**53), against the double comparison
+        edge = int(np.ceil(rate * 2.0 ** 53))
+        words = np.array([0, edge - 1, edge, edge + 1, 2 ** 53 - 1])
+        words = np.clip(words, 0, 2 ** 53 - 1).astype(np.uint64)
+        with mock.patch("gelato.enhancer.counter_words",
+                        lambda key, counters: words):
+            mask = dropout_masks(1, np.arange(len(words)), rate, 0)
+        want = words.astype(np.float64) * 2.0 ** -53 >= rate
+        np.testing.assert_array_equal(mask[:, 0], want)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_dropout_rate_outside_unit_interval_refused(self, rate):
+        # 1.0 divided by zero (NaN weights); 1.5 dropped every unit and
+        # -0.5 rescaled every one, without an error
+        with pytest.raises(ConfigError, match=r"dropout rate .* \[0, 1\)"):
+            dropout_masks(4, np.arange(3), rate, key=0)
+        g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
+        X = random_attributes(np.random.default_rng(0), 4, 3)
+        aug = AugmentedPairs(g, X, g.edge_pairs(), [[0, 2]])
+        with pytest.raises(ConfigError, match=r"dropout rate .* \[0, 1\)"):
+            assemble_enhanced(aug, aug.ids(g.edge_pairs()),
+                              init_mlp_params(3, 4, 0),
+                              EnhancerConfig(alpha=0.0, beta=1.0),
+                              dropout_rate=rate, dropout_key=7)
+
+    def test_pair_set_draws_each_mask_once(self):
+        # rows gathered from one draw over the set equal a draw of the
+        # rows themselves; the draw is kept until the key changes
+        g = build_graph([(0, 1), (1, 2), (2, 3), (0, 3)], 5)
+        X = random_attributes(np.random.default_rng(0), 5, 3)
+        aug = AugmentedPairs(g, X, g.edge_pairs(), [[0, 2], [1, 4]])
+        ids = np.array([4, 0, 2, 2])
+        with mock.patch("gelato.enhancer.dropout_masks",
+                        wraps=dropout_masks) as draw:
+            for key in (7, 7, 8, 8):
+                np.testing.assert_array_equal(
+                    aug.dropout_masks(16, ids, 0.5, key),
+                    dropout_masks(16, ids, 0.5, key))
+        assert draw.call_count == 2
 
 
 class TestEnhancedGraph:

@@ -423,6 +423,84 @@ class TestWalkKernels:
             assert _fd_check(g, X, params, enh, cfg, batch, added, head) < 1e-4
 
 
+def _identity_walk_hits(P, sources, t):
+    """heuristics._walk_hits walking t steps from identity rows: the
+    oracle of the bits of its start from P's rows."""
+    X = np.zeros((len(sources), P.shape[0]))
+    X[np.arange(len(sources)), sources] = 1.0
+    for _ in range(t):
+        X = X @ P
+    return X
+
+
+def _identity_dense_grad(walk, g):
+    """_DenseWalk.grad multiplying out identity rows: the oracle of the
+    bits of its start from G's columns and P's rows."""
+    P, t = walk.P, walk.t
+    n = P.shape[0]
+    out = np.zeros(P.nnz)
+    if t == 0:
+        return out
+    G = sparse.csr_matrix((g, (walk.pairs[:, 0], walk.pairs[:, 1])),
+                          shape=(n, n))
+    PT = P.T.tocsr()
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    by_col = np.lexsort((rows, P.indices))
+    col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
+    for lo in range(0, n, walk.block_size):
+        hi = min(n, lo + walk.block_size)
+        W = np.zeros((hi - lo, n))
+        W[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        acc = G @ W.T
+        for _ in range(t - 1):
+            W = W @ P
+            acc = PT @ acc + G @ W.T
+        arcs = by_col[col_start[lo]:col_start[hi]]
+        out[arcs] = acc[rows[arcs], P.indices[arcs] - lo]
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestDenseWalkStart:
+    """The dense walk starts from P's rows and G's columns, with the bits
+    of the identity-row products it skips."""
+
+    @pytest.mark.parametrize("loops", ["all", "isolated-only"])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_bits_equal_the_identity_start(self, loops, t):
+        from gelato.heuristics import _walk_hits, pair_scores
+        from gelato.trainer import _DenseWalk
+        rng = np.random.default_rng(40 + t)
+        # 300 nodes: two column blocks of 256
+        g = random_graph(rng, 300, 700, weighted=True,
+                         ensure_positive_degree=False)
+        isolated = g.degrees == 0.0
+        g = gelato.add_self_loops(g, loops)
+        P = transition_matrix(g)
+        loop_rows = np.flatnonzero(P[np.arange(g.n), np.arange(g.n)])
+        want = np.arange(g.n) if loops == "all" else np.flatnonzero(isolated)
+        assert len(want) and np.array_equal(loop_rows, want)
+        # unsorted sources, each repeated; pairs repeated so G sums them
+        sources = rng.integers(0, g.n, 400)
+        sources[200:] = sources[:200][::-1]
+        assert (sources >= 256).any() and (sources < 256).any()
+        np.testing.assert_array_equal(
+            _bits(_walk_hits(P, sources, t)),
+            _bits(_identity_walk_hits(P, sources, t)))
+        pairs = np.column_stack([sources, rng.integers(0, g.n, 400)])
+        pairs[300:] = pairs[:100]
+        gvals = rng.normal(size=len(pairs))
+        walk = _DenseWalk(P, pairs, t)
+        want_values = pair_scores(lambda blk: _identity_walk_hits(P, blk, t),
+                                  pairs, walk.block_size)
+        np.testing.assert_array_equal(_bits(walk.values), _bits(want_values))
+        np.testing.assert_array_equal(_bits(walk.grad(gvals)),
+                                      _bits(_identity_dense_grad(walk, gvals)))
+
+
 def _sbm_setup(seed=0, n=60):
     g, X = make_attribute_sbm(n, seed, p_in=0.3, p_out=0.02)
     split = split_edges(g, (0.7, 0.15, 0.15), seed=seed)
@@ -460,6 +538,51 @@ class TestTrainLoop:
         assert h1 == h2
         np.testing.assert_array_equal(p1.W1, p2.W1)
         np.testing.assert_array_equal(p1.W2, p2.W2)
+
+    def test_one_dropout_draw_per_epoch(self):
+        # the epoch's batches gather their masks from one draw over the
+        # pair set; validation draws none
+        from gelato import enhancer
+        g, X, split, enh = _sbm_setup(2)
+        cfg = TrainConfig(epochs=3, batch_count=4, seed=5, dropout=0.5,
+                          ac_t=2, hidden=8, neg_cap=5)
+        with mock.patch.object(enhancer, "dropout_masks",
+                               wraps=enhancer.dropout_masks) as draw:
+            train(g, X, split, enh, cfg)
+        assert draw.call_count == cfg.epochs
+
+    @pytest.mark.parametrize("loss,regime", [("npair", "unbiased"),
+                                             ("bce", "biased")])
+    def test_training_equals_the_identity_walk_and_batch_draws(
+            self, loss, regime):
+        # the walk from identity rows, per-batch masks compared as
+        # doubles: trained parameters and histories bit for bit
+        from gelato import enhancer, heuristics, trainer
+        from gelato.rng import counter_words
+        g, X, split, enh = _sbm_setup(4)
+        cfg = TrainConfig(loss=loss, regime=regime, epochs=2, batch_count=3,
+                          seed=3, dropout=0.5, ac_t=3, hidden=8, neg_cap=5)
+        got = train(g, X, split, enh, cfg)
+
+        def float_masks(hidden, ids, rate, key):
+            ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+            counters = ids[:, None] * hidden + np.arange(hidden)
+            u = counter_words(key, counters.ravel()) * 2.0 ** -53
+            return u.reshape(len(ids), hidden) >= rate
+
+        with mock.patch.object(trainer, "_walk_hits", _identity_walk_hits), \
+                mock.patch.object(heuristics, "_walk_hits",
+                                  _identity_walk_hits), \
+                mock.patch.object(trainer._DenseWalk, "grad",
+                                  _identity_dense_grad), \
+                mock.patch.object(
+                    enhancer.AugmentedPairs, "dropout_masks",
+                    lambda self, hidden, ids, rate, key: float_masks(
+                        hidden, ids, rate, key)):
+            want = train(g, X, split, enh, cfg)
+        assert got[1] == want[1]
+        np.testing.assert_array_equal(_bits(flatten_params(got[0])),
+                                      _bits(flatten_params(want[0])))
 
     def test_no_trainable_parameters_rejected(self):
         g, X, split, _ = _sbm_setup(3)
