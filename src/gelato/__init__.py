@@ -20,9 +20,7 @@ from .io import (load_graph, read_attributes, read_edge_list,
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, read_split, sample_negatives,
                      split_edges, write_split)
-from .heuristics import (AcParams, autocovariance_pairs,
-                         autocovariance_rows, local_heuristic,
-                         local_heuristic_rows)
+from .heuristics import local_heuristic
 from .enhancer import (EnhancedGraph, EnhancerConfig, MlpParams,
                        build_enhanced_graph, init_mlp_params, load_params,
                        mlp_edge_weight, save_params,

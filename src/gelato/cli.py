@@ -16,8 +16,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, TRAINED_MODES, TUPLE_TYPES,
-                     config_to_text, load_config)
+from .config import (STRUCTURE_MODES, TRAINED_MODES, TUPLE_TYPES,
+                     ExperimentConfig, config_to_text, load_config)
 from .enhancer import build_enhanced_graph, load_params, save_params
 from .errors import ConfigError, DataError, GelatoError, NumericError
 from .evaluator import (biased_sample_metrics, compute_report, rank_summary,
@@ -26,7 +26,7 @@ from .graph import add_self_loops
 from .io import load_graph, read_attributes
 from .scorers import (AutocovarianceScorer, CosineScorer,
                       LocalHeuristicScorer, MlpScorer)
-from .splits import (negative_pool_size, pair_codes, read_split,
+from .splits import (check_split, negative_pool_size, read_split,
                      split_edges, train_graph, write_split)
 from .trainer import train
 
@@ -77,15 +77,7 @@ def _load_split(cfg, g):
     if not cfg.split:
         raise ConfigError("no split file configured (--split)")
     split = read_split(cfg.split)
-    if split.n != g.n:
-        raise DataError(f"split node count ({split.n}) != graph ({g.n})")
-    # the sections must partition exactly the graph's edges (edge_pairs
-    # lists them in ascending code order)
-    listed = np.sort(pair_codes(np.vstack(
-        [split.train_pos, split.valid_pos, split.test_pos]), g.n))
-    if not np.array_equal(listed, pair_codes(g.edge_pairs(), g.n)):
-        raise DataError(f"split {cfg.split} does not list exactly the "
-                        "edges of the graph")
+    check_split(g, split)
     return split
 
 
@@ -97,11 +89,6 @@ def _check_writable(path) -> None:
     if (os.path.isdir(path) or not os.path.isdir(folder)
             or not os.access(target, os.W_OK)):
         raise ConfigError(f"cannot write {path}")
-
-
-def _needs_attributes(mode: str) -> bool:
-    return mode not in ("ac-only", "heuristic:cn", "heuristic:aa",
-                        "heuristic:ra")
 
 
 def _build_scorer(cfg, g, X, split, checkpoint):
@@ -153,7 +140,7 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.mode in ("ac-only", "cos-ac") or cfg.mode.startswith("heuristic:"):
+    if cfg.mode not in TRAINED_MODES:
         print(f"mode {cfg.mode} has no trainable parameters; nothing to do "
               "(run eval directly)")
         return 0
@@ -205,7 +192,7 @@ def _report(cfg, g, X, split, checkpoint):
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    g, X = _load_inputs(cfg, need_attrs=_needs_attributes(cfg.mode))
+    g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
     _check_reportable(cfg, split)
     report = _report(cfg, g, X, split, args.checkpoint)
@@ -231,7 +218,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_export_scores(args) -> int:
     cfg = _resolve_config(args)
-    g, X = _load_inputs(cfg, need_attrs=_needs_attributes(cfg.mode))
+    g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
     nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)
     if len(nodes) == 0:

@@ -19,8 +19,12 @@ from .trainer import TrainConfig
 
 MODES = ("gelato", "ac-only", "mlp-only", "cos-ac", "mlp-ac-two-stage",
          "heuristic:cn", "heuristic:aa", "heuristic:ra", "heuristic:cos")
-
+# the modes with an MLP to train; the others evaluate directly
 TRAINED_MODES = ("gelato", "mlp-only", "mlp-ac-two-stage")
+# the trained modes that score training pairs with the MLP directly
+DIRECT_MLP_MODES = ("mlp-only", "mlp-ac-two-stage")
+# the modes that read no attributes
+STRUCTURE_MODES = ("ac-only", "heuristic:cn", "heuristic:aa", "heuristic:ra")
 
 
 @dataclass
@@ -83,10 +87,9 @@ class ExperimentConfig:
         return _pick(EnhancerConfig, self)
 
     def trainer(self) -> TrainConfig:
-        """The trainer settings; `t` is the walk length ac_t, and the
-        mlp-only and two-stage modes score pairs with the MLP directly."""
-        return _pick(TrainConfig, self, ac_t=self.t, direct_mlp=self.mode
-                     in ("mlp-only", "mlp-ac-two-stage"))
+        """The trainer settings; `t` is the walk length ac_t."""
+        return _pick(TrainConfig, self, ac_t=self.t,
+                     direct_mlp=self.mode in DIRECT_MLP_MODES)
 
 
 def _pick(cls, cfg, **extra):

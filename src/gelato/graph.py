@@ -55,13 +55,11 @@ class AttributeMatrix:
 
 def cosine_similarity(X: AttributeMatrix, pair) -> float:
     """Cosine of the attribute rows of a node pair; 0 if either row is zero."""
-    u, v = int(pair[0]), int(pair[1])
-    unit = X.unit_rows()
-    return float(unit[u] @ unit[v])
+    return float(cosine_pairs(X, [pair])[0])
 
 
 def cosine_pairs(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
-    """Vectorized cosine_similarity over a (k, 2) pair array."""
+    """Cosines of the attribute rows of each pair of a (k, 2) array."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     unit = X.unit_rows()
     return np.einsum("ij,ij->i", unit[pairs[:, 0]], unit[pairs[:, 1]])
@@ -89,14 +87,16 @@ class Graph:
         return len(self.indices)
 
     @cached_property
-    def num_edge_pairs(self) -> int:
-        """Number of non-loop edges, the pairs edge_pairs() lists."""
-        return int(np.sum(self.row_of_arcs() != self.indices)) // 2
+    def edge_codes(self) -> np.ndarray:
+        """Ascending codes u * n + v of the pairs edge_pairs() lists."""
+        codes = pair_codes(self.edge_pairs(), self.n)
+        codes.flags.writeable = False
+        return codes
 
     @property
     def num_edges(self) -> int:
         """Number of edges: a pair of arcs counts once, a loop once."""
-        return self.num_arcs - self.num_edge_pairs
+        return self.num_arcs - len(self.edge_codes)
 
     @cached_property
     def degrees(self) -> np.ndarray:

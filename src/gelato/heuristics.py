@@ -1,4 +1,4 @@
-"""Topological link-prediction scorers.
+"""The primitives of the topological link-prediction scores.
 
 Local heuristics (Common Neighbors, Adamic-Adar, Resource Allocation) use
 the unweighted structure: Adamic-Adar weights common neighbors by
@@ -15,31 +15,18 @@ random walk. Every path forms R_uv from its walk term T = (P^t)_uv
 with autocovariance_from_walk. Rows of P^t come per block of sources
 from their rows of P times t - 1 more factors of P, so the n x n
 matrix is never materialized; training batches on sparse structure look
-their pairs up in the sparse matrix P^t (see `gelato.trainer`). Off the
-support of P^t, T = 0 and R is the rank-1 term -d_u d_v / vol^2, so the
-evaluator can also take R as sparse rows plus that background
-(autocovariance_support), as it takes CN/AA/RA as sparse rows plus 0.
-All arithmetic is float64.
+their pairs up in the sparse matrix P^t (see `gelato.trainer`). All
+arithmetic is float64. The rows themselves belong to `gelato.scorers`;
+`local_heuristic` is the one-pair reference that tests compare against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericError
 from .graph import Graph, _values_at
-
-
-@dataclass(frozen=True)
-class AcParams:
-    t: int = 3
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ConfigError("walk length t must be >= 0")
 
 
 def transition_matrix(g: Graph) -> sparse.csr_matrix:
@@ -105,50 +92,6 @@ def autocovariance_from_walk(g: Graph, u, v, T):
     return (d[u] / vol) * T - d[u] * d[v] / vol ** 2
 
 
-def autocovariance_rows(g: Graph, sources, params: AcParams) -> np.ndarray:
-    """Autocovariance rows R[u, :] for each source u: (len(sources), n)."""
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    T = _walk_hits(transition_matrix(g), sources, params.t)
-    return autocovariance_from_walk(g, sources[:, None], np.arange(g.n), T)
-
-
-def autocovariance_support(g: Graph, params: AcParams):
-    """rows(sources) -> the entries of autocovariance_rows on the support
-    of P^t's rows, as a sparse (len(sources), n) matrix.
-
-    Rows of P^t come from sparse products, indices sorted before each
-    step so that every entry sums the same terms in the same order as
-    the dense walk. Off these entries a row holds the rank-1 background
-    (autocovariance_background).
-    """
-    P = transition_matrix(g)
-
-    def rows(sources):
-        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        T = (P if params.t else sparse.identity(g.n, format="csr"))[sources]
-        for _ in range(params.t - 1):
-            T.sort_indices()
-            T = T @ P
-        u = np.repeat(sources, np.diff(T.indptr))
-        T.data = autocovariance_from_walk(g, u, T.indices, T.data)
-        return T
-
-    return rows
-
-
-def autocovariance_background(g: Graph, u, v) -> np.ndarray:
-    """Autocovariance of pairs off the support of P^t: a walk term of 0,
-    which gives exactly -d_u * d_v / vol^2, symmetric in u, v."""
-    return autocovariance_from_walk(g, u, v, 0.0)
-
-
-def autocovariance_pairs(g: Graph, pairs, params: AcParams,
-                         block_size: int = 256) -> np.ndarray:
-    """Autocovariance scores for explicit pairs, grouped by source node."""
-    return pair_scores(lambda s: autocovariance_rows(g, s, params), pairs,
-                       block_size)
-
-
 # -- local heuristics -------------------------------------------------------
 
 def _unweighted(g: Graph):
@@ -193,19 +136,3 @@ def local_heuristic(kind: str, g: Graph, pair) -> float:
     if kind == "CN":
         return float(len(common))
     return float(_neighbor_weights(kind, deg)[common].sum())
-
-
-def local_heuristic_support(kind: str, g: Graph):
-    """rows(sources) -> CN/AA/RA rows as a sparse (len(sources), n)
-    matrix: the pairs with a common neighbour; every other score is
-    exactly 0."""
-    adj, deg = _unweighted(g)
-    w = _neighbor_weights(kind, deg)
-    weighted_t = adj.multiply(w[None, :]).tocsr().T.tocsr()
-    return lambda sources: (
-        adj[np.asarray(sources, dtype=np.int64).reshape(-1)] @ weighted_t)
-
-
-def local_heuristic_rows(kind: str, g: Graph, sources) -> np.ndarray:
-    """Dense (len(sources), n) block of CN/AA/RA scores."""
-    return local_heuristic_support(kind, g)(sources).toarray()

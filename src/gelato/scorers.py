@@ -1,6 +1,8 @@
-"""Scorer adapters for the evaluator.
+"""The scores the evaluator and the trainer's validation rank pairs by.
 
-A scorer exposes rows(sources) -> dense (len(sources), n) float64 block.
+A scorer exposes rows(sources) -> dense (len(sources), n) float64 block:
+Autocovariance and CN/AA/RA, from the primitives in gelato.heuristics,
+attribute cosine, or the trained MLP.
 The evaluator scores explicit pairs from the same rows or support view
 as the pool (heuristics.pair_scores): pair and pool scores agree bitwise.
 
@@ -19,15 +21,16 @@ scores are dense and do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
+from . import heuristics
 from .enhancer import MlpParams, mlp_forward, pair_features
+from .errors import ConfigError
 from .graph import AttributeMatrix, Graph
-from .heuristics import (AcParams, autocovariance_background,
-                         autocovariance_rows, autocovariance_support,
-                         local_heuristic_rows, local_heuristic_support)
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,48 @@ class SupportView:
 
 
 class AutocovarianceScorer:
-    """Random-walk similarity rows of a (possibly enhanced) graph."""
+    """Autocovariance rows of a (possibly enhanced) graph from the walk
+    P^t; P is formed at the first rows, not at construction."""
 
     def __init__(self, graph: Graph, t: int = 3):
+        if t < 0:
+            raise ConfigError("walk length t must be >= 0")
         self.graph = graph
-        self.params = AcParams(t=t)
+        self.t = t
+
+    @cached_property
+    def _P(self):
+        return heuristics.transition_matrix(self.graph)
 
     def rows(self, sources) -> np.ndarray:
-        return autocovariance_rows(self.graph, sources, self.params)
+        """Dense rows R[u, :] for each source u: (len(sources), n)."""
+        g = self.graph
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        # looked up at each call, so that a tracer that replaces the
+        # module attribute sees these walks too
+        T = heuristics._walk_hits(self._P, sources, self.t)
+        return heuristics.autocovariance_from_walk(g, sources[:, None],
+                                                   np.arange(g.n), T)
+
+    def sparse_rows(self, sources) -> sparse.csr_matrix:
+        """The entries of rows() on the support of P^t's rows, as sparse
+        (len(sources), n); off them a row holds background(). Indices are
+        sorted before each product, so that every entry sums the same
+        terms in the same order as the dense walk."""
+        g, P = self.graph, self._P
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        T = (P if self.t else sparse.identity(g.n, format="csr"))[sources]
+        for _ in range(self.t - 1):
+            T.sort_indices()
+            T = T @ P
+        u = np.repeat(sources, np.diff(T.indptr))
+        T.data = heuristics.autocovariance_from_walk(g, u, T.indices, T.data)
+        return T
+
+    def background(self, u, v) -> np.ndarray:
+        """R of pairs off the support of P^t: a walk term of 0, which
+        gives exactly -d_u * d_v / vol^2, symmetric in u, v."""
+        return heuristics.autocovariance_from_walk(self.graph, u, v, 0.0)
 
     def support(self) -> SupportView | None:
         """The sparse view, with one background class per distinct
@@ -58,44 +95,51 @@ class AutocovarianceScorer:
                                     return_counts=True)
         if not _support_pays(len(nodes), g.n):
             return None
-        return SupportView(
-            rows=autocovariance_support(g, self.params),
-            background=lambda u, v: autocovariance_background(g, u, v),
-            class_nodes=nodes, class_sizes=sizes)
+        return SupportView(rows=self.sparse_rows, background=self.background,
+                           class_nodes=nodes, class_sizes=sizes)
 
 
 def _support_pays(classes: int, n: int) -> bool:
-    """Whether a view with `classes` background classes beats streaming.
-
-    The evaluator counts the background over the D(D+1)/2 pairs of the D
-    classes. D n < n(n-1)/2 keeps those under an eighth of n^2, leaving
-    the sparse rows room within the pool's n^2/2 pairs. A graph of
-    learned weights has nearly n distinct degrees and streams. The count
-    leaves out the fill of P^t, which is not known before the products
-    are formed: where P^t is nearly full, the sparse rows cost more than
-    the dense ones.
-    """
+    """Whether a view with `classes` background classes beats streaming:
+    the evaluator counts the background over the D(D+1)/2 pairs of the D
+    classes, and D n < n(n-1)/2 keeps those under an eighth of n^2. A
+    graph of learned weights has nearly n distinct degrees and streams.
+    The rule leaves out the fill of P^t, unknown before the products are
+    formed: where P^t is nearly full, the sparse rows cost more."""
     return classes * n < n * (n - 1) // 2
 
 
 class LocalHeuristicScorer:
-    """Common Neighbors / Adamic-Adar / Resource Allocation rows."""
+    """Common Neighbors / Adamic-Adar / Resource Allocation rows; their
+    factors are formed at the first rows, not at construction."""
 
     def __init__(self, kind: str, graph: Graph):
         self.kind = kind.upper()
         self.graph = graph
 
+    @cached_property
+    def _factors(self):
+        """A and (A diag(w))^T: their product sums w over common neighbours."""
+        adj, deg = heuristics._unweighted(self.graph)
+        w = heuristics._neighbor_weights(self.kind, deg)
+        return adj, adj.multiply(w[None, :]).tocsr().T.tocsr()
+
+    def sparse_rows(self, sources) -> sparse.csr_matrix:
+        """The rows as sparse (len(sources), n): the pairs with a common
+        neighbour; every other score is exactly 0."""
+        adj, weighted_t = self._factors
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        return adj[sources] @ weighted_t
+
     def rows(self, sources) -> np.ndarray:
-        return local_heuristic_rows(self.kind, self.graph, sources)
+        return self.sparse_rows(sources).toarray()
 
     def support(self) -> SupportView:
         """The sparse view: pairs without a common neighbour score 0."""
-        n = self.graph.n
-        return SupportView(
-            rows=local_heuristic_support(self.kind, self.graph),
-            background=lambda u, v: np.zeros(len(u)),
-            class_nodes=np.zeros(1, dtype=np.int64),
-            class_sizes=np.array([n]))
+        return SupportView(rows=self.sparse_rows,
+                           background=lambda u, v: np.zeros(len(u)),
+                           class_nodes=np.zeros(1, dtype=np.int64),
+                           class_sizes=np.array([self.graph.n]))
 
 
 class CosineScorer:

@@ -123,14 +123,20 @@ def _excluded(split: EdgeSplit, phase: str) -> list:
     return [split.positives(p) for p in PHASES[:PHASES.index(phase) + 1]]
 
 
-def negative_pool_size(g: Graph, split: EdgeSplit, phase: str) -> int:
-    """Exact size of the phase's negative pool (never materialized). The
-    pool comes from the split alone, so `g` must be the graph it splits:
-    the same node count and as many non-loop edges."""
-    if g.n != split.n or g.num_edge_pairs != split.num_edges:
+def check_split(g: Graph, split: EdgeSplit) -> None:
+    """Refuse a graph that the split does not partition: the pools come
+    from the split alone, so it must list exactly g's non-loop edges."""
+    if g.n != split.n or not np.array_equal(excluded_codes(split, "test"),
+                                            g.edge_codes):
         raise DataError(
             f"the split ({split.n} nodes, {split.num_edges} edges) does not "
-            f"describe the graph ({g.n} nodes, {g.num_edge_pairs} edges)")
+            f"describe the graph ({g.n} nodes, {len(g.edge_codes)} edges): "
+            "it must list exactly the graph's edges")
+
+
+def negative_pool_size(g: Graph, split: EdgeSplit, phase: str) -> int:
+    """Exact size of the phase's negative pool, never materialized."""
+    check_split(g, split)
     n = split.n
     return n * (n - 1) // 2 - sum(map(len, _excluded(split, phase)))
 

@@ -56,6 +56,7 @@ from .graph import AttributeMatrix, Graph, _values_at, pair_codes
 from .heuristics import (autocovariance_from_walk, pair_scores,
                          transition_matrix, _walk_hits)
 from .rng import derive
+from .scorers import AutocovarianceScorer, MlpScorer
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, sample_negatives, train_graph)
 
@@ -501,7 +502,6 @@ def grads_finite(loss: float, grads: dict) -> bool:
 
 def _validation_prec(g, X, split, enh_cfg, cfg, params, aug):
     """Exact validation prec@100%, scored over all training edges."""
-    from .scorers import AutocovarianceScorer, MlpScorer
     if len(split.valid_pos) == 0:
         return float("nan")
     if cfg.direct_mlp:

@@ -19,6 +19,7 @@ from gelato import (EnhancerConfig, RankSummary, TrainConfig, auc,
                     precision_at_k, rank_summary, sample_negatives,
                     split_edges, train)
 from gelato.enhancer import AugmentedPairs, assemble_enhanced
+from gelato.heuristics import pair_scores
 from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
 from gelato.splits import pair_codes
 
@@ -47,8 +48,8 @@ def test_criterion_1_autocovariance_dense_oracle():
         m = int(rng.integers(n - 1, 3 * n))
         g = random_graph(rng, n, m, weighted=True)
         t = int(rng.integers(0, 6))
-        R = gelato.autocovariance_rows(g, np.arange(n),
-                                       gelato.AcParams(t))
+        scorer = AutocovarianceScorer(g, t)
+        R = scorer.rows(np.arange(n))
         R_ref = dense_autocovariance(g, t)
         worst = max(worst, float(np.abs(R - R_ref).max()))
         worst_mass = max(worst_mass, abs(float(R.sum())))
@@ -57,8 +58,7 @@ def test_criterion_1_autocovariance_dense_oracle():
                                  rng.integers(0, n, 10)])
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         if len(pairs):
-            got = gelato.autocovariance_pairs(g, pairs, gelato.AcParams(t),
-                                              block_size=7)
+            got = pair_scores(scorer.rows, pairs, block_size=7)
             ref = R_ref[pairs[:, 0], pairs[:, 1]]
             worst = max(worst, float(np.abs(got - ref).max()))
     _verdict(1, "autocovariance matches dense oracle",

@@ -268,8 +268,7 @@ def test_export_scores_consistency(dataset, tmp_path):
     split = gelato.read_split(dataset["split"])
     g_train = gelato.build_graph(split.train_pos, split.n)
     looped = gelato.add_self_loops(g_train, "isolated-only", 1.0)
-    ref = gelato.autocovariance_rows(looped, [0, 3, 5],
-                                     gelato.AcParams(2))
+    ref = gelato.AutocovarianceScorer(looped, 2).rows([0, 3, 5])
     got = np.array([[float(x) for x in r[1:]] for r in rows])
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-300)
 

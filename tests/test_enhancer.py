@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 import gelato
-from gelato import (AcParams, AttributeMatrix, EnhancerConfig, MlpParams,
-                    autocovariance_rows, build_enhanced_graph, build_graph,
+from gelato import (AttributeMatrix, AutocovarianceScorer, EnhancerConfig,
+                    MlpParams, build_enhanced_graph, build_graph,
                     init_mlp_params, load_params, mlp_edge_weight,
                     save_params, select_augmentation_pairs)
 from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
@@ -226,9 +226,8 @@ class TestEnhancedGraph:
         cfg = EnhancerConfig(eta=0.0, alpha=1.0, beta=0.5,
                              self_loop_mode="isolated-only")
         eg = build_enhanced_graph(g, X, params, cfg)
-        t = AcParams(3)
-        R1 = autocovariance_rows(g, np.arange(g.n), t)
-        R2 = autocovariance_rows(eg.graph, np.arange(g.n), t)
+        R1 = AutocovarianceScorer(g, 3).rows(np.arange(g.n))
+        R2 = AutocovarianceScorer(eg.graph, 3).rows(np.arange(g.n))
         np.testing.assert_allclose(R1, R2, atol=1e-15)
 
     def test_alpha_zero_beta_one_pure_mlp(self):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from gelato import (AcParams, add_self_loops, autocovariance_pairs,
-                    autocovariance_rows, build_graph, local_heuristic,
-                    local_heuristic_rows)
-from gelato.heuristics import (autocovariance_background,
-                               autocovariance_support, local_heuristic_support)
-from gelato.errors import NumericError
+from gelato import (AutocovarianceScorer, LocalHeuristicScorer,
+                    add_self_loops, build_graph, local_heuristic)
+from gelato.heuristics import pair_scores
+from gelato.errors import ConfigError, NumericError
 
 from conftest import dense_autocovariance, random_graph
 
@@ -34,7 +32,7 @@ class TestLocalHeuristics:
     def test_rows_match_pairwise(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 15, 30, ensure_positive_degree=False)
-        rows = {k: local_heuristic_rows(k, g, np.arange(15))
+        rows = {k: LocalHeuristicScorer(k, g).rows(np.arange(15))
                 for k in ("CN", "AA", "RA")}
         for _ in range(40):
             u, v = rng.integers(0, 15, 2)
@@ -55,7 +53,7 @@ class TestLocalHeuristics:
 class TestAutocovariance:
     def test_triangle_t1(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        R = autocovariance_rows(g, [0, 1, 2], AcParams(t=1))
+        R = AutocovarianceScorer(g, 1).rows([0, 1, 2])
         for u in range(3):
             for v in range(3):
                 expected = -1.0 / 9.0 if u == v else 1.0 / 18.0
@@ -63,7 +61,7 @@ class TestAutocovariance:
 
     def test_triangle_t0(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        R = autocovariance_rows(g, [0, 1, 2], AcParams(t=0))
+        R = AutocovarianceScorer(g, 0).rows([0, 1, 2])
         for u in range(3):
             for v in range(3):
                 expected = 2.0 / 9.0 if u == v else -1.0 / 9.0
@@ -74,13 +72,13 @@ class TestAutocovariance:
         for _ in range(10):
             g = random_graph(rng, 20, 35, weighted=True)
             for t in (0, 1, 3):
-                R = autocovariance_rows(g, np.arange(20), AcParams(t))
+                R = AutocovarianceScorer(g, t).rows(np.arange(20))
                 assert abs(R.sum()) < 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 15, 30, weighted=True)
-        R = autocovariance_rows(g, np.arange(15), AcParams(t=3))
+        R = AutocovarianceScorer(g, 3).rows(np.arange(15))
         assert np.abs(R - R.T).max() < 1e-10
 
     def test_dense_oracle_equivalence(self):
@@ -90,26 +88,32 @@ class TestAutocovariance:
             g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
                              weighted=bool(trial % 2))
             t = int(rng.integers(0, 6))
-            R = autocovariance_rows(g, np.arange(n), AcParams(t))
+            R = AutocovarianceScorer(g, t).rows(np.arange(n))
             R_ref = dense_autocovariance(g, t)
             assert np.abs(R - R_ref).max() < 1e-10
 
     def test_zero_degree_rejected(self):
         g = build_graph([(0, 1)], 3)  # node 2 isolated
         with pytest.raises(NumericError, match="zero degree"):
-            autocovariance_rows(g, [0], AcParams(t=1))
+            AutocovarianceScorer(g, 1).rows([0])
+
+    def test_negative_walk_length_rejected(self):
+        g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
+        with pytest.raises(ConfigError, match="walk length"):
+            AutocovarianceScorer(g, -1)
 
     def test_pairs_empty(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        out = autocovariance_pairs(g, np.empty((0, 2), int), AcParams(t=2))
+        out = pair_scores(AutocovarianceScorer(g, 2).rows,
+                          np.empty((0, 2), int))
         assert out.shape == (0,)
 
     def test_pairs_share_source_rows(self):
         g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3)], 4)
-        params = AcParams(t=2)
+        scorer = AutocovarianceScorer(g, 2)
         pairs = np.array([[1, 0], [1, 2], [1, 3]])
-        scores = autocovariance_pairs(g, pairs, params)
-        rows = autocovariance_rows(g, [1], params)[0]
+        scores = pair_scores(scorer.rows, pairs)
+        rows = scorer.rows([1])[0]
         np.testing.assert_array_equal(scores, rows[[0, 2, 3]])
 
     def test_pairs_match_dense_oracle(self):
@@ -122,7 +126,7 @@ class TestAutocovariance:
             if u != v:
                 pairs.append((u, v))
         pairs = np.asarray(pairs)
-        scores = autocovariance_pairs(g, pairs, AcParams(t=3))
+        scores = pair_scores(AutocovarianceScorer(g, 3).rows, pairs)
         ref = R_ref[pairs[:, 0], pairs[:, 1]]
         assert np.abs(scores - ref).max() < 1e-10
 
@@ -132,8 +136,9 @@ class TestAutocovariance:
         pairs = np.column_stack([rng.integers(0, 30, 40),
                                  rng.integers(0, 30, 40)])
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        small = autocovariance_pairs(g, pairs, AcParams(t=2), block_size=4)
-        big = autocovariance_pairs(g, pairs, AcParams(t=2), block_size=4096)
+        rows = AutocovarianceScorer(g, 2).rows
+        small = pair_scores(rows, pairs, block_size=4)
+        big = pair_scores(rows, pairs, block_size=4096)
         np.testing.assert_array_equal(small, big)
 
 
@@ -156,22 +161,24 @@ class TestSupportRows:
     def test_autocovariance(self, weighted, t):
         g = random_graph(np.random.default_rng(t), 40, 60, weighted=weighted)
         sources = np.array([3, 0, 39, 17, 17, 8])
-        dense = autocovariance_rows(g, sources, AcParams(t=t))
+        scorer = AutocovarianceScorer(g, t)
+        dense = scorer.rows(sources)
         u = np.repeat(sources, g.n)
         v = np.tile(np.arange(g.n), len(sources))
-        self._check(autocovariance_support(g, AcParams(t=t))(sources), dense,
-                    autocovariance_background(g, u, v).reshape(dense.shape))
+        self._check(scorer.sparse_rows(sources), dense,
+                    scorer.background(u, v).reshape(dense.shape))
 
     @pytest.mark.parametrize("kind", ["CN", "AA", "RA"])
     def test_local_heuristics(self, kind):
         g = random_graph(np.random.default_rng(1), 40, 60, weighted=True)
         sources = np.array([3, 0, 39, 17, 17, 8])
-        dense = local_heuristic_rows(kind, g, sources)
-        self._check(local_heuristic_support(kind, g)(sources), dense,
+        scorer = LocalHeuristicScorer(kind, g)
+        dense = scorer.rows(sources)
+        self._check(scorer.sparse_rows(sources), dense,
                     np.zeros(dense.shape))
 
     def test_autocovariance_background_is_symmetric(self):
         g = random_graph(np.random.default_rng(2), 30, 50, weighted=True)
         u, v = np.triu_indices(g.n, 1)
-        assert (autocovariance_background(g, u, v).tobytes()
-                == autocovariance_background(g, v, u).tobytes())
+        background = AutocovarianceScorer(g).background
+        assert background(u, v).tobytes() == background(v, u).tobytes()

@@ -142,7 +142,11 @@ class TestNegativePools:
             assert len(sample_negatives(ok, split, "test", 3, seed=0)) == 3
             assert rank_summary(scorer, ok, split, "test").total_negatives \
                 == 10
-        for bad in (build_graph(edges + [(2, 5)], 6), build_graph(edges, 7)):
+        # as many edges, one of them swapped: (1, 3) would be drawn as a
+        # negative
+        swapped = build_graph(edges[:-1] + [(1, 3)], 6)
+        for bad in (build_graph(edges + [(2, 5)], 6), build_graph(edges, 7),
+                    swapped):
             for call in (lambda: negative_pool_size(bad, split, "test"),
                          lambda: sample_negatives(bad, split, "test", 3, 0),
                          lambda: rank_summary(scorer, bad, split, "test")):

@@ -13,7 +13,8 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     standardize_scores, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError
-from gelato.heuristics import autocovariance_from_walk, transition_matrix
+from gelato.heuristics import (autocovariance_from_walk, pair_scores,
+                               transition_matrix)
 from gelato.splits import MaskedBatch
 from gelato.trainer import flatten_params, grads_finite, unflatten_params
 
@@ -349,7 +350,7 @@ class TestWalkKernels:
     def test_raw_scores_equal_autocovariance_pairs(self, graph, t):
         # training scores a pair as evaluation does, bit for bit
         g, P, pairs, _ = _walk_case(graph)
-        want = gelato.autocovariance_pairs(g, pairs, gelato.AcParams(t))
+        want = pair_scores(gelato.AutocovarianceScorer(g, t).rows, pairs)
         for walk in _kernels(P, pairs, t):
             np.testing.assert_array_equal(autocovariance_from_walk(
                 g, pairs[:, 0], pairs[:, 1], walk.values), want)
@@ -727,8 +728,16 @@ with tracer.span(spans.TRAIN_PHASE):
     gelato.train(g, X, split, gelato.EnhancerConfig(eta=0.2, alpha=0.5),
                  gelato.TrainConfig(epochs=1, batch_count=3, hidden=4,
                                     neg_cap=3))
+# a scorer's walk is counted too: scorers reach heuristics._walk_hits
+# through the module, where the hook replaced it
+scorer = gelato.AutocovarianceScorer(gelato.add_self_loops(g, "all"), 3)
+with tracer.span(spans.TRAIN_PHASE):
+    before = tracer.counters["heuristics.walk_rows"]
+    scorer.rows([0, 5, 9, 5])
+    scorer_rows = tracer.counters["heuristics.walk_rows"] - before
 print(json.dumps({"notes": notes, "counters": tracer.counters,
-                  "layers": sorted(tracer.layer_totals()[0])}))
+                  "layers": sorted(tracer.layer_totals()[0]),
+                  "scorer_rows": scorer_rows}))
 """
     done = subprocess.run(
         [sys.executable, "-c", code, os.path.join(root, "src"),
@@ -738,6 +747,7 @@ print(json.dumps({"notes": notes, "counters": tracer.counters,
     assert out["notes"] == []
     assert out["counters"]["trainer.batches"] == 3
     assert out["counters"]["heuristics.walk_rows"] > 0
+    assert out["scorer_rows"] == 4
     assert out["counters"]["enhancer.active_pairs"] > 0
     assert {"trainer.ac_backward", "trainer.mlp_backward", "trainer.adam",
             "trainer.validation", "enhancer.augment",
