@@ -37,23 +37,23 @@ class ExperimentConfig:
     ratios: tuple = (0.85, 0.05, 0.10)
     split_seed: int = 0
     # enhancer
-    eta: float = 0.0
-    alpha: float = 0.0
-    beta: float = 1.0
-    self_loop_mode: str = "isolated-only"
-    self_loop_weight: float = 1.0
-    hidden: int = 128
+    eta: float = EnhancerConfig.eta
+    alpha: float = EnhancerConfig.alpha
+    beta: float = EnhancerConfig.beta
+    self_loop_mode: str = EnhancerConfig.self_loop_mode
+    self_loop_weight: float = EnhancerConfig.self_loop_weight
+    hidden: int = TrainConfig.hidden
     # trainer
     mode: str = "gelato"
-    loss: str = "npair"
-    regime: str = "unbiased"
-    lr: float = 0.001
-    epochs: int = 100
-    batch_count: int = 10
-    neg_cap: int = 0
-    dropout: float = 0.5
-    t: int = 3
-    seed: int = 1
+    loss: str = TrainConfig.loss
+    regime: str = TrainConfig.regime
+    lr: float = TrainConfig.lr
+    epochs: int = TrainConfig.epochs
+    batch_count: int = TrainConfig.batch_count
+    neg_cap: int = TrainConfig.neg_cap
+    dropout: float = TrainConfig.dropout
+    t: int = TrainConfig.ac_t
+    seed: int = TrainConfig.seed
     # evaluation
     phase: str = "test"
     prec: tuple = (0.25, 0.5, 1.0)

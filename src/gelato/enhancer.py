@@ -15,8 +15,9 @@ scorer:
                       + (1 - beta) * cos(x_u, x_v))
 
    clamped at zero from below (the cosine term can be negative); exact
-   zeros are dropped from the structure. Self-loops are then added per
-   config so every row has a valid transition distribution.
+   zeros are dropped from the structure. The graph module's builder then
+   stores the pairs and adds self-loops by the rule of add_self_loops
+   (`self_loop_mode`), so every row has a valid transition distribution.
 
 A run freezes its pair set once (AugmentedPairs): the training edges
 plus the augmentation, sorted by pair code, each with its structural
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError
-from .graph import (AttributeMatrix, Graph, _assemble_csr, cosine_pairs,
+from .graph import (AttributeMatrix, Graph, _pair_graph, cosine_pairs,
                     pair_codes)
 from .rng import Stream, counter_words, derive
 
@@ -381,27 +382,10 @@ def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
     weights = np.maximum(combined, 0.0)
     active = weights > 0.0
 
-    act_pairs = pairs[active]
-    act_w = weights[active]
-    rows = np.concatenate([act_pairs[:, 0], act_pairs[:, 1]])
-    cols = np.concatenate([act_pairs[:, 1], act_pairs[:, 0]])
-    dat = np.concatenate([act_w, act_w])
-
-    # self-loops per config, after the zero-drop
-    n = aug.n
-    deg = np.bincount(rows, weights=dat, minlength=n)
-    loop_nodes = (np.arange(n) if cfg.self_loop_mode == "all"
-                  else np.flatnonzero(deg == 0.0))
-    rows = np.concatenate([rows, loop_nodes])
-    cols = np.concatenate([cols, loop_nodes])
-    dat = np.concatenate([dat, np.full(len(loop_nodes), cfg.self_loop_weight)])
-
-    graph, order = _assemble_csr(n, rows, cols, dat)
-    position = np.empty(len(rows), dtype=np.int64)
-    position[order] = np.arange(len(rows))
-    k = len(act_pairs)
-    arc_positions = np.column_stack([position[:k], position[k:2 * k]])
-
+    act = pairs[active]
+    graph, arc_positions = _pair_graph(
+        aug.n, act[:, 0], act[:, 1], weights[active],
+        (cfg.self_loop_mode, cfg.self_loop_weight))  # after the zero-drop
     return EnhancedGraph(
         graph=graph, pairs=pairs, pair_weights=weights, active=active,
         arc_positions=arc_positions, alpha=cfg.alpha, beta=cfg.beta,

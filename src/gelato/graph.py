@@ -3,10 +3,11 @@
 Graphs are stored in compressed-row (CSR) form and are immutable after
 construction. Graphs are undirected: both arcs (u, v) and (v, u) are
 stored with equal weight, self-loops as a single diagonal entry, and the
-weighted degree of a node is the sum of its row. Both containers are safe
-to share across concurrent readers: a Graph keeps each derived array from
-its first read, and readers racing on that read may compute it twice,
-with the same value.
+weighted degree of a node is the sum of its row. Every Graph is built
+by `_pair_graph`, which also adds the self-loops of `add_self_loops`.
+Both containers are safe to share across concurrent readers: a Graph
+keeps each derived array from its first read, and readers racing on
+that read may compute it twice, with the same value.
 """
 
 from __future__ import annotations
@@ -165,13 +166,30 @@ def _in_sorted(ranked, codes):
     return np.r_[ranked, -1][np.searchsorted(ranked, codes)] == codes
 
 
-def _assemble_csr(n, rows, cols, weights):
-    """Build sorted CSR arrays from arc arrays (already symmetrized)."""
+def _pair_graph(n, u, v, w, loops=None):
+    """The Graph of the distinct weighted pairs (u, v, w) on n nodes, each
+    stored as two arcs (a loop u == v as one), and the CSR positions of
+    each pair's arcs as a (k, 2) array. With `loops` = (mode, weight), a
+    loop of that weight goes on each node without one: under "all" on
+    every such node, under "isolated-only" where the weighted degree from
+    `w` is 0. Arcs are sorted by their unique (row, col) keys, so the
+    arrays do not depend on the order of the pairs."""
+    two = u != v
+    rows, cols, data = np.r_[u, v[two]], np.r_[v, u[two]], np.r_[w, w[two]]
+    if loops is not None:
+        add = (np.ones(n, dtype=bool) if loops[0] == "all"
+               else np.bincount(rows, weights=data, minlength=n) == 0.0)
+        add[u[~two]] = False
+        nodes = np.flatnonzero(add)
+        rows, cols = np.r_[rows, nodes], np.r_[cols, nodes]
+        data = np.r_[data, np.full(len(nodes), float(loops[1]))]
     order = np.lexsort((cols, rows))
-    rows, cols, weights = rows[order], cols[order], weights[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, cols, weights), order
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    arcs = np.column_stack([position[:len(u)], position[:len(u)]])
+    arcs[two, 1] = position[len(u):len(u) + two.sum()]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return Graph(n, indptr, cols[order], data[order]), arcs
 
 
 # The largest n whose pair codes u * n + v fit in int64; below 2^53, so
@@ -198,20 +216,15 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
     if not undirected:
         raise DataError("directed graphs are not supported")
     check_node_count(n)
-    edges = list(edges) if not isinstance(edges, np.ndarray) else edges
-    if len(edges) == 0:
-        u = v = np.empty(0, dtype=np.int64)
-        w = np.empty(0, dtype=np.float64)
-    else:
-        arr = np.asarray(edges)
-        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-            raise DataError("edges must be (u, v) or (u, v, w) entries")
-        u = arr[:, 0].astype(np.int64)
-        v = arr[:, 1].astype(np.int64)
-        if (arr[:, 0] != u).any() or (arr[:, 1] != v).any():
-            raise DataError("node ids must be integers")
-        w = (arr[:, 2].astype(np.float64) if arr.shape[1] == 3
-             else np.ones(len(arr)))
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if len(arr) == 0:
+        arr = np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+        raise DataError("edges must be (u, v) or (u, v, w) entries")
+    u, v = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    if (arr[:, 0] != u).any() or (arr[:, 1] != v).any():
+        raise DataError("node ids must be integers")
+    w = arr[:, 2].astype(np.float64) if arr.shape[1] == 3 else np.ones(len(u))
 
     if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
         raise DataError("node id out of range [0, n)")
@@ -224,12 +237,8 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
     if (codes[1:] == codes[:-1]).any():
         raise DataError("duplicate edges in input")
 
-    loops = u == v
-    rows = np.concatenate([u[~loops], v[~loops], u[loops]])
-    cols = np.concatenate([v[~loops], u[~loops], u[loops]])
-    weights = np.concatenate([w[~loops], w[~loops], w[loops]])
     try:  # its O(n) arrays may not fit for a huge node count
-        return _assemble_csr(n, rows, cols, weights)[0]
+        return _pair_graph(n, u, v, w)[0]
     except MemoryError as exc:
         raise DataError(f"node count {n}: not enough memory for the "
                         "graph's arrays") from exc
@@ -240,25 +249,15 @@ def add_self_loops(g: Graph, mode: str = "isolated-only",
     """Return a copy of `g` with self-loops added.
 
     mode="all" adds a loop of the given weight to every node;
-    mode="isolated-only" only to nodes of degree 0. Every row of the
-    result has positive degree. Existing loops keep their weight
+    mode="isolated-only" only to nodes of weighted degree 0. Every row of
+    the result has positive degree. Existing loops keep their weight
     (no loop is added on top of one).
     """
     if not 0 < weight < np.inf:  # also rejects nan
         raise DataError("self-loop weight must be positive and finite")
     if mode not in ("all", "isolated-only"):
         raise DataError(f"unknown self-loop mode: {mode!r}")
-    has_loop = np.zeros(g.n, dtype=bool)
     rows = g.row_of_arcs()
-    has_loop[rows[rows == g.indices]] = True
-    if mode == "all":
-        targets = np.flatnonzero(~has_loop)
-    else:
-        targets = np.flatnonzero((g.degrees == 0.0) & ~has_loop)
-    if len(targets) == 0:
-        return g
-    new_rows = np.concatenate([rows, targets])
-    new_cols = np.concatenate([g.indices, targets])
-    new_w = np.concatenate([g.data, np.full(len(targets), float(weight))])
-    out, _ = _assemble_csr(g.n, new_rows, new_cols, new_w)
-    return out
+    upper = rows <= g.indices
+    return _pair_graph(g.n, rows[upper], g.indices[upper], g.data[upper],
+                       (mode, weight))[0]

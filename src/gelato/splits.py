@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, _in_sorted, build_graph, check_node_count, pair_codes
+from .graph import (Graph, _in_sorted, _pair_graph, check_node_count,
+                    pair_codes)
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -71,9 +72,9 @@ def _check_phase(phase):
 
 def train_graph(g: Graph, split: EdgeSplit) -> Graph:
     """The graph of the training positives, with their weights in `g`."""
-    return build_graph(
-        np.column_stack([split.train_pos, g.pair_weights(split.train_pos)]),
-        split.n)
+    check_split(g, split)
+    return _pair_graph(split.n, *split.train_pos.T,
+                       g.pair_weights(split.train_pos))[0]
 
 
 def check_ratios(ratios) -> tuple:

@@ -467,28 +467,35 @@ def _forward(g: Graph, X: AttributeMatrix, params: MlpParams,
                       head_grads=head_grads, walk=walk, mlp_cache=mlp_cache)
 
 
+def _batch_forward(g, X, params, enh_cfg, cfg, batch, added_pairs, *args):
+    """_forward (epoch, head, training) over train()'s pair set, rebuilt
+    from the batch: its residual edges and distinct positives plus
+    `added_pairs`, so each pair keeps train()'s row and dropout mask."""
+    aug = None if cfg.direct_mlp else AugmentedPairs(g, X, np.vstack(
+        [batch.residual_edges, np.unique(batch.batch_pos, axis=0)]),
+        added_pairs)
+    return _forward(g, X, params, enh_cfg, cfg, batch, aug, *args)
+
+
 def forward_loss(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
                  epoch: int = 1, head=None, training: bool = False) -> float:
     """Loss of one batch without gradients (finite-difference probes)."""
-    aug = None if cfg.direct_mlp else AugmentedPairs(
-        g, X, batch.residual_edges, added_pairs)
-    return _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch, head,
-                    training)[0]
+    return _batch_forward(g, X, params, enh_cfg, cfg, batch, added_pairs,
+                          epoch, head, training)[0]
 
 
 def compute_gradients(g, X, params, enh_cfg, cfg, batch, *, added_pairs=(),
                       epoch: int = 1, head=None, training: bool = False):
     """Loss and parameter gradients for one masked batch, its enhanced
-    graph built from the batch's residual edges plus `added_pairs`.
+    graph built from the batch's residual edges plus `added_pairs`; with
+    train()'s parameters, epoch and `added_pairs`, train()'s step.
 
     Returns (loss, grads) where grads maps W1/b1/W2/b2 (and head_a/head_b
     under the cross-entropy loss) to arrays. Non-finite values are
     returned as-is; callers decide whether to skip the update.
     """
-    aug = None if cfg.direct_mlp else AugmentedPairs(
-        g, X, batch.residual_edges, added_pairs)
-    loss, tape = _forward(g, X, params, enh_cfg, cfg, batch, aug, epoch,
-                          head, training)
+    loss, tape = _batch_forward(g, X, params, enh_cfg, cfg, batch,
+                                added_pairs, epoch, head, training)
     return loss, tape.backward()
 
 

@@ -221,14 +221,23 @@ class TestEnhancedGraph:
                                    atol=1e-15)
 
     def test_alpha_one_autocovariance_matches_raw(self):
+        # with positive weights, alpha=1 rebuilds add_self_loops' graph
+        # bit for bit, by the same self-loop rule, from g or from looped
         g, X, params = self._setup(seed=1)
-        g = gelato.add_self_loops(g, "isolated-only")
-        cfg = EnhancerConfig(eta=0.0, alpha=1.0, beta=0.5,
-                             self_loop_mode="isolated-only")
-        eg = build_enhanced_graph(g, X, params, cfg)
-        R1 = AutocovarianceScorer(g, 3).rows(np.arange(g.n))
-        R2 = AutocovarianceScorer(eg.graph, 3).rows(np.arange(g.n))
-        np.testing.assert_allclose(R1, R2, atol=1e-15)
+        for mode in ("all", "isolated-only"):
+            looped = gelato.add_self_loops(g, mode)
+            cfg = EnhancerConfig(eta=0.0, alpha=1.0, beta=0.5,
+                                 self_loop_mode=mode)
+            eg = build_enhanced_graph(looped, X, params, cfg)
+            R1 = AutocovarianceScorer(looped, 3).rows(np.arange(g.n))
+            R2 = AutocovarianceScorer(eg.graph, 3).rows(np.arange(g.n))
+            np.testing.assert_allclose(R1, R2, atol=1e-15)
+            plain = build_enhanced_graph(
+                g, X, None, EnhancerConfig(alpha=1.0, self_loop_mode=mode))
+            for built in (eg.graph, plain.graph):
+                for name in ("indptr", "indices", "data"):
+                    assert (getattr(built, name).tobytes()
+                            == getattr(looped, name).tobytes()), (mode, name)
 
     def test_alpha_zero_beta_one_pure_mlp(self):
         g, X, params = self._setup(seed=2)

@@ -167,6 +167,20 @@ class TestSelfLoops:
         assert g2.degrees.tolist() == [3.0, 3.0, 3.0]
         assert g2.volume == 9.0
 
+    def test_existing_loop_keeps_its_weight(self):
+        g = build_graph([(0, 0, 2.5), (0, 1, 1.0)], 3)
+        for mode in ("all", "isolated-only"):
+            A = add_self_loops(g, mode, 0.5).adjacency().toarray()
+            want = [2.5, 0.5 if mode == "all" else 0.0, 0.5]
+            assert A.diagonal().tolist() == want
+
+    def test_isolated_only_counts_weighted_degree(self):
+        # nodes 2 and 3 are joined by an edge of weight 0: each gets a loop
+        g = build_graph([(0, 1, 1.0), (2, 3, 0.0)], 4)
+        g2 = add_self_loops(g, "isolated-only", 0.5)
+        assert g2.adjacency().diagonal().tolist() == [0.0, 0.0, 0.5, 0.5]
+        assert g2.num_arcs == 6 and g2.degrees.tolist() == [1, 1, .5, .5]
+
     def test_positive_degree_postcondition(self):
         rng = np.random.default_rng(5)
         for mode in ("all", "isolated-only"):

@@ -8,7 +8,8 @@ from gelato import (build_graph, negative_pool_size, positive_masking_batches,
                     write_split)
 from gelato.errors import ConfigError, DataError
 from gelato.rng import Stream, derive
-from gelato.splits import PHASES, _NEG_TAG, excluded_codes, pair_codes
+from gelato.splits import (PHASES, _NEG_TAG, excluded_codes, pair_codes,
+                           train_graph)
 
 from conftest import enumerate_pool, random_graph
 
@@ -142,6 +143,7 @@ class TestNegativePools:
             assert len(sample_negatives(ok, split, "test", 3, seed=0)) == 3
             assert rank_summary(scorer, ok, split, "test").total_negatives \
                 == 10
+            assert train_graph(ok, split).num_edges == len(split.train_pos)
         # as many edges, one of them swapped: (1, 3) would be drawn as a
         # negative
         swapped = build_graph(edges[:-1] + [(1, 3)], 6)
@@ -149,7 +151,8 @@ class TestNegativePools:
                     swapped):
             for call in (lambda: negative_pool_size(bad, split, "test"),
                          lambda: sample_negatives(bad, split, "test", 3, 0),
-                         lambda: rank_summary(scorer, bad, split, "test")):
+                         lambda: rank_summary(scorer, bad, split, "test"),
+                         lambda: train_graph(bad, split)):
                 with pytest.raises(DataError, match="does not describe"):
                     call()
 

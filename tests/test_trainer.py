@@ -200,6 +200,35 @@ class TestGradients:
             denom = max(abs(fd), abs(analytic[i]), 1e-6)
             assert abs(fd - analytic[i]) / denom < 1e-4
 
+    def test_compute_gradients_reproduces_a_train_step(self, monkeypatch):
+        # with dropout, a pair's mask follows its row in the run's pair
+        # set, so compute_gradients must rebuild train()'s set exactly
+        import gelato.trainer as trainer_mod
+        g, X = make_attribute_sbm(60, 0)
+        split = split_edges(g, (0.8, 0.1, 0.1), seed=0)
+        enh = EnhancerConfig()
+        cfg = TrainConfig(batch_count=3, hidden=8, neg_cap=3, dropout=0.5)
+        real, seen = trainer_mod._forward, {}
+
+        class FirstStep(Exception):
+            pass
+
+        def first_step(*args):
+            loss, tape = real(*args)
+            seen.update(params=args[2], batch=args[5], loss=loss,
+                        grads=tape.backward())
+            raise FirstStep
+
+        monkeypatch.setattr(trainer_mod, "_forward", first_step)
+        with pytest.raises(FirstStep):
+            train(g, X, split, enh, cfg)
+        monkeypatch.undo()
+        loss, grads = compute_gradients(g, X, seen["params"], enh, cfg,
+                                        seen["batch"], training=True)
+        assert loss == seen["loss"]
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(grads[name], seen["grads"][name]), name
+
     def test_direct_mlp_path_fd(self):
         g, X, params, enh, cfg, batch, added, _ = \
             _gradcheck_instance(16, "npair")
