@@ -8,15 +8,19 @@ never materialized. Two exact paths count it, with the same result:
 
 * Support: when the scorer offers a support view (see gelato.scorers),
   which CN/AA/RA always do and Autocovariance does while its graph has
-  few distinct degrees. Two kinds of job: the background is counted once
+  few distinct degrees and its estimated P^t is sparse. Two kinds of
+  job: the background is counted once
   over all unordered pairs, as pairs of node classes weighted by their
   multiplicities; each block of source nodes counts the pool pairs
   among its sparse entries, less the background of those entries and
   of its excluded pairs. The work follows the support and the number of
   classes, not n^2, and every count stays an integer.
 * Streaming: for every other scorer (cosine, MLP, Autocovariance on
-  learned weights). Each block of source nodes materializes the dense
-  rows(sources) and counts its pool pairs. This path is the reference.
+  learned weights or a nearly full P^t). Each block of source nodes
+  materializes the dense rows(sources) and counts its pool pairs. This
+  path is the reference. Autocovariance builds those rows from the
+  dense walk or, where P^t is sparse, from its sparse rows; both give
+  the same bits.
 
 Explicit pairs (positives, sampled negatives) are scored as the pool is:
 from the support view where the scorer offers one, else its dense rows.

@@ -170,15 +170,18 @@ def _pair_graph(n, u, v, w, loops=None):
     """The Graph of the distinct weighted pairs (u, v, w) on n nodes, each
     stored as two arcs (a loop u == v as one), and the CSR positions of
     each pair's arcs as a (k, 2) array. With `loops` = (mode, weight), a
-    loop of that weight goes on each node without one: under "all" on
-    every such node, under "isolated-only" where the weighted degree from
-    `w` is 0. Arcs are sorted by their unique (row, col) keys, so the
-    arrays do not depend on the order of the pairs."""
+    loop of that weight goes on each node without a loop of positive
+    weight: under "all" on every such node, under "isolated-only" where
+    the weighted degree from `w` is 0. It replaces a loop of weight 0.
+    Arcs are sorted by their unique (row, col) keys, so the arrays do not
+    depend on the order of the pairs."""
     two = u != v
     rows, cols, data = np.r_[u, v[two]], np.r_[v, u[two]], np.r_[w, w[two]]
     if loops is not None:
         add = (np.ones(n, dtype=bool) if loops[0] == "all"
                else np.bincount(rows, weights=data, minlength=n) == 0.0)
+        add[u[~two & (w > 0.0)]] = False
+        data[np.flatnonzero(~two & add[u])] = loops[1]
         add[u[~two]] = False
         nodes = np.flatnonzero(add)
         rows, cols = np.r_[rows, nodes], np.r_[cols, nodes]
@@ -250,8 +253,9 @@ def add_self_loops(g: Graph, mode: str = "isolated-only",
 
     mode="all" adds a loop of the given weight to every node;
     mode="isolated-only" only to nodes of weighted degree 0. Every row of
-    the result has positive degree. Existing loops keep their weight
-    (no loop is added on top of one).
+    the result has positive degree. Existing loops of positive weight
+    keep it (no loop is added on top of one); a loop of weight 0 counts
+    as none and takes the given weight.
     """
     if not 0 < weight < np.inf:  # also rejects nan
         raise DataError("self-loop weight must be positive and finite")

@@ -14,10 +14,13 @@ the gap between the t-step and stationary co-visit probabilities of a
 random walk. Every path forms R_uv from its walk term T = (P^t)_uv
 with autocovariance_from_walk. Rows of P^t come per block of sources
 from their rows of P times t - 1 more factors of P, so the n x n
-matrix is never materialized; training batches on sparse structure look
-their pairs up in the sparse matrix P^t (see `gelato.trainer`). All
-arithmetic is float64. The rows themselves belong to `gelato.scorers`;
-`local_heuristic` is the one-pair reference that tests compare against.
+matrix is never materialized: dense rows from _walk_hits, or sparse
+rows whose products sum the same terms in the same order, which
+`gelato.scorers` picks between from an estimate of the fill of P^t.
+Training batches on sparse structure look their pairs up in the sparse
+matrix P^t (see `gelato.trainer`). All arithmetic is float64. The rows
+themselves belong to `gelato.scorers`; `local_heuristic` is the one-pair
+reference that tests compare against.
 """
 
 from __future__ import annotations

@@ -179,11 +179,25 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
         order = np.argsort(codes)
         ranked = codes[order]
         starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-        fresh = ~_in_sorted(np.sort(np.r_[excl, chosen]), ranked[starts])
+        fresh = ~(_found(ranked[starts], excl)
+                  | _found(ranked[starts], chosen))
         keep = np.zeros(len(codes), dtype=bool)
         keep[np.minimum.reduceat(order, starts)[fresh]] = True
         chosen = np.concatenate([chosen, codes[keep][:count - len(chosen)]])
     return np.column_stack([chosen // n, chosen % n])
+
+
+def _found(distinct, codes):
+    """Mask of the ascending `distinct` codes that occur in `codes`. The
+    smaller side is searched in the larger one: a draw's first round
+    searches the few excluded codes in its draws, a later round its few
+    draws in the sorted codes chosen before."""
+    if len(codes) > len(distinct):
+        return _in_sorted(np.sort(codes), distinct)
+    pos = np.minimum(np.searchsorted(distinct, codes), len(distinct) - 1)
+    hit = np.zeros(len(distinct), dtype=bool)
+    hit[pos[distinct[pos] == codes]] = True
+    return hit
 
 
 def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,

@@ -18,7 +18,7 @@ from gelato.splits import (PHASES, EdgeSplit, excluded_codes,
                            negative_pool_size, sample_negatives, train_graph)
 
 from conftest import (brute_force_counts, brute_force_metrics, enumerate_pool,
-                      random_graph)
+                      make_attribute_sbm, random_graph)
 
 
 class _TableScorer:
@@ -204,7 +204,8 @@ class TestRankSummarySupport:
             graph_seed)
         # take the support path whatever the number of distinct degrees
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scorers, "_support_pays", lambda classes, n: True)
+            mp.setattr(scorers.AutocovarianceScorer, "_support_pays",
+                       lambda self, classes: True)
             assert scorer.support() is not None
             rs = rank_summary(scorer, g, split, phase, block_size=block_size,
                               workers=workers)
@@ -257,7 +258,8 @@ class TestRankSummarySupport:
         rank_summary(CountingAc(g), g, split, "test", block_size=8)
         assert CountingAc.calls >= 40 // 8        # the pool was streamed
         CountingAc.calls = 0
-        unweighted = random_graph(rng, 40, 120)
+        # few distinct degrees, and a P^3 sparse enough for the view
+        unweighted = random_graph(rng, 300, 300)
         assert AutocovarianceScorer(unweighted).support() is not None
         u_split = split_edges(unweighted, (0.6, 0.2, 0.2), seed=0)
         rank_summary(CountingAc(unweighted), unweighted, u_split, "test")
@@ -272,6 +274,57 @@ class TestRankSummarySupport:
                 raise AssertionError("rows() called")
 
         biased_sample_metrics(NoRowsRa("RA", g), g, split, 5, seed=0)
+
+
+class TestAutocovarianceKernels:
+    """One estimate of the fill of P^t picks the rows kernel and whether
+    the support view is offered; every choice gives the same bits."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n,m", [(300, 300), (60, 600)])
+    def test_summaries_equal_across_kernels(self, n, m, weighted):
+        g = random_graph(np.random.default_rng(n), n, m, weighted=weighted)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+        looped = gelato.add_self_loops(train_graph(g, split), "all")
+        picked = AutocovarianceScorer(looped, 3)
+        # the two graphs lie on either side of the crossover
+        assert (picked._fill <= scorers._SPARSE_FILL) == (n == 300)
+        assert (picked.support() is not None) == (n == 300 and not weighted)
+        negatives = sample_negatives(g, split, "valid", 500, seed=1)
+        want = rank_summary(picked, g, split, "valid", block_size=64,
+                            workers=2)
+        want_sampled = sampled_rank_summary(picked, split.valid_pos,
+                                            negatives)
+        for fill in (0.0, 1.0):
+            forced = AutocovarianceScorer(looped, 3)
+            forced._fill = fill
+            _assert_same_summary(want, rank_summary(
+                _Streamed(forced), g, split, "valid", block_size=64))
+            _assert_same_summary(want_sampled, sampled_rank_summary(
+                _Streamed(forced), split.valid_pos, negatives))
+
+    def test_choice_follows_the_fill(self):
+        def picks(g):
+            scorer = AutocovarianceScorer(gelato.add_self_loops(g, "all"), 3)
+            return (scorer._fill <= scorers._SPARSE_FILL,
+                    scorer.support() is not None)
+
+        rng = np.random.default_rng(0)
+        # Cora-shaped with augmentation and distinct weights, like a
+        # trained train-sparse graph: P^3 about 9% full, streamed from
+        # rows built from sparse rows
+        assert picks(random_graph(rng, 2708, 7917, weighted=True)) == \
+            (True, False)
+        # P^3 nearly full with few distinct degrees (SBM-400, n = 1000 of
+        # average degree 60): the dense walk, streamed
+        assert picks(make_attribute_sbm(400, 0)[0]) == (False, False)
+        assert picks(random_graph(rng, 1000, 30000)) == (False, False)
+        # n = 20,000 of average degree 4, unweighted: P^3 under 1% full,
+        # the support view
+        sparse_pool = random_graph(rng, 20000, 40000)
+        assert picks(sparse_pool) == (True, True)
+        assert AutocovarianceScorer(gelato.add_self_loops(sparse_pool, "all"),
+                                    3)._fill < 0.01
 
 
 class TestMetricOracle:

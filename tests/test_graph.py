@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gelato
-from gelato import (AttributeMatrix, add_self_loops, build_graph,
-                    cosine_pairs, cosine_similarity)
+from gelato import (AttributeMatrix, AutocovarianceScorer, add_self_loops,
+                    build_graph, cosine_pairs, cosine_similarity)
 from gelato.errors import DataError
 
 from conftest import random_graph
@@ -180,6 +180,21 @@ class TestSelfLoops:
         g2 = add_self_loops(g, "isolated-only", 0.5)
         assert g2.adjacency().diagonal().tolist() == [0.0, 0.0, 0.5, 0.5]
         assert g2.num_arcs == 6 and g2.degrees.tolist() == [1, 1, .5, .5]
+
+    def test_zero_weight_loop_counts_as_none(self):
+        # node 0's only entry is a loop of weight 0: it takes the loop
+        # weight in place, and its Autocovariance rows are defined
+        g = build_graph([(0, 0, 0.0), (1, 2, 1.0)], 3)
+        for mode in ("all", "isolated-only"):
+            g2 = add_self_loops(g, mode, 0.5)
+            assert g2.neighbors(0).tolist() == [0]
+            assert g2.degrees[0] == 0.5
+            rows = AutocovarianceScorer(g2, 3).rows([0, 1])
+            assert np.isfinite(rows).all()
+        # beside a weighted edge the loop of weight 0 stays as it is
+        g = build_graph([(0, 0, 0.0), (0, 1, 1.0)], 2)
+        A = add_self_loops(g, "isolated-only").adjacency()
+        assert A.nnz == 3 and A[0, 0] == 0.0
 
     def test_positive_degree_postcondition(self):
         rng = np.random.default_rng(5)

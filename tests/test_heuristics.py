@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gelato import (AutocovarianceScorer, LocalHeuristicScorer,
                     add_self_loops, build_graph, local_heuristic)
-from gelato.heuristics import pair_scores
+from gelato.heuristics import _walk_hits, autocovariance_from_walk, \
+    pair_scores
 from gelato.errors import ConfigError, NumericError
 
 from conftest import dense_autocovariance, random_graph
@@ -142,6 +144,14 @@ class TestAutocovariance:
         np.testing.assert_array_equal(small, big)
 
 
+def _dense_walk_rows(scorer, sources):
+    """The scorer's rows from the dense walk, whichever kernel its rows()
+    would take."""
+    T = _walk_hits(scorer._P, sources, scorer.t)
+    return autocovariance_from_walk(scorer.graph, sources[:, None],
+                                    np.arange(scorer.graph.n), T)
+
+
 class TestSupportRows:
     """Sparse rows equal the dense rows bit for bit where they store an
     entry, and the background gives the dense rows everywhere else."""
@@ -162,7 +172,7 @@ class TestSupportRows:
         g = random_graph(np.random.default_rng(t), 40, 60, weighted=weighted)
         sources = np.array([3, 0, 39, 17, 17, 8])
         scorer = AutocovarianceScorer(g, t)
-        dense = scorer.rows(sources)
+        dense = _dense_walk_rows(scorer, sources)
         u = np.repeat(sources, g.n)
         v = np.tile(np.arange(g.n), len(sources))
         self._check(scorer.sparse_rows(sources), dense,
@@ -182,3 +192,50 @@ class TestSupportRows:
         u, v = np.triu_indices(g.n, 1)
         background = AutocovarianceScorer(g).background
         assert background(u, v).tobytes() == background(v, u).tobytes()
+
+
+def _forced(scorer, fill):
+    """The scorer with its fill estimate set: 0 takes rows built from
+    sparse rows, 1 the dense walk."""
+    scorer._fill = fill
+    return scorer
+
+
+class TestRowsKernels:
+    """rows() built from sparse rows and from the dense walk: the same
+    bits, whichever kernel the fill estimate picks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 7, 23, 60, 300]), density=st.floats(0, 0.3),
+           weighted=st.booleans(), zero_share=st.sampled_from([0.0, 0.3]),
+           loops=st.sampled_from(["all", "isolated-only"]),
+           t=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+    def test_kernels_give_the_same_bits(self, n, density, weighted,
+                                        zero_share, loops, t, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, int(density * n * (n - 1) / 2) + 1,
+                         weighted=weighted, ensure_positive_degree=False)
+        pairs, w = g.edge_pairs(return_weights=True)
+        w[rng.random(len(w)) < zero_share] = 0.0   # explicit zeros in P
+        g = add_self_loops(build_graph(np.column_stack([pairs, w]), n),
+                           loops)
+        # unsorted, with repeats; more than 256 where n allows it
+        sources = rng.integers(0, n, min(2 * n, 400))
+        sparse_built = _forced(AutocovarianceScorer(g, t), 0.0).rows(sources)
+        dense = _forced(AutocovarianceScorer(g, t), 1.0).rows(sources)
+        assert sparse_built.tobytes() == dense.tobytes()
+        assert dense.tobytes() == _dense_walk_rows(
+            AutocovarianceScorer(g, t), sources).tobytes()
+        assert (AutocovarianceScorer(g, t).rows(sources).tobytes()
+                == dense.tobytes())
+
+    def test_a_sum_scipy_drops_reads_the_background(self):
+        # the only walk 0 -> 1 -> 2 crosses an arc of weight 0, so the
+        # product's entry (0, 2) sums to exactly 0 and is not stored
+        g = add_self_loops(build_graph([(0, 1, 0.0), (1, 2, 1.0)], 3), "all")
+        scorer = AutocovarianceScorer(g, 2)
+        S = scorer.sparse_rows(np.array([0]))
+        assert 2 not in S.indices.tolist()
+        sources = np.array([0, 2, 0, 1])
+        assert (_forced(AutocovarianceScorer(g, 2), 0.0).rows(sources)
+                .tobytes() == _dense_walk_rows(scorer, sources).tobytes())
