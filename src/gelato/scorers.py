@@ -51,10 +51,10 @@ class SupportView:
 # The estimate of the fill of P^t reads this many evenly spaced rows.
 # Fitted on random graphs of n = 400 to 10,000 at t = 3 (one thread):
 # rows built from sparse rows beat the dense walk up to a fill of
-# 15-30%, and the support view beats the faster streaming up to 13-27%.
+# 15-30%, and the support view beats the faster streaming up to 13-27%;
+# one crossover serves both choices.
 _FILL_ROWS = 16
 _SPARSE_FILL = 0.25
-_SUPPORT_FILL = 0.15
 
 
 class AutocovarianceScorer:
@@ -80,12 +80,23 @@ class AutocovarianceScorer:
         estimate costs time only."""
         n = self.graph.n
         sources = np.linspace(0, n - 1, min(n, _FILL_ROWS)).astype(np.int64)
-        T = (self._P if self.t else sparse.identity(n, format="csr"))[sources]
-        for _ in range(self.t - 1):
+        for T in self._steps(sources):
             if T.nnz > _SPARSE_FILL * len(sources) * n:
                 break
-            T = T @ self._P
         return T.nnz / max(1, len(sources) * n)
+
+    def _steps(self, sources):
+        """The sources' rows of P, P^2, ..., P^t as CSR, one product per
+        step (identity rows alone at t = 0). Indices are sorted before
+        each product, so that every entry sums the same terms in the same
+        order as the dense walk."""
+        P = self._P
+        T = (P if self.t else sparse.eye(*P.shape, format="csr"))[sources]
+        yield T
+        for _ in range(self.t - 1):
+            T.sort_indices()
+            T = T @ P
+            yield T
 
     def rows(self, sources) -> np.ndarray:
         """Dense rows R[u, :] for each source u: (len(sources), n). Where
@@ -107,17 +118,13 @@ class AutocovarianceScorer:
 
     def sparse_rows(self, sources) -> sparse.csr_matrix:
         """The entries of rows() on the support of P^t's rows, as sparse
-        (len(sources), n); off them a row holds background(). Indices are
-        sorted before each product, so that every entry sums the same
-        terms in the same order as the dense walk."""
-        g, P = self.graph, self._P
+        (len(sources), n); off them a row holds background()."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        T = (P if self.t else sparse.identity(g.n, format="csr"))[sources]
-        for _ in range(self.t - 1):
-            T.sort_indices()
-            T = T @ P
+        for T in self._steps(sources):
+            pass
         u = np.repeat(sources, np.diff(T.indptr))
-        T.data = heuristics.autocovariance_from_walk(g, u, T.indices, T.data)
+        T.data = heuristics.autocovariance_from_walk(self.graph, u, T.indices,
+                                                     T.data)
         return T
 
     def background(self, u, v) -> np.ndarray:
@@ -138,11 +145,11 @@ class AutocovarianceScorer:
 
     def _support_pays(self, classes: int) -> bool:
         """Whether a view with `classes` background classes beats
-        streaming: P^t fills at most _SUPPORT_FILL (see _fill), and the
+        streaming: P^t fills at most _SPARSE_FILL (see _fill), and the
         D(D+1)/2 pairs of the D classes, over which the evaluator counts
         the background, stay under n^2 / 8 (2D < n - 1). A graph of
         learned weights has nearly n distinct degrees and streams."""
-        return 2 * classes < self.graph.n - 1 and self._fill <= _SUPPORT_FILL
+        return 2 * classes < self.graph.n - 1 and self._fill <= _SPARSE_FILL
 
 
 class LocalHeuristicScorer:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import (Graph, _in_sorted, _pair_graph, check_node_count,
-                    pair_codes)
+from .graph import Graph, _pair_graph, check_node_count, pair_codes
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
@@ -188,15 +187,12 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
 
 
 def _found(distinct, codes):
-    """Mask of the ascending `distinct` codes that occur in `codes`. The
-    smaller side is searched in the larger one: a draw's first round
-    searches the few excluded codes in its draws, a later round its few
-    draws in the sorted codes chosen before."""
-    if len(codes) > len(distinct):
-        return _in_sorted(np.sort(codes), distinct)
-    pos = np.minimum(np.searchsorted(distinct, codes), len(distinct) - 1)
+    """Mask of the ascending `distinct` codes that occur in `codes`,
+    found by searching each of `codes` in `distinct`, which needs no
+    sort of `codes`."""
+    pos = np.searchsorted(distinct, codes)
     hit = np.zeros(len(distinct), dtype=bool)
-    hit[pos[distinct[pos] == codes]] = True
+    hit[pos[np.r_[distinct, -1][pos] == codes]] = True
     return hit
 
 
