@@ -81,14 +81,16 @@ def _load_split(cfg, g):
     return split
 
 
-def _check_writable(path) -> None:
-    """Refuse an output that could not be written, without opening it, so
-    that a run that fails later truncates no existing file there."""
-    folder = os.path.dirname(os.path.abspath(path))
-    target = path if os.path.exists(path) else folder
-    if (os.path.isdir(path) or not os.path.isdir(folder)
-            or not os.access(target, os.W_OK)):
-        raise ConfigError(f"cannot write {path}")
+def _check_writable(*paths) -> None:
+    """Refuse each given output that could not be written, without opening
+    it. Every subcommand calls this before it reads any input, so that no
+    run fails after its work or its first outputs, or truncates them."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        target = path if os.path.exists(path) else folder
+        if (os.path.isdir(path) or not os.path.isdir(folder)
+                or not os.access(target, os.W_OK)):
+            raise ConfigError(f"cannot write {path}")
 
 
 def _build_scorer(cfg, g, X, split, checkpoint):
@@ -126,6 +128,7 @@ def _build_scorer(cfg, g, X, split, checkpoint):
 
 def cmd_split(args) -> int:
     cfg = _resolve_config(args)
+    _check_writable(args.out)
     g, _ = _load_inputs(cfg, need_attrs=False)
     split = split_edges(g, cfg.ratios, cfg.split_seed)
     write_split(args.out, split)
@@ -144,8 +147,7 @@ def cmd_train(args) -> int:
         print(f"mode {cfg.mode} has no trainable parameters; nothing to do "
               "(run eval directly)")
         return 0
-    for path in filter(None, (args.out_checkpoint, args.out_history)):
-        _check_writable(path)
+    _check_writable(args.out_checkpoint, args.out_history)
     g, X = _load_inputs(cfg, need_attrs=True)
     split = _load_split(cfg, g)
     params, history = train(g, X, split, cfg.enhancer(), cfg.trainer())
@@ -192,6 +194,7 @@ def _report(cfg, g, X, split, checkpoint):
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    _check_writable(args.report, args.pr_csv)
     g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
     _check_reportable(cfg, split)
@@ -218,6 +221,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_export_scores(args) -> int:
     cfg = _resolve_config(args)
+    _check_writable(args.out_scores, args.out_weights)
     g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
     nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)

@@ -6,14 +6,13 @@ positive: how many pool negatives score strictly above it and how many
 tie it. All four metrics derive from these counts, so the O(n^2) pool is
 never materialized. Two exact paths count it, with the same result:
 
-* Support: when the scorer offers a support view (see gelato.scorers),
-  which CN/AA/RA always do and Autocovariance does while its graph has
-  few distinct degrees and its estimated P^t is sparse. Two kinds of
-  job: the background is counted once
-  over all unordered pairs, as pairs of node classes weighted by their
-  multiplicities; each block of source nodes counts the pool pairs
-  among its sparse entries, less the background of those entries and
-  of its excluded pairs. The work follows the support and the number of
+* Support: when the scorer's classes() returns node classes (see
+  gelato.scorers for sparse_rows, background and classes, and for when
+  a scorer offers them). Two kinds of job: the background is counted
+  once over all unordered pairs, as pairs of node classes weighted by
+  their multiplicities; each block of source nodes counts the pool pairs
+  among its sparse rows, less the background of those entries and of
+  its excluded pairs. The work follows the support and the number of
   classes, not n^2, and every count stays an integer.
 * Streaming: for every other scorer (cosine, MLP, Autocovariance on
   learned weights or a nearly full P^t). Each block of source nodes
@@ -22,8 +21,8 @@ never materialized. Two exact paths count it, with the same result:
   dense walk or, where P^t is sparse, from its sparse rows; both give
   the same bits.
 
-Explicit pairs (positives, sampled negatives) are scored as the pool is:
-from the support view where the scorer offers one, else its dense rows.
+Explicit pairs (positives, sampled negatives) are scored as the pool is,
+from the sparse rows and background or else from the dense rows.
 
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
@@ -90,12 +89,13 @@ def counts_against(sorted_neg_scores: np.ndarray,
 _DENSE_ROWS = 256
 
 
-def _score_pairs(scorer, pairs: np.ndarray, view=None) -> np.ndarray:
-    """Scores of explicit pairs, grouped by source: from the support
-    `view` where there is one, in blocks of 1024 sources, else from the
-    scorer's dense rows, _DENSE_ROWS sources at a time."""
-    out = (pair_scores(scorer.rows, pairs, _DENSE_ROWS) if view is None
-           else pair_scores(view.rows, pairs, 1024, view.background))
+def _score_pairs(scorer, pairs: np.ndarray, classes=None) -> np.ndarray:
+    """Scores of explicit pairs, grouped by source: from the sparse rows
+    and background where there are `classes`, in blocks of 1024 sources,
+    else from the scorer's dense rows, _DENSE_ROWS sources at a time."""
+    out = (pair_scores(scorer.rows, pairs, _DENSE_ROWS) if classes is None
+           else pair_scores(scorer.sparse_rows, pairs, 1024,
+                            scorer.background))
     if not np.isfinite(out).all():
         raise NumericError("scorer returned non-finite pair scores")
     return out
@@ -112,9 +112,10 @@ def _counts(vals, pos_scores):
 
 def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
     """Rank positives against an explicit (sampled) negative set."""
-    view = scorer.support() if hasattr(scorer, "support") else None
-    pos_scores = _score_pairs(scorer, positives, view)
-    above, tied = _counts(_score_pairs(scorer, negatives, view), pos_scores)
+    classes = scorer.classes() if hasattr(scorer, "classes") else None
+    pos_scores = _score_pairs(scorer, positives, classes)
+    above, tied = _counts(_score_pairs(scorer, negatives, classes),
+                          pos_scores)
     return RankSummary(pos_scores, above, tied, len(negatives))
 
 
@@ -122,32 +123,34 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
                  block_size: int = 1024, workers: int = 1) -> RankSummary:
     """Count (above, tied) per positive over the phase's negative pool.
 
-    Pool pairs are split into blocks of `block_size` source nodes. With a
-    support view (see gelato.scorers) each block counts its sparse
-    entries and other jobs count the background over class pairs;
+    Pool pairs are split into blocks of `block_size` source nodes. With
+    classes (see gelato.scorers) each block counts its sparse rows and
+    other jobs count the background over class pairs;
     otherwise each block streams the scorer's dense rows(sources) ->
     (len(sources), n) float64, _DENSE_ROWS sources at a time. Block
     results are combined by integer addition, so counts are
     deterministic under any worker schedule.
     """
+    if block_size < 1:
+        raise ConfigError("block_size must be >= 1")
     positives = split.positives(phase)
     n = split.n
     excl = excluded_codes(split, phase)
     pool = negative_pool_size(g, split, phase)
-    view = scorer.support() if hasattr(scorer, "support") else None
-    pos_scores = _score_pairs(scorer, positives, view)
-    block = (partial(_stream_block, scorer) if view is None
-             else partial(_support_block, view))
+    classes = scorer.classes() if hasattr(scorer, "classes") else None
+    pos_scores = _score_pairs(scorer, positives, classes)
+    block = partial(_stream_block if classes is None else _support_block,
+                    scorer)
     # the blocks count against the positives in ascending order: sorted
     # keys make each block's searches several times faster
     order = np.argsort(pos_scores)
     ranked = pos_scores[order]
     jobs = [partial(block, ranked, excl, n, start, block_size)
             for start in range(0, n, block_size)]
-    if view is not None:
-        jobs += [partial(_background_classes, view, ranked, start,
-                         block_size)
-                 for start in range(0, len(view.class_nodes), block_size)]
+    if classes is not None:
+        jobs += [partial(_background_classes, scorer, classes, ranked,
+                         start, block_size)
+                 for start in range(0, len(classes[0]), block_size)]
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
@@ -192,12 +195,12 @@ def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     return above, tied, counted
 
 
-def _support_block(view, pos_scores, excl, n, start, block_size):
+def _support_block(scorer, pos_scores, excl, n, start, block_size):
     """Counts over the pool pairs stored in one block's sparse rows, less
     their background and that of the block's excluded pairs, both of
     which _background_classes counts."""
     rows = np.arange(start, min(start + block_size, n))
-    M = view.rows(rows)
+    M = scorer.sparse_rows(rows)
     u = np.repeat(rows, np.diff(M.indptr))
     v = M.indices.astype(np.int64)
     keep = v > u
@@ -205,20 +208,20 @@ def _support_block(view, pos_scores, excl, n, start, block_size):
     keep[keep] = ~_in_sorted(ex, u[keep] * n + v[keep])
     above, tied = _counts(M.data[keep], pos_scores)
     bg_above, bg_tied = _counts(np.concatenate([
-        view.background(u[keep], v[keep]),
-        view.background(ex // n, ex % n)]), pos_scores)
+        scorer.background(u[keep], v[keep]),
+        scorer.background(ex // n, ex % n)]), pos_scores)
     return above - bg_above, tied - bg_tied, -len(ex)
 
 
-def _background_classes(view, pos_scores, start, block_size):
+def _background_classes(scorer, classes, pos_scores, start, block_size):
     """Counts of the background over every unordered pair of distinct
     nodes, as pairs of node classes from `start` on (class a against
     classes b >= a) weighted by how many node pairs each stands for."""
-    sizes = view.class_sizes.astype(np.int64)
+    nodes, sizes = classes[0], classes[1].astype(np.int64)
     first = np.arange(start, min(start + block_size, len(sizes)))
     a, b = np.nonzero(first[:, None] <= np.arange(len(sizes)))
     a = first[a]
-    vals = view.background(view.class_nodes[a], view.class_nodes[b])
+    vals = scorer.background(nodes[a], nodes[b])
     if not np.isfinite(vals).all():
         raise NumericError("scorer returned non-finite pool scores")
     weights = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2,

@@ -3,31 +3,35 @@
 A scorer exposes rows(sources) -> dense (len(sources), n) float64 block:
 Autocovariance and CN/AA/RA, from the primitives in gelato.heuristics,
 attribute cosine, or the trained MLP.
-The evaluator scores explicit pairs from the same rows or support view
-as the pool (heuristics.pair_scores): pair and pool scores agree bitwise.
+The evaluator scores explicit pairs from the same rows as the pool
+(heuristics.pair_scores): pair and pool scores agree bitwise.
 
-A scorer whose rows are sparse over a closed-form background may also
-offer support() -> SupportView, or None where streaming the dense rows
-is cheaper. The view holds the same scores in two parts: sparse rows
-whose stored entries equal rows() there, and a symmetric background
-function that gives rows() everywhere else and depends on a pair only
-through the classes of its two nodes. The evaluator then counts the
-pool exactly without visiting every pair (see gelato.evaluator).
-Autocovariance (background -d_u d_v / vol^2, one class per distinct
-degree) and CN/AA/RA (background 0, one class) offer it; cosine and MLP
-scores are dense and do not.
+A scorer whose rows are sparse over a closed-form background also has
+three methods that hold the same scores in two parts:
+* sparse_rows(sources) -> CSR (len(sources), n), equal to rows() at
+  its stored entries;
+* background(u, v) for node arrays, symmetric, equal to rows() at every
+  other pair;
+* classes() -> (class_nodes, class_sizes), one node and the size of
+  each class of a partition through which alone background(u, v)
+  depends on the pair; or None where streaming the dense rows is
+  cheaper.
+The scorer decides which path pays, through classes(); the evaluator
+follows it: it counts the pool from the sparse rows and the background
+by class pairs, and scores explicit pairs from the same two parts (see
+gelato.evaluator). Autocovariance (background -d_u d_v / vol^2, one
+class per distinct degree) and CN/AA/RA (background 0, one class) have
+them; cosine and MLP scores are dense and do not.
 
 Autocovariance has two rows kernels with the same bits: the dense walk,
 and the background block with its sparse rows written over it. One
 estimate per scorer, the fill of P^t over a few sampled rows, picks the
-kernel and whether the support view is offered.
+kernel and whether classes() is offered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -38,20 +42,10 @@ from .errors import ConfigError
 from .graph import AttributeMatrix, Graph
 
 
-@dataclass(frozen=True)
-class SupportView:
-    """A scorer's rows as sparse rows plus a background by node class."""
-
-    rows: Callable          # sources -> CSR (len(sources), n)
-    background: Callable    # (u, v) node arrays -> scores off the rows
-    class_nodes: np.ndarray  # one node of each class
-    class_sizes: np.ndarray  # nodes in each class
-
-
 # The estimate of the fill of P^t reads this many evenly spaced rows.
 # Fitted on random graphs of n = 400 to 10,000 at t = 3 (one thread):
 # rows built from sparse rows beat the dense walk up to a fill of
-# 15-30%, and the support view beats the faster streaming up to 13-27%;
+# 15-30%, and the support path beats the faster streaming up to 13-27%;
 # one crossover serves both choices.
 _FILL_ROWS = 16
 _SPARSE_FILL = 0.25
@@ -75,9 +69,9 @@ class AutocovarianceScorer:
     def _fill(self) -> float:
         """Estimated fill of P^t: that of its rows for _FILL_ROWS evenly
         spaced sources, multiplied out step by step and stopped at the
-        first step past _SPARSE_FILL. It picks the rows kernel and the
-        support view; every choice gives the same bits, so a wrong
-        estimate costs time only."""
+        first step past _SPARSE_FILL. It picks the rows kernel and whether
+        classes() is offered; every choice gives the same bits, so a
+        wrong estimate costs time only."""
         n = self.graph.n
         sources = np.linspace(0, n - 1, min(n, _FILL_ROWS)).astype(np.int64)
         for T in self._steps(sources):
@@ -132,24 +126,18 @@ class AutocovarianceScorer:
         gives exactly -d_u * d_v / vol^2, symmetric in u, v."""
         return heuristics.autocovariance_from_walk(self.graph, u, v, 0.0)
 
-    def support(self) -> SupportView | None:
-        """The sparse view, with one background class per distinct
-        degree, or None where streaming is cheaper (see _support_pays)."""
-        g = self.graph
-        _, nodes, sizes = np.unique(g.degrees, return_index=True,
+    def classes(self):
+        """(class_nodes, class_sizes), one background class per distinct
+        degree, or None where streaming is cheaper: where P^t fills more
+        than _SPARSE_FILL (see _fill), or where the D(D+1)/2 pairs of the
+        D classes, over which the evaluator counts the background, reach
+        n^2 / 8 (2D >= n - 1). A graph of learned weights has nearly n
+        distinct degrees and streams."""
+        _, nodes, sizes = np.unique(self.graph.degrees, return_index=True,
                                     return_counts=True)
-        if not self._support_pays(len(nodes)):
+        if 2 * len(nodes) >= self.graph.n - 1 or self._fill > _SPARSE_FILL:
             return None
-        return SupportView(rows=self.sparse_rows, background=self.background,
-                           class_nodes=nodes, class_sizes=sizes)
-
-    def _support_pays(self, classes: int) -> bool:
-        """Whether a view with `classes` background classes beats
-        streaming: P^t fills at most _SPARSE_FILL (see _fill), and the
-        D(D+1)/2 pairs of the D classes, over which the evaluator counts
-        the background, stay under n^2 / 8 (2D < n - 1). A graph of
-        learned weights has nearly n distinct degrees and streams."""
-        return 2 * classes < self.graph.n - 1 and self._fill <= _SPARSE_FILL
+        return nodes, sizes
 
 
 class LocalHeuristicScorer:
@@ -177,12 +165,13 @@ class LocalHeuristicScorer:
     def rows(self, sources) -> np.ndarray:
         return self.sparse_rows(sources).toarray()
 
-    def support(self) -> SupportView:
-        """The sparse view: pairs without a common neighbour score 0."""
-        return SupportView(rows=self.sparse_rows,
-                           background=lambda u, v: np.zeros(len(u)),
-                           class_nodes=np.zeros(1, dtype=np.int64),
-                           class_sizes=np.array([self.graph.n]))
+    def background(self, u, v) -> np.ndarray:
+        """Pairs without a common neighbour score 0."""
+        return np.zeros(len(u))
+
+    def classes(self):
+        """One background class holding every node."""
+        return np.zeros(1, dtype=np.int64), np.array([self.graph.n])
 
 
 class CosineScorer:

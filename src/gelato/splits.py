@@ -158,6 +158,8 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
     """
     _check_phase(phase)
     pool = negative_pool_size(g, split, phase)
+    if count < 0:
+        raise ConfigError(f"requested {count} negatives; need at least 0")
     if count > pool:
         raise ConfigError(f"requested {count} negatives but the {phase} "
                           f"pool only has {pool}")

@@ -354,6 +354,29 @@ def test_unwritable_output_is_config_error(dataset, tmp_path, capsys, args):
     assert f"cannot write {bad}" in capsys.readouterr().err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("an input was read or a pool scored")
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--mode", "ac-only", "--report", "{ok}", "--pr-csv", "{bad}"],
+    ["baseline", "--kind", "ra", "--report", "{ok}", "--pr-csv", "{bad}"],
+    ["export-scores", "--mode", "ac-only", "--nodes", "0", "1",
+     "--out-scores", "{ok}", "--out-weights", "{bad}"],
+    ["split", "--out", "{bad}"],
+])
+def test_outputs_are_checked_before_any_input(dataset, tmp_path, capsys,
+                                              monkeypatch, args):
+    monkeypatch.setattr(cli, "load_graph", _no_work)
+    monkeypatch.setattr(cli, "rank_summary", _no_work)
+    ok, bad = tmp_path / "ok", str(tmp_path / "missing-dir" / "out")
+    argv = [a.format(ok=ok, bad=bad) for a in args]
+    assert main(argv + ["--edges", dataset["edges"],
+                        "--split", dataset["split"]]) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+    assert not ok.exists()
+
+
 # the override flags of the hand-written parser the derived one replaced
 SEED_FLAGS = {
     "--edges", "--attributes", "--split", "--split-seed", "--eta", "--alpha",

@@ -12,8 +12,7 @@ from gelato import (RankSummary, auc, average_precision, biased_sample_metrics,
 from gelato import scorers
 from gelato.errors import ConfigError, NumericError
 from gelato.evaluator import counts_against, pr_curve, sampled_rank_summary
-from gelato.scorers import (AutocovarianceScorer, LocalHeuristicScorer,
-                            SupportView)
+from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
 from gelato.splits import (PHASES, EdgeSplit, excluded_codes,
                            negative_pool_size, sample_negatives, train_graph)
 
@@ -32,25 +31,24 @@ class _TableScorer:
 
 
 class _SparseTableScorer(_TableScorer):
-    """Score matrix that is a constant `background` off a `stored` mask,
-    with the matching support view (tests only)."""
+    """Score matrix that is a constant `fill` off a `stored` mask, with
+    the matching sparse rows, background and one class (tests only)."""
 
-    def __init__(self, table, stored, background):
-        super().__init__(np.where(stored, table, background))
+    def __init__(self, table, stored, fill):
+        super().__init__(np.where(stored, table, fill))
         self.stored = stored
-        self.background = background
+        self.fill = fill
 
-    def support(self):
-        n = len(self.table)
+    def sparse_rows(self, sources):
+        r, c = np.nonzero(self.stored[sources])
+        return sparse.csr_matrix((self.table[sources][r, c], (r, c)),
+                                 shape=(len(sources), len(self.table)))
 
-        def rows(sources):
-            r, c = np.nonzero(self.stored[sources])
-            return sparse.csr_matrix((self.table[sources][r, c], (r, c)),
-                                     shape=(len(sources), n))
+    def background(self, u, v):
+        return np.full(len(u), self.fill)
 
-        return SupportView(
-            rows=rows, background=lambda u, v: np.full(len(u), self.background),
-            class_nodes=np.zeros(1, dtype=np.int64), class_sizes=np.array([n]))
+    def classes(self):
+        return np.zeros(1, dtype=np.int64), np.array([len(self.table)])
 
 
 class _Streamed:
@@ -146,6 +144,18 @@ class TestRankSummaryStreaming:
         with pytest.raises(NumericError):
             rank_summary(scorer, g, split, "test")
 
+    @pytest.mark.parametrize("block_size", [0, -3])
+    def test_block_size_below_one_is_refused(self, block_size):
+        g, split, scorer = self._random_instance(5)
+
+        class NoRows(_TableScorer):
+            def rows(self, sources):
+                raise AssertionError("rows() called")
+
+        with pytest.raises(ConfigError, match="block_size"):
+            rank_summary(NoRows(scorer.table), g, split, "test",
+                         block_size=block_size)
+
 
 class TestRankSummarySupport:
     """The support path: sparse rows plus a background counted by class."""
@@ -204,9 +214,11 @@ class TestRankSummarySupport:
             graph_seed)
         # take the support path whatever the number of distinct degrees
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scorers.AutocovarianceScorer, "_support_pays",
-                       lambda self, classes: True)
-            assert scorer.support() is not None
+            mp.setattr(scorers.AutocovarianceScorer, "classes",
+                       lambda self: np.unique(self.graph.degrees,
+                                              return_index=True,
+                                              return_counts=True)[1:])
+            assert scorer.classes() is not None
             rs = rank_summary(scorer, g, split, phase, block_size=block_size,
                               workers=workers)
             sampled = sampled_rank_summary(scorer, positives, negatives)
@@ -230,7 +242,7 @@ class TestRankSummarySupport:
         g = build_graph(np.vstack([split.train_pos, split.valid_pos,
                                    split.test_pos]), 6)
         scorer = LocalHeuristicScorer(kind, train_graph(g, split))
-        assert scorer.support() is not None
+        assert scorer.classes() is not None
         rs = rank_summary(scorer, g, split, "test", block_size=2)
         assert rs.pos_scores[0] == 0.0
         assert rs.neg_above.tolist() == [1, 0]
@@ -254,20 +266,20 @@ class TestRankSummarySupport:
         g = random_graph(rng, 40, 120, weighted=True)
         split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
         assert len(np.unique(g.degrees)) * g.n >= g.n * (g.n - 1) // 2
-        assert AutocovarianceScorer(g).support() is None
+        assert AutocovarianceScorer(g).classes() is None
         rank_summary(CountingAc(g), g, split, "test", block_size=8)
         assert CountingAc.calls >= 40 // 8        # the pool was streamed
         CountingAc.calls = 0
         # few distinct degrees, and a P^3 sparse enough for the view
         unweighted = random_graph(rng, 300, 300)
-        assert AutocovarianceScorer(unweighted).support() is not None
+        assert AutocovarianceScorer(unweighted).classes() is not None
         u_split = split_edges(unweighted, (0.6, 0.2, 0.2), seed=0)
         rank_summary(CountingAc(unweighted), unweighted, u_split, "test")
         # sampled negatives are scored from the view too
         biased_sample_metrics(CountingAc(unweighted), unweighted, u_split,
                               5, seed=0)
         assert CountingAc.calls == 0
-        assert LocalHeuristicScorer("RA", g).support() is not None
+        assert LocalHeuristicScorer("RA", g).classes() is not None
 
         class NoRowsRa(LocalHeuristicScorer):
             def rows(self, sources):
@@ -289,7 +301,7 @@ class TestAutocovarianceKernels:
         picked = AutocovarianceScorer(looped, 3)
         # the two graphs lie on either side of the crossover
         assert (picked._fill <= scorers._SPARSE_FILL) == (n == 300)
-        assert (picked.support() is not None) == (n == 300 and not weighted)
+        assert (picked.classes() is not None) == (n == 300 and not weighted)
         negatives = sample_negatives(g, split, "valid", 500, seed=1)
         want = rank_summary(picked, g, split, "valid", block_size=64,
                             workers=2)
@@ -307,7 +319,7 @@ class TestAutocovarianceKernels:
         def picks(g):
             scorer = AutocovarianceScorer(gelato.add_self_loops(g, "all"), 3)
             return (scorer._fill <= scorers._SPARSE_FILL,
-                    scorer.support() is not None)
+                    scorer.classes() is not None)
 
         rng = np.random.default_rng(0)
         # Cora-shaped with augmentation and distinct weights, like a

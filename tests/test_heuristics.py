@@ -194,6 +194,46 @@ class TestSupportRows:
         assert background(u, v).tobytes() == background(v, u).tobytes()
 
 
+def _check_background_by_class(scorer, class_nodes, of_node):
+    """background(u, v) equals that of the classes' own nodes bit for bit
+    at every unordered pair, as the evaluator's count by classes needs;
+    `of_node` maps each node to its class."""
+    u, v = np.triu_indices(scorer.graph.n, 1)
+    assert (scorer.background(u, v).tobytes() == scorer.background(
+        class_nodes[of_node[u]], class_nodes[of_node[v]]).tobytes())
+
+
+class TestBackgroundByClass:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), density=st.floats(0, 0.5),
+           weighted=st.booleans(),
+           loops=st.sampled_from(["all", "isolated-only"]),
+           t=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+    def test_autocovariance(self, n, density, weighted, loops, t, seed):
+        g = random_graph(np.random.default_rng(seed), n,
+                         int(density * n * (n - 1) / 2) + 1,
+                         weighted=weighted, ensure_positive_degree=False)
+        scorer = AutocovarianceScorer(add_self_loops(g, loops), t)
+        # one class per distinct degree, also where classes() is None
+        _, nodes, of_node = np.unique(scorer.graph.degrees,
+                                      return_index=True, return_inverse=True)
+        offered = scorer.classes()
+        if offered is not None:
+            assert offered[0].tolist() == nodes.tolist()
+        _check_background_by_class(scorer, nodes, of_node)
+
+    @pytest.mark.parametrize("kind", ["CN", "AA", "RA"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_local_heuristics(self, kind, seed):
+        g = random_graph(np.random.default_rng(seed), 25, 40,
+                         weighted=bool(seed % 2))
+        scorer = LocalHeuristicScorer(kind, g)
+        nodes, sizes = scorer.classes()
+        assert sizes.tolist() == [g.n]
+        _check_background_by_class(scorer, nodes,
+                                   np.zeros(g.n, dtype=np.int64))
+
+
 def _forced(scorer, fill):
     """The scorer with its fill estimate set: 0 takes rows built from
     sparse rows, 1 the dense walk."""

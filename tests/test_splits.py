@@ -207,6 +207,12 @@ class TestSampleNegatives:
         with pytest.raises(ConfigError):
             sample_negatives(g, split, "test", 10 ** 6, seed=0)
 
+    def test_negative_count_is_refused(self):
+        g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
+        split = split_edges(g, (0.2, 0.4, 0.4), seed=0)
+        with pytest.raises(ConfigError, match="-1 negatives"):
+            sample_negatives(g, split, "test", -1, seed=0)
+
     def test_never_hits_excluded_positives(self):
         rng = np.random.default_rng(8)
         for trial in range(10):
