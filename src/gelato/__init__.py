@@ -13,21 +13,18 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, GelatoError, NumericError
 from .graph import (AttributeMatrix, Graph, add_self_loops, build_graph,
-                    cosine_pairs, cosine_similarity)
+                    cosine_pairs)
 from .io import (load_graph, read_attributes, read_edge_list,
                  write_attributes_binary, write_attributes_csv,
                  write_edge_list)
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, read_split, sample_negatives,
                      split_edges, write_split)
-from .heuristics import local_heuristic
 from .enhancer import (EnhancedGraph, EnhancerConfig, MlpParams,
                        build_enhanced_graph, init_mlp_params, load_params,
-                       mlp_edge_weight, save_params,
-                       select_augmentation_pairs)
+                       save_params, select_augmentation_pairs)
 from .trainer import (AdamState, EpochRecord, TrainConfig, adam_update,
-                      bce_loss, compute_gradients, forward_loss, npair_loss,
-                      standardize_scores, train)
+                      compute_gradients, forward_loss, train)
 from .evaluator import (MetricsReport, RankSummary, auc, average_precision,
                         biased_sample_metrics, compute_report, hits_at_k,
                         pr_curve, precision_at_k, rank_summary,

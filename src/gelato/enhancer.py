@@ -287,13 +287,6 @@ def mlp_backward(params: MlpParams, cache: dict | None, g_w) -> dict:
             "b2": float(gpre.sum())}
 
 
-def mlp_edge_weight(params: MlpParams, X: AttributeMatrix, pair) -> float:
-    """Trained weight of one pair (evaluation mode, no dropout); symmetric
-    in (u, v) by construction."""
-    Z = pair_features(X, np.asarray([[pair[0], pair[1]]]))
-    return float(mlp_forward(params, Z)[0])
-
-
 # -- enhanced graph ---------------------------------------------------------
 
 class AugmentedPairs:
@@ -341,14 +334,12 @@ class EnhancedGraph:
     """Learned adjacency over the augmented edge set, self-loops applied.
 
     `pairs` lists the canonical augmented edge set (original edges first,
-    then added pairs); `pair_weights` holds the combined weights before
-    any zero-drop; the remaining fields record enough of the forward pass
-    for reverse-mode replay.
+    then added pairs); the remaining fields record enough of the forward
+    pass for reverse-mode replay.
     """
 
     graph: Graph
     pairs: np.ndarray
-    pair_weights: np.ndarray
     active: np.ndarray            # combined weight > 0 (kept in structure)
     arc_positions: np.ndarray     # (n_active, 2) data indices of both arcs
     alpha: float
@@ -387,7 +378,7 @@ def assemble_enhanced(aug: AugmentedPairs, ids: np.ndarray,
         aug.n, act[:, 0], act[:, 1], weights[active],
         (cfg.self_loop_mode, cfg.self_loop_weight))  # after the zero-drop
     return EnhancedGraph(
-        graph=graph, pairs=pairs, pair_weights=weights, active=active,
+        graph=graph, pairs=pairs, active=active,
         arc_positions=arc_positions, alpha=cfg.alpha, beta=cfg.beta,
         mlp_cache=mlp_cache or None)
 

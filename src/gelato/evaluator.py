@@ -67,11 +67,6 @@ class RankSummary:
     def num_positives(self) -> int:
         return len(self.pos_scores)
 
-    @classmethod
-    def from_counts(cls, pos_scores, neg_above, neg_tied, total_negatives):
-        """Build directly from counts (synthetic/analytic constructions)."""
-        return cls(pos_scores, neg_above, neg_tied, int(total_negatives))
-
 
 def counts_against(sorted_neg_scores: np.ndarray,
                    pos_scores: np.ndarray):

@@ -54,13 +54,8 @@ class AttributeMatrix:
         return self._unit
 
 
-def cosine_similarity(X: AttributeMatrix, pair) -> float:
-    """Cosine of the attribute rows of a node pair; 0 if either row is zero."""
-    return float(cosine_pairs(X, [pair])[0])
-
-
 def cosine_pairs(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
-    """Cosines of the attribute rows of each pair of a (k, 2) array."""
+    """Cosine of the attribute rows of each (k, 2) pair; 0 at a zero row."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     unit = X.unit_rows()
     return np.einsum("ij,ij->i", unit[pairs[:, 0]], unit[pairs[:, 1]])
@@ -125,9 +120,6 @@ class Graph:
         return self._csr
 
     # -- lookups -----------------------------------------------------------
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def edge_pairs(self, return_weights=False):
         """Canonical (u < v) non-loop edge pairs as an (m, 2) array."""

@@ -19,8 +19,7 @@ rows whose products sum the same terms in the same order, which
 `gelato.scorers` picks between from an estimate of the fill of P^t.
 Training batches on sparse structure look their pairs up in the sparse
 matrix P^t (see `gelato.trainer`). All arithmetic is float64. The rows
-themselves belong to `gelato.scorers`; `local_heuristic` is the one-pair
-reference that tests compare against.
+themselves belong to `gelato.scorers`.
 """
 
 from __future__ import annotations
@@ -126,16 +125,3 @@ def _neighbor_weights(kind: str, deg: np.ndarray) -> np.ndarray:
         raise ConfigError(f"unknown heuristic kind {kind!r}")
     return w
 
-
-def local_heuristic(kind: str, g: Graph, pair) -> float:
-    """CN/AA/RA score of one node pair."""
-    u, v = int(pair[0]), int(pair[1])
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    common = np.intersect1d(nu[nu != u], nv[nv != v], assume_unique=True)
-    if len(common) == 0:
-        return 0.0
-    _, deg = _unweighted(g)
-    if kind == "CN":
-        return float(len(common))
-    return float(_neighbor_weights(kind, deg)[common].sum())

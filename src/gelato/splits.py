@@ -225,6 +225,9 @@ def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,
 
 # -- split file format ----------------------------------------------------
 
+_SECTIONS = ("TRAIN", "VALID", "TEST")  # each once in a split file
+
+
 def write_split(path, split: EdgeSplit) -> None:
     """Write the split as text: header (n, seed, ratios), then sections."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -232,7 +235,7 @@ def write_split(path, split: EdgeSplit) -> None:
         fh.write(f"n {split.n}\n")
         fh.write(f"seed {split.seed}\n")
         fh.write("ratios {!r} {!r} {!r}\n".format(*split.ratios))
-        for name in ("TRAIN", "VALID", "TEST"):
+        for name in _SECTIONS:
             pairs = split.positives(name.lower())
             fh.write(f"{name} {len(pairs)}\n")
             np.savetxt(fh, pairs, fmt="%d")
@@ -247,7 +250,7 @@ def read_split(path) -> EdgeSplit:
     lines = [ln for ln in lines if ln]
     header = {}
     i = 0
-    while i < len(lines) and lines[i].split()[0] not in ("TRAIN", "VALID", "TEST"):
+    while i < len(lines) and lines[i].split()[0] not in _SECTIONS:
         key, *rest = lines[i].split()
         header[key] = rest
         i += 1
@@ -263,6 +266,9 @@ def read_split(path) -> EdgeSplit:
         while i < len(lines):
             name, count = lines[i].split()
             count = int(count)
+            if name not in _SECTIONS or name in sections:
+                raise DataError(f"{path}: section {name} is unknown or "
+                                "given twice")
             if count < 0 or i + 1 + count > len(lines):
                 raise DataError(f"{path}: section {name} declares {count} "
                                 f"pairs but {len(lines) - i - 1} lines follow")
@@ -277,10 +283,10 @@ def read_split(path) -> EdgeSplit:
             i += 1 + count
     except ValueError as exc:
         raise DataError(f"bad split section in {path}: {exc}") from exc
-    for name in ("TRAIN", "VALID", "TEST"):
+    for name in _SECTIONS:
         if name not in sections:
             raise DataError(f"split file {path} missing section {name}")
-    pairs = np.vstack([sections[s] for s in ("TRAIN", "VALID", "TEST")])
+    pairs = np.vstack([sections[s] for s in _SECTIONS])
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
         raise DataError(f"{path}: a node id lies outside [0, {n})")
     if (pairs[:, 0] >= pairs[:, 1]).any():

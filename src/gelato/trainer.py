@@ -137,41 +137,10 @@ def _bce(z, labels, a, b):
             {"head_a": float(gx @ z), "head_b": float(gx.sum())})
 
 
-def npair_loss(pos_scores, neg_scores) -> float:
-    """Softmax contrast of each positive against its row of negatives.
-
-    L = -sum_i log(exp(s_i) / (exp(s_i) + sum_j exp(s_ij))) for P
-    positives s_i and a (P, k) matrix of negatives s_ij, evaluated with
-    the max-shift trick; with k = 0 the loss is 0.
-    """
-    pos = np.asarray(pos_scores, dtype=np.float64).reshape(-1)
-    try:
-        negs = np.asarray(neg_scores, dtype=np.float64)
-    except ValueError:  # ragged rows
-        negs = None
-    if negs is None or negs.ndim != 2 or len(negs) != len(pos):
-        raise ConfigError(f"negatives must form a ({len(pos)}, k) matrix")
-    return _npair(pos, negs)[0]
-
-
-def bce_loss(scores, labels, a: float = 1.0, b: float = 0.0) -> float:
-    """Mean binary cross entropy of sigmoid(a * score + b) vs labels."""
-    return _bce(np.asarray(scores, dtype=np.float64),
-                np.asarray(labels, dtype=np.float64), a, b)[0]
-
-
 def _standardize(scores):
     """(z-scores, population std); the divisor is floored at 1e-12."""
     std = float(scores.std())
     return (scores - scores.mean()) / max(std, _STD_FLOOR), std
-
-
-def standardize_scores(scores) -> np.ndarray:
-    """Z-score over the given batch; population std, floored at 1e-12."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ConfigError("cannot standardize an empty score list")
-    return _standardize(scores)[0]
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -211,11 +180,11 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
 # P filling more than this share of n^2 sends a batch to the dense side.
 # The sparse side's cost follows the support of the products and the
 # scored pairs on the support of P^t, the dense side's n times the arcs
-# of P. On random graphs of 400-2708 nodes (t = 3, 15k-366k scored
-# pairs) the two cost the same where P fills between 0.6% and 2.4% of
-# n^2 (less with fewer scored pairs). At 2708 nodes and 1.2% fill, where
-# P^3 holds nearly every pair, a batch took 2.12 s sparse against 1.45 s
-# dense with 45k pairs, and 2.90 against 3.13 s with 366k.
+# of P, so P's fill alone misplaces the crossover: at 2708 nodes and
+# 1.2% fill, where P^3 holds nearly every pair, this picks sparse, but
+# a batch took 0.99 s dense against 2.07 s sparse with 45k pairs, and
+# 2.02 against 2.75 s with 366k. A cost estimate from n, the arcs of P,
+# t and the scored pairs is to replace it (ROADMAP item 6).
 _DENSE_FILL = 0.015
 
 

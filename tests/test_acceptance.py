@@ -92,9 +92,8 @@ def test_criterion_3_imbalance_example_counts():
     total_neg = 99_900_000
     false_pos = 1_000_000
     pos_scores = np.arange(P, 0, -1, dtype=np.float64)  # distinct scores
-    rs = RankSummary.from_counts(pos_scores,
-                                 np.full(P, false_pos, dtype=np.int64),
-                                 np.zeros(P, dtype=np.int64), total_neg)
+    rs = RankSummary(pos_scores, np.full(P, false_pos, dtype=np.int64),
+                     np.zeros(P, dtype=np.int64), total_neg)
     got_auc = auc(rs)
     got_ap = average_precision(rs)
     # none of the positives reaches the top-100k under 1M false positives
@@ -104,7 +103,7 @@ def test_criterion_3_imbalance_example_counts():
     # is hypergeometric (drawing P of total_neg, false_pos of them high)
     k = int(np.random.default_rng(7).hypergeometric(
         false_pos, total_neg - false_pos, P))
-    rs_biased = RankSummary.from_counts(
+    rs_biased = RankSummary(
         pos_scores, np.full(P, k, dtype=np.int64),
         np.zeros(P, dtype=np.int64), P)
     got_biased_ap = average_precision(rs_biased)

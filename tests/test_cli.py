@@ -435,6 +435,24 @@ def test_readme_exit_2_examples_are_refused(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written on a small graph."""
+    import os
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("## Library use")) + 10
+    block = text[start:text.index("```", start)]
+    g, X = make_attribute_sbm(40, seed=0)
+    monkeypatch.chdir(tmp_path)
+    write_edge_list("graph.edges", g)
+    write_attributes_csv("graph.attrs", X)
+    exec(compile(block, "README.md", "exec"), {})
+    ap, prec = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= ap <= 1.0 and 0.0 <= prec <= 1.0
+
+
 def test_sub_config_defaults_agree():
     assert ExperimentConfig().enhancer() == gelato.EnhancerConfig()
     assert ExperimentConfig().trainer() == gelato.TrainConfig()

@@ -10,10 +10,11 @@ from scipy.special import expit
 import gelato
 from gelato import (AttributeMatrix, AutocovarianceScorer, EnhancerConfig,
                     MlpParams, build_enhanced_graph, build_graph,
-                    init_mlp_params, load_params, mlp_edge_weight,
-                    save_params, select_augmentation_pairs)
+                    init_mlp_params, load_params, save_params,
+                    select_augmentation_pairs)
 from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
-                             dropout_masks, flatten_params, pair_features)
+                             dropout_masks, flatten_params, mlp_forward,
+                             pair_features)
 from gelato.errors import ConfigError
 from gelato.rng import Stream
 
@@ -89,14 +90,14 @@ class TestMlpEdgeWeight:
         params = init_mlp_params(5, hidden=7, seed=1)
         for _ in range(10):
             u, v = rng.integers(0, 8, 2)
-            w_uv = mlp_edge_weight(params, X, (u, v))
-            w_vu = mlp_edge_weight(params, X, (v, u))
+            w_uv = mlp_forward(params, pair_features(X, [(u, v)]))[0]
+            w_vu = mlp_forward(params, pair_features(X, [(v, u)]))[0]
             assert w_uv == w_vu  # bit-identical
 
     def test_zero_params_give_half(self):
         X = AttributeMatrix(np.zeros((3, 4)))
         params = MlpParams(np.zeros((6, 8)), np.zeros(6), np.zeros(6), 0.0)
-        assert mlp_edge_weight(params, X, (0, 1)) == 0.5
+        assert mlp_forward(params, pair_features(X, [(0, 1)]))[0] == 0.5
 
     def test_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(7)
@@ -107,8 +108,8 @@ class TestMlpEdgeWeight:
         z = np.concatenate([xu + xv, np.abs(xu - xv)])
         h = np.maximum(params.W1 @ z + params.b1, 0.0)
         expected = float(expit(params.W2 @ h + params.b2))
-        assert mlp_edge_weight(params, X, (u, v)) == pytest.approx(
-            expected, abs=1e-15)
+        assert mlp_forward(params, pair_features(X, [(u, v)]))[0] == \
+            pytest.approx(expected, abs=1e-15)
 
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -116,7 +117,6 @@ class TestMlpEdgeWeight:
         params = init_mlp_params(4, hidden=8, seed=0)
         pairs = np.column_stack([rng.integers(0, 10, 50),
                                  rng.integers(0, 10, 50)])
-        from gelato.enhancer import mlp_forward
         w = mlp_forward(params, pair_features(X, pairs))
         assert (w > 0).all() and (w < 1).all()
 
@@ -124,9 +124,8 @@ class TestMlpEdgeWeight:
     def test_node_ids_outside_the_matrix_rejected(self, pair):
         # -1 would wrap to node 3 and 4 escape as a raw IndexError
         X = random_attributes(np.random.default_rng(9), 4, 3)
-        params = init_mlp_params(3, hidden=4, seed=0)
         with pytest.raises(gelato.DataError, match=r"\[0, 4\)"):
-            mlp_edge_weight(params, X, pair)
+            pair_features(X, [pair])
 
     def test_param_count_independent_of_graph(self):
         params = init_mlp_params(10, hidden=16, seed=0)
@@ -244,9 +243,11 @@ class TestEnhancedGraph:
         cfg = EnhancerConfig(eta=0.0, alpha=0.0, beta=1.0,
                              self_loop_mode="isolated-only")
         eg = build_enhanced_graph(g, X, params, cfg)
+        stored = eg.graph.pair_weights(eg.pairs)
         for i, (u, v) in enumerate(eg.pairs.tolist()):
-            assert eg.pair_weights[i] == pytest.approx(
-                mlp_edge_weight(params, X, (u, v)), abs=1e-15)
+            assert stored[i] == pytest.approx(
+                mlp_forward(params, pair_features(X, [(u, v)]))[0],
+                abs=1e-15)
 
     def test_combination_arithmetic(self):
         # alpha=0.5, beta=0.5, A=1, w=0.6, s=0.8 -> 0.85
@@ -261,7 +262,8 @@ class TestEnhancedGraph:
         cfg = EnhancerConfig(eta=0.3, alpha=0.2, beta=0.1,
                              self_loop_mode="all")
         eg = build_enhanced_graph(g, X, params, cfg)
-        assert (eg.pair_weights >= 0).all()
+        # a pair is kept exactly where its clamped weight is positive
+        assert ((eg.graph.pair_weights(eg.pairs) > 0) == eg.active).all()
         assert (eg.graph.data > 0).all()
         assert (eg.graph.degrees > 0).all()
 
@@ -282,7 +284,7 @@ class TestEnhancedGraph:
                              self_loop_mode="all")
         a = build_enhanced_graph(g, X, params, cfg, training=False)
         b = build_enhanced_graph(g, X, params, cfg, training=False)
-        np.testing.assert_array_equal(a.pair_weights, b.pair_weights)
+        _assert_same_enhanced(a, b)
 
     def test_training_mode_is_refused(self):
         g, X, params = self._setup(seed=5)
@@ -327,7 +329,7 @@ def _assert_same_enhanced(a, b):
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(a.graph, name),
                                       getattr(b.graph, name))
-    for name in ("pairs", "pair_weights", "active", "arc_positions"):
+    for name in ("pairs", "active", "arc_positions"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelato import (AutocovarianceScorer, LocalHeuristicScorer,
-                    add_self_loops, build_graph, local_heuristic)
+                    add_self_loops, build_graph)
 from gelato.heuristics import _walk_hits, autocovariance_from_walk, \
     pair_scores
 from gelato.errors import ConfigError, NumericError
@@ -11,45 +11,64 @@ from gelato.errors import ConfigError, NumericError
 from conftest import dense_autocovariance, random_graph
 
 
+def _local_reference(kind, g, u, v):
+    """CN/AA/RA of one pair, from the graph's arcs alone: a common
+    neighbour z of u and v adds 1, 1/ln(d_z) or 1/d_z, d_z counting z's
+    neighbours other than z itself, whatever the arcs' weights."""
+    nbrs = [set(g.indices[g.indptr[x]:g.indptr[x + 1]].tolist()) - {x}
+            for x in range(g.n)]
+    weight = {"CN": lambda d: 1.0, "AA": lambda d: 1.0 / np.log(d),
+              "RA": lambda d: 1.0 / d}[kind]
+    return sum(weight(len(nbrs[z])) for z in sorted(nbrs[u] & nbrs[v]))
+
+
 class TestLocalHeuristics:
     def setup_method(self):
         # path a-b-c plus a spur to vary degrees
         self.g = build_graph([(0, 1), (1, 2)], 3)
 
+    def _score(self, kind, g, u, v):
+        return LocalHeuristicScorer(kind, g).rows([u])[0, v]
+
     def test_common_neighbors_on_path(self):
-        assert local_heuristic("CN", self.g, (0, 2)) == 1.0
+        assert self._score("CN", self.g, 0, 2) == 1.0
 
     def test_adamic_adar_on_path(self):
-        assert local_heuristic("AA", self.g, (0, 2)) == pytest.approx(
+        assert self._score("AA", self.g, 0, 2) == pytest.approx(
             1.0 / np.log(2.0), abs=1e-12)
 
     def test_resource_allocation_on_path(self):
-        assert local_heuristic("RA", self.g, (0, 2)) == pytest.approx(0.5)
+        assert self._score("RA", self.g, 0, 2) == pytest.approx(0.5)
 
     def test_disconnected_no_common_neighbor(self):
         g = build_graph([(0, 1), (2, 3)], 4)
         for kind in ("CN", "AA", "RA"):
-            assert local_heuristic(kind, g, (0, 3)) == 0.0
+            assert self._score(kind, g, 0, 3) == 0.0
 
     def test_rows_match_pairwise(self):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 15, 30, ensure_positive_degree=False)
-        rows = {k: LocalHeuristicScorer(k, g).rows(np.arange(15))
-                for k in ("CN", "AA", "RA")}
-        for _ in range(40):
-            u, v = rng.integers(0, 15, 2)
-            if u == v:
-                continue
-            for kind in ("CN", "AA", "RA"):
-                assert rows[kind][u, v] == pytest.approx(
-                    local_heuristic(kind, g, (u, v)), abs=1e-12)
+        plain = random_graph(rng, 15, 30, ensure_positive_degree=False)
+        # arc weights and loops leave the reference's degrees as they are
+        looped = add_self_loops(random_graph(rng, 15, 30, weighted=True),
+                                "all")
+        for g in (plain, looped):
+            rows = {k: LocalHeuristicScorer(k, g).rows(np.arange(15))
+                    for k in ("CN", "AA", "RA")}
+            for _ in range(40):
+                u, v = rng.integers(0, 15, 2)
+                if u == v:
+                    continue
+                for kind in ("CN", "AA", "RA"):
+                    assert rows[kind][u, v] == pytest.approx(
+                        _local_reference(kind, g, u, v), abs=1e-12)
 
     def test_weighted_graph_uses_unweighted_structure(self):
         g1 = build_graph([(0, 1, 5.0), (1, 2, 0.25)], 3)
         g2 = build_graph([(0, 1), (1, 2)], 3)
         for kind in ("CN", "AA", "RA"):
-            assert local_heuristic(kind, g1, (0, 2)) == \
-                local_heuristic(kind, g2, (0, 2))
+            assert (LocalHeuristicScorer(kind, g1).rows(np.arange(3))
+                    .tobytes() == LocalHeuristicScorer(kind, g2)
+                    .rows(np.arange(3)).tobytes())
 
 
 class TestAutocovariance:

@@ -364,6 +364,8 @@ class TestSplitFile:
         "TRAIN 1\n2 2\nVALID 0\nTEST 0\n",          # u == v
         "TRAIN 2\n0 1\n0 1\nVALID 0\nTEST 0\n",    # twice in a section
         "TRAIN 1\n0 1\nVALID 1\n0 1\nTEST 0\n",    # twice across sections
+        "TRAIN 1\n0 1\nVALID 0\nTEST 0\nFOO 1\n0 2\n",  # unknown section
+        "TRAIN 1\n0 1\nVALID 0\nTEST 0\nTRAIN 1\n0 3\n",  # section twice
     ])
     def test_malformed_sections_are_data_errors(self, tmp_path, body):
         path = tmp_path / "bad.split"

@@ -8,82 +8,90 @@ from scipy import sparse
 
 import gelato
 from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
-                    adam_update, bce_loss, build_graph, compute_gradients,
-                    forward_loss, init_mlp_params, npair_loss, split_edges,
-                    standardize_scores, train)
+                    adam_update, build_graph, compute_gradients,
+                    forward_loss, init_mlp_params, split_edges, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError
 from gelato.heuristics import (autocovariance_from_walk, pair_scores,
                                transition_matrix)
 from gelato.splits import MaskedBatch
-from gelato.trainer import flatten_params, grads_finite, unflatten_params
+from gelato.trainer import (_bce, _npair, _standardize, flatten_params,
+                            grads_finite, unflatten_params)
 
 from conftest import (dense_autocovariance, make_attribute_sbm,
                       random_attributes, random_graph)
 
 
+def _npair_loss(pos, negs):
+    return _npair(np.array(pos, dtype=np.float64),
+                  np.array(negs, dtype=np.float64))[0]
+
+
 class TestNpairLoss:
     def test_equal_scores(self):
-        assert npair_loss([0.0], [[0.0]]) == pytest.approx(np.log(2.0))
+        assert _npair_loss([0.0], [[0.0]]) == pytest.approx(np.log(2.0))
 
     def test_empty_negatives(self):
-        assert npair_loss([1.5], [[]]) == 0.0
+        assert _npair_loss([1.5], [[]]) == 0.0
 
     def test_dominant_positive(self):
-        assert npair_loss([10.0], [[0.0]]) == pytest.approx(
+        assert _npair_loss([10.0], [[0.0]]) == pytest.approx(
             np.log(1 + np.exp(-10.0)), rel=1e-9)
-        assert npair_loss([10.0], [[0.0]]) == pytest.approx(4.54e-5, rel=1e-2)
+        assert _npair_loss([10.0], [[0.0]]) == pytest.approx(4.54e-5,
+                                                              rel=1e-2)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         pos = rng.normal(size=4)
-        negs = [rng.normal(size=3) for _ in range(4)]
-        base = npair_loss(pos, negs)
-        shifted = npair_loss(pos + 7.5, [n + 7.5 for n in negs])
+        negs = rng.normal(size=(4, 3))
+        base = _npair_loss(pos, negs)
+        shifted = _npair_loss(pos + 7.5, negs + 7.5)
         assert shifted == pytest.approx(base, rel=1e-12)
 
     def test_overflow_safety(self):
-        assert np.isfinite(npair_loss([1000.0], [[990.0, 995.0]]))
-        assert np.isfinite(npair_loss([-1000.0], [[-990.0]]))
+        assert np.isfinite(_npair_loss([1000.0], [[990.0, 995.0]]))
+        assert np.isfinite(_npair_loss([-1000.0], [[-990.0]]))
 
-    @pytest.mark.parametrize("negs", [[[0.5], [1.0, 2.0]], [[0.5, 1.0]],
-                                      [0.5, 1.0]])
-    def test_negatives_must_be_a_row_per_positive(self, negs):
-        with pytest.raises(ConfigError):
-            npair_loss([0.0, 1.0], negs)
+
+def _bce_loss(scores, labels, a=1.0, b=0.0):
+    return _bce(np.array(scores, dtype=np.float64),
+                np.array(labels, dtype=np.float64), a, b)[0]
 
 
 class TestBceLoss:
     def test_half_probability(self):
         # a=0 head: sigmoid(0) = 0.5 against label 1
-        assert bce_loss([0.0], [1.0], a=1.0, b=0.0) == pytest.approx(
+        assert _bce_loss([0.0], [1.0], a=1.0, b=0.0) == pytest.approx(
             np.log(2.0))
 
     def test_perfect_separation_limit(self):
-        loss = bce_loss([30.0, -30.0], [1.0, 0.0], a=1.0, b=0.0)
+        loss = _bce_loss([30.0, -30.0], [1.0, 0.0], a=1.0, b=0.0)
         assert loss < 1e-12
 
     def test_constant_probability_closed_form(self):
         # labels all 1, probability p = sigmoid(x) -> mean loss = -ln p
         x = 0.7
         p = 1 / (1 + np.exp(-x))
-        got = bce_loss([x, x, x], [1.0, 1.0, 1.0])
+        got = _bce_loss([x, x, x], [1.0, 1.0, 1.0])
         assert got == pytest.approx(-np.log(p), rel=1e-12)
 
 
 class TestStandardize:
     def test_hand_computed(self):
-        z = standardize_scores([1.0, 2.0, 3.0])
+        z, std = _standardize(np.array([1.0, 2.0, 3.0]))
         expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
         np.testing.assert_allclose(z, expected, atol=1e-12)
         assert z[0] == pytest.approx(-1.2247, abs=1e-4)
+        assert std == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_constant_list(self):
-        z = standardize_scores([4.2, 4.2, 4.2])
+        z, std = _standardize(np.array([4.2, 4.2, 4.2]))
         np.testing.assert_array_equal(z, [0.0, 0.0, 0.0])
+        assert std < 1e-12  # floored: the divisor is 1e-12, not 0
 
     def test_single_element(self):
-        np.testing.assert_array_equal(standardize_scores([7.0]), [0.0])
+        np.testing.assert_array_equal(_standardize(np.array([7.0]))[0],
+                                      [0.0])
 
 
 class TestAdam:
