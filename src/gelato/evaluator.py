@@ -7,22 +7,20 @@ tie it. All four metrics derive from these counts, so the O(n^2) pool is
 never materialized. Two exact paths count it, with the same result:
 
 * Support: when the scorer's classes() returns node classes (see
-  gelato.scorers for sparse_rows, background and classes, and for when
-  a scorer offers them). Two kinds of job: the background is counted
-  once over all unordered pairs, as pairs of node classes weighted by
-  their multiplicities; each block of source nodes counts the pool pairs
-  among its sparse rows, less the background of those entries and of
-  its excluded pairs. The work follows the support and the number of
-  classes, not n^2, and every count stays an integer.
-* Streaming: for every other scorer (cosine, MLP, Autocovariance on
-  learned weights or a nearly full P^t). Each block of source nodes
+  gelato.scorers for sparse_rows, background and classes). Two kinds of
+  job: the background is counted once over all unordered pairs, as
+  pairs of node classes weighted by their multiplicities; each block of
+  source nodes counts the pool pairs among its sparse rows, less the
+  background of those entries and of its excluded pairs. The work
+  follows the support and the number of classes, not n^2, and every
+  count stays an integer.
+* Streaming: for every other scorer. Each block of source nodes
   materializes the dense rows(sources) and counts its pool pairs. This
-  path is the reference. Autocovariance builds those rows from the
-  dense walk or, where P^t is sparse, from its sparse rows; both give
-  the same bits.
+  path is the reference.
 
 Explicit pairs (positives, sampled negatives) are scored as the pool is,
-from the sparse rows and background or else from the dense rows.
+from the sparse rows and background or else from the dense rows
+(pair_scores), so pair and pool scores agree bitwise.
 
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
@@ -41,8 +39,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import _in_sorted
-from .heuristics import pair_scores
+from .graph import _in_sorted, _values_at
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
 
@@ -75,6 +72,34 @@ def counts_against(sorted_neg_scores: np.ndarray,
     left = np.searchsorted(sorted_neg_scores, pos_scores, side="left")
     above = len(sorted_neg_scores) - right
     return above.astype(np.int64), (right - left).astype(np.int64)
+
+
+def pair_scores(rows, pairs, block_size: int = 256,
+                background=None) -> np.ndarray:
+    """Scores of explicit pairs from a rows(sources) function.
+
+    One rows() call is shared by all pairs with the same source, in
+    blocks of `block_size` distinct sources, which bounds the rows at
+    block_size * n. rows() returns dense (len(sources), n) rows; with a
+    `background`, CSR rows instead, and a pair (u, v) that its row does
+    not store scores background(u, v).
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    uniq, inverse = np.unique(pairs[:, 0], return_inverse=True)
+    out = np.empty(len(pairs))
+    for start in range(0, len(uniq), block_size):
+        block = uniq[start:start + block_size]
+        sel = np.flatnonzero((inverse >= start)
+                             & (inverse < start + len(block)))
+        row, v = inverse[sel] - start, pairs[sel, 1]
+        M = rows(block)
+        if background is None:
+            out[sel] = M[row, v]
+        else:
+            M.sort_indices()
+            out[sel] = _values_at(M, row * M.shape[1] + v,
+                                  fill=background(pairs[sel, 0], v))
+    return out
 
 
 # Sources per call of a scorer's dense rows, for explicit pairs and for

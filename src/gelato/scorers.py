@@ -1,10 +1,8 @@
 """The scores the evaluator and the trainer's validation rank pairs by.
 
 A scorer exposes rows(sources) -> dense (len(sources), n) float64 block:
-Autocovariance and CN/AA/RA, from the primitives in gelato.heuristics,
-attribute cosine, or the trained MLP.
-The evaluator scores explicit pairs from the same rows as the pool
-(heuristics.pair_scores): pair and pool scores agree bitwise.
+Autocovariance of a random walk, CN/AA/RA, attribute cosine, or the
+trained MLP.
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
@@ -17,11 +15,9 @@ three methods that hold the same scores in two parts:
   depends on the pair; or None where streaming the dense rows is
   cheaper.
 The scorer decides which path pays, through classes(); the evaluator
-follows it: it counts the pool from the sparse rows and the background
-by class pairs, and scores explicit pairs from the same two parts (see
-gelato.evaluator). Autocovariance (background -d_u d_v / vol^2, one
-class per distinct degree) and CN/AA/RA (background 0, one class) have
-them; cosine and MLP scores are dense and do not.
+follows it. Autocovariance (background -d_u d_v / vol^2, one class per
+distinct degree) and CN/AA/RA (background 0, one class) have them;
+cosine and MLP scores are dense and do not.
 
 Autocovariance has two rows kernels with the same bits: the dense walk,
 and the background block with its sparse rows written over it. One
@@ -51,6 +47,16 @@ _FILL_ROWS = 16
 _SPARSE_FILL = 0.25
 
 
+def autocovariance_from_walk(g: Graph, u, v, T):
+    """Autocovariance R = diag(d)/vol @ P^t - d d^T / vol^2 of a graph of
+    degrees d and volume vol, the gap between the t-step and stationary
+    co-visit probabilities of a random walk: R_uv = (d_u / vol) * T -
+    d_u * d_v / vol^2 from the walk term T = (P^t)_uv, for broadcastable
+    node arrays u, v."""
+    d, vol = g.degrees, g.volume
+    return (d[u] / vol) * T - d[u] * d[v] / vol ** 2
+
+
 class AutocovarianceScorer:
     """Autocovariance rows of a (possibly enhanced) graph from the walk
     P^t; P is formed at the first rows, not at construction."""
@@ -68,29 +74,13 @@ class AutocovarianceScorer:
     @cached_property
     def _fill(self) -> float:
         """Estimated fill of P^t: that of its rows for _FILL_ROWS evenly
-        spaced sources, multiplied out step by step and stopped at the
-        first step past _SPARSE_FILL. It picks the rows kernel and whether
-        classes() is offered; every choice gives the same bits, so a
-        wrong estimate costs time only."""
+        spaced sources. It picks the rows kernel and whether classes() is
+        offered; every choice gives the same bits, so a wrong estimate
+        costs time only."""
         n = self.graph.n
         sources = np.linspace(0, n - 1, min(n, _FILL_ROWS)).astype(np.int64)
-        for T in self._steps(sources):
-            if T.nnz > _SPARSE_FILL * len(sources) * n:
-                break
+        T = heuristics._pt_rows(self._P, sources, self.t)
         return T.nnz / max(1, len(sources) * n)
-
-    def _steps(self, sources):
-        """The sources' rows of P, P^2, ..., P^t as CSR, one product per
-        step (identity rows alone at t = 0). Indices are sorted before
-        each product, so that every entry sums the same terms in the same
-        order as the dense walk."""
-        P = self._P
-        T = (P if self.t else sparse.eye(*P.shape, format="csr"))[sources]
-        yield T
-        for _ in range(self.t - 1):
-            T.sort_indices()
-            T = T @ P
-            yield T
 
     def rows(self, sources) -> np.ndarray:
         """Dense rows R[u, :] for each source u: (len(sources), n). Where
@@ -107,24 +97,22 @@ class AutocovarianceScorer:
         # looked up at each call, so that a tracer that replaces the
         # module attribute sees these walks too
         T = heuristics._walk_hits(self._P, sources, self.t)
-        return heuristics.autocovariance_from_walk(g, sources[:, None],
-                                                   np.arange(g.n), T)
+        return autocovariance_from_walk(g, sources[:, None], np.arange(g.n),
+                                        T)
 
     def sparse_rows(self, sources) -> sparse.csr_matrix:
         """The entries of rows() on the support of P^t's rows, as sparse
         (len(sources), n); off them a row holds background()."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        for T in self._steps(sources):
-            pass
+        T = heuristics._pt_rows(self._P, sources, self.t)
         u = np.repeat(sources, np.diff(T.indptr))
-        T.data = heuristics.autocovariance_from_walk(self.graph, u, T.indices,
-                                                     T.data)
+        T.data = autocovariance_from_walk(self.graph, u, T.indices, T.data)
         return T
 
     def background(self, u, v) -> np.ndarray:
         """R of pairs off the support of P^t: a walk term of 0, which
         gives exactly -d_u * d_v / vol^2, symmetric in u, v."""
-        return heuristics.autocovariance_from_walk(self.graph, u, v, 0.0)
+        return autocovariance_from_walk(self.graph, u, v, 0.0)
 
     def classes(self):
         """(class_nodes, class_sizes), one background class per distinct
@@ -141,8 +129,12 @@ class AutocovarianceScorer:
 
 
 class LocalHeuristicScorer:
-    """Common Neighbors / Adamic-Adar / Resource Allocation rows; their
-    factors are formed at the first rows, not at construction."""
+    """Common Neighbors / Adamic-Adar / Resource Allocation rows of the
+    unweighted structure without loops: a common neighbour z of degree
+    d_z adds 1, 1/ln(d_z) (natural log) or 1/d_z. A node of degree <= 1
+    cannot be a common neighbour, so its weight is 0 rather than 1/ln(1)
+    or 1/0. The factors are formed at the first rows, not at
+    construction."""
 
     def __init__(self, kind: str, graph: Graph):
         self.kind = kind.upper()
@@ -151,8 +143,22 @@ class LocalHeuristicScorer:
     @cached_property
     def _factors(self):
         """A and (A diag(w))^T: their product sums w over common neighbours."""
-        adj, deg = heuristics._unweighted(self.graph)
-        w = heuristics._neighbor_weights(self.kind, deg)
+        g = self.graph
+        rows = g.row_of_arcs()
+        keep = rows != g.indices
+        adj = sparse.csr_matrix(
+            (np.ones(int(keep.sum())), (rows[keep], g.indices[keep])),
+            shape=(g.n, g.n))
+        deg = np.asarray(adj.sum(axis=1)).ravel()
+        w, has, ok = np.zeros_like(deg), deg > 0, deg > 1
+        if self.kind == "CN":
+            w[has] = 1.0
+        elif self.kind == "AA":
+            w[ok] = 1.0 / np.log(deg[ok])
+        elif self.kind == "RA":
+            w[has] = 1.0 / deg[has]
+        else:
+            raise ConfigError(f"unknown heuristic kind {self.kind!r}")
         return adj, adj.multiply(w[None, :]).tocsr().T.tocsr()
 
     def sparse_rows(self, sources) -> sparse.csr_matrix:

@@ -5,7 +5,7 @@ The forward pass per masked batch is
     residual edges + frozen augmentation
         -> enhanced adjacency (MLP weights, combination, self-loops)
         -> Autocovariance of the batch positives and sampled negatives
-           (heuristics.autocovariance_from_walk, as in evaluation)
+           (scorers.autocovariance_from_walk, as in evaluation)
         -> joint score standardization
         -> ranking loss (N-pair softmax contrast, or cross entropy
            through a trainable affine+sigmoid head)
@@ -25,9 +25,8 @@ is formed by sparse products sampled on P's arcs from the pairs on the
 support of P^t alone (a pair off it has no t-step path and feeds no
 arc), so its work follows the on-support pairs and the support of the
 products, not n. Once P fills 1.5% of n^2, the walk runs as dense rows
-per block of 256 sources from their rows of P, as the evaluator's
-scorers do, and the gradient per block of 256 columns from G's columns
-and P's rows; memory stays at a few block x n arrays.
+per block of 256 sources, and the gradient per block of 256 columns
+from G's columns and P's rows; memory stays at a few block x n arrays.
 
 Adam steps on the flat layout of enhancer.flatten_params. Batches whose
 loss or gradient has any non-finite component are skipped and counted
@@ -51,12 +50,11 @@ from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
                        pair_features, select_augmentation_pairs,
                        unflatten_params)
 from .errors import ConfigError
-from .evaluator import precision_at_k, rank_summary
+from .evaluator import pair_scores, precision_at_k, rank_summary
 from .graph import AttributeMatrix, Graph, _values_at, pair_codes
-from .heuristics import (autocovariance_from_walk, pair_scores,
-                         transition_matrix, _walk_hits)
+from .heuristics import _product, _pt_matrix, transition_matrix, _walk_hits
 from .rng import derive
-from .scorers import AutocovarianceScorer, MlpScorer
+from .scorers import AutocovarianceScorer, MlpScorer, autocovariance_from_walk
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, sample_negatives, train_graph)
 
@@ -188,12 +186,6 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
 _DENSE_FILL = 0.015
 
 
-def _product(A, B):
-    """A @ B as CSR with sorted rows: scipy's product leaves rows unsorted,
-    and forming it column-major then converting sorts them in linear time."""
-    return (A.tocsc() @ B.tocsc()).tocsr()
-
-
 class _SparseWalk:
     """The walk on the support of P^t: scored pairs are looked up in the
     sparse matrix P^t, and the gradient is built meet-in-the-middle from
@@ -288,7 +280,7 @@ class _DenseWalk:
         so the columns C of the sum come right to left: acc = G W_0^T,
         then acc = P^T acc + G W_m^T for m = 1 .. t-1, with W_m the rows
         C of P^m; G W_0^T is G's columns C and W_1 P's rows C, bit for bit
-        as if multiplied out from identity rows (see _walk_hits).
+        as if multiplied out from identity rows (see gelato.heuristics).
         """
         P, t = self.P, self.t
         n = P.shape[0]
@@ -314,14 +306,11 @@ class _DenseWalk:
 
 def _walk(P, pairs, t):
     """The batch's walk kernel: dense when P fills more than _DENSE_FILL
-    of n^2, otherwise sparse with P^t formed by sparse products."""
+    of n^2, otherwise sparse on the whole sparse P^t."""
     n = P.shape[0]
     if P.nnz > _DENSE_FILL * n * n:
         return _DenseWalk(P, pairs, t)
-    Pt = sparse.identity(n, format="csr") if t == 0 else P
-    for _ in range(t - 1):
-        Pt = _product(Pt, P)
-    return _SparseWalk(P, pairs, t, Pt)
+    return _SparseWalk(P, pairs, t, _pt_matrix(P, t))
 
 
 # -- forward + tape -----------------------------------------------------------

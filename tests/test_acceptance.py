@@ -19,7 +19,7 @@ from gelato import (EnhancerConfig, RankSummary, TrainConfig, auc,
                     precision_at_k, rank_summary, sample_negatives,
                     split_edges, train)
 from gelato.enhancer import AugmentedPairs, assemble_enhanced
-from gelato.heuristics import pair_scores
+from gelato.evaluator import pair_scores
 from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
 from gelato.splits import pair_codes
 

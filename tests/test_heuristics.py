@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gelato import (AutocovarianceScorer, LocalHeuristicScorer,
                     add_self_loops, build_graph)
-from gelato.heuristics import _walk_hits, autocovariance_from_walk, \
-    pair_scores
+from gelato.evaluator import pair_scores
+from gelato.heuristics import _walk_hits
+from gelato.scorers import autocovariance_from_walk
 from gelato.errors import ConfigError, NumericError
 
 from conftest import dense_autocovariance, random_graph

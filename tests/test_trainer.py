@@ -12,8 +12,9 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     forward_loss, init_mlp_params, split_edges, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError
-from gelato.heuristics import (autocovariance_from_walk, pair_scores,
-                               transition_matrix)
+from gelato.evaluator import pair_scores
+from gelato.heuristics import transition_matrix
+from gelato.scorers import autocovariance_from_walk
 from gelato.splits import MaskedBatch
 from gelato.trainer import (_bce, _npair, _standardize, flatten_params,
                             grads_finite, unflatten_params)
@@ -509,7 +510,7 @@ class TestDenseWalkStart:
     @pytest.mark.parametrize("loops", ["all", "isolated-only"])
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
     def test_bits_equal_the_identity_start(self, loops, t):
-        from gelato.heuristics import _walk_hits, pair_scores
+        from gelato.heuristics import _walk_hits
         from gelato.trainer import _DenseWalk
         rng = np.random.default_rng(40 + t)
         # 300 nodes: two column blocks of 256
