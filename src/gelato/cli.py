@@ -68,8 +68,7 @@ def _load_inputs(cfg, need_attrs: bool):
         if not cfg.attributes:
             raise ConfigError("this mode needs --attributes")
         X = read_attributes(cfg.attributes)
-        if X.n != g.n:
-            raise DataError(f"attribute rows ({X.n}) != node count ({g.n})")
+        X.check_rows(g.n)
     return g, X
 
 
@@ -225,8 +224,6 @@ def cmd_export_scores(args) -> int:
     g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
     nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)
-    if len(nodes) == 0:
-        raise ConfigError("no nodes given")
     if nodes.min() < 0 or nodes.max() >= g.n:
         raise DataError("node id out of range")
     if len(nodes) > cfg.block_size:

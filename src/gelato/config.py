@@ -73,6 +73,8 @@ class ExperimentConfig:
         check_ratios(self.ratios)
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
+        if not (self.prec and self.hits):
+            raise ConfigError("prec and hits need at least one value each")
         if not all(0.0 < f <= 1.0 for f in self.prec):  # nan fails too
             raise ConfigError("prec fractions must be in (0, 1]")
         if not all(k >= 1 for k in self.hits):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .graph import (AttributeMatrix, Graph, _pair_graph, cosine_pairs,
                     pair_codes)
 from .rng import Stream, counter_words, derive
@@ -122,11 +122,17 @@ def unflatten_params(flat: np.ndarray, r: int, hidden: int, with_head=False):
 
 
 def init_mlp_params(r: int, hidden: int = 128, seed: int = 0) -> MlpParams:
-    """Uniform symmetric init scaled by 1/sqrt(fan-in), seed-controlled."""
+    """Uniform symmetric init scaled by 1/sqrt(fan-in), seed-controlled;
+    a size numpy cannot allocate is a ConfigError."""
     stream = Stream(derive(seed, _INIT_TAG))
     s1 = 1.0 / math.sqrt(2 * r)
     s2 = 1.0 / math.sqrt(hidden)
-    W1 = (stream.uniforms(hidden * 2 * r).reshape(hidden, 2 * r) * 2 - 1) * s1
+    try:  # the largest array; the others hold `hidden` values
+        W1 = (stream.uniforms(hidden * 2 * r).reshape(hidden, 2 * r) * 2
+              - 1) * s1
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"an MLP of hidden={hidden} on r={r} attributes "
+                          f"cannot be allocated ({exc})") from exc
     b1 = (stream.uniforms(hidden) * 2 - 1) * s1
     W2 = (stream.uniforms(hidden) * 2 - 1) * s2
     b2 = float((stream.uniforms(1)[0] * 2 - 1) * s2)
@@ -134,10 +140,15 @@ def init_mlp_params(r: int, hidden: int = 128, seed: int = 0) -> MlpParams:
 
 
 def save_params(path, params: MlpParams) -> None:
+    """Write a checkpoint; non-finite values, which load_params refuses,
+    are a NumericError before `path` is opened."""
+    flat = flatten_params(params)
+    if not np.isfinite(flat).all():
+        raise NumericError(f"non-finite parameter values; {path} not written")
     with open(path, "wb") as fh:
         fh.write(PARAM_MAGIC)
         fh.write(struct.pack("<QQ", params.r, params.hidden))
-        fh.write(flatten_params(params).astype("<f8").tobytes())
+        fh.write(flat.astype("<f8").tobytes())
 
 
 def load_params(path) -> MlpParams:
@@ -174,6 +185,7 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     """
     if not 0.0 <= eta < math.inf:
         raise ConfigError("eta must be finite and >= 0")
+    X.check_rows(g.n)
     n = g.n
     m = g.num_edges
     count = int(math.ceil(eta * m))
@@ -258,6 +270,9 @@ def mlp_forward(params: MlpParams, Z: np.ndarray,
     1 / (1 - rate). With `cache` given, the intermediates mlp_backward
     needs are stored in it.
     """
+    if Z.shape[1] != 2 * params.r:
+        raise DataError(f"pair encoding width {Z.shape[1]} != 2 * r of the "
+                        f"parameters ({2 * params.r})")
     Hpre = Z @ params.W1.T + params.b1
     H = np.maximum(Hpre, 0.0)
     Hd = H if mask is None else H * (mask / (1.0 - rate))
@@ -296,6 +311,7 @@ class AugmentedPairs:
     encodings are not kept: each enhanced graph encodes its own rows."""
 
     def __init__(self, g: Graph, X: AttributeMatrix, base, added):
+        X.check_rows(g.n)
         base = np.asarray(base, dtype=np.int64).reshape(-1, 2)
         added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
         pairs = np.vstack([base, added])

@@ -43,6 +43,11 @@ class AttributeMatrix:
     def r(self) -> int:
         return self.values.shape[1]
 
+    def check_rows(self, n: int) -> None:
+        """Refuse, as a DataError, a row count other than the node count."""
+        if self.n != n:
+            raise DataError(f"attribute rows ({self.n}) != node count ({n})")
+
     def unit_rows(self) -> np.ndarray:
         """Row-normalized copy; all-zero rows stay zero (cosine 0 convention)."""
         if self._unit is None:

@@ -60,18 +60,13 @@ def test_node_ids_whose_codes_overflow_are_data_errors(tmp_path):
     assert not out.exists()
 
 
-def test_unallocatable_node_count_is_data_error(tmp_path):
-    """A node count that fits the pair codes but whose O(n) graph arrays
-    (22.6 GiB) cannot be allocated exits 3. The child caps its own address
-    space at 1 GiB before importing gelato, so the allocation fails at
-    once and the arrays are never touched, whatever the host's memory."""
+def _main_in_1gib(*argv):
+    """main(argv) in a child that caps its own address space at 1 GiB
+    before importing gelato, so an allocation beyond it fails at once and
+    nothing is ever touched, whatever the host's memory."""
     import os
     import subprocess
     import sys
-    from gelato.graph import MAX_NODES
-    edges = tmp_path / "big.edges"
-    edges.write_text(f"n {MAX_NODES}\n0 1\n")
-    out = tmp_path / "big.split"
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "sys.path.insert(0, sys.argv.pop(1))\n"
@@ -79,13 +74,42 @@ def test_unallocatable_node_count_is_data_error(tmp_path):
             "sys.exit(main(sys.argv[1:]))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    done = subprocess.run(
-        [sys.executable, "-c", code, src, "split", "--edges", str(edges),
-         "--out", str(out)], capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    return subprocess.run(
+        [sys.executable, "-c", code, src, *argv], capture_output=True,
+        text=True, timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
+def test_unallocatable_node_count_is_data_error(tmp_path):
+    """A node count that fits the pair codes but whose O(n) graph arrays
+    (22.6 GiB) cannot be allocated exits 3."""
+    from gelato.graph import MAX_NODES
+    edges = tmp_path / "big.edges"
+    edges.write_text(f"n {MAX_NODES}\n0 1\n")
+    out = tmp_path / "big.split"
+    done = _main_in_1gib("split", "--edges", str(edges), "--out", str(out))
     assert done.returncode == 3, done.stderr
     assert f"node count {MAX_NODES}" in done.stderr
     assert not out.exists()
+
+
+def test_unallocatable_hidden_width_is_config_error(dataset, tmp_path):
+    """--hidden 10^11 asks for an 11.6 TiB first layer on 8 attributes:
+    exit 2 naming hidden and r, not numpy's MemoryError traceback."""
+    ck = tmp_path / "c.gpar"
+    done = _main_in_1gib(*_train_argv(dataset, "--out-checkpoint", str(ck)),
+                         "--hidden", "100000000000")
+    assert done.returncode == 2, done.stderr
+    assert "hidden=100000000000 on r=8" in done.stderr
+    assert not ck.exists()
+
+
+def test_hidden_width_beyond_numpy_is_config_error(dataset, tmp_path,
+                                                    capsys):
+    ck = tmp_path / "c.gpar"
+    argv = _train_argv(dataset, "--out-checkpoint", str(ck))
+    assert main(argv + ["--hidden", str(2 ** 62)]) == 2
+    assert f"hidden={2 ** 62} on r=8" in capsys.readouterr().err
+    assert not ck.exists()
 
 
 def test_split_with_an_empty_phase_is_data_error(tmp_path):
@@ -328,7 +352,10 @@ def test_config_file_plus_flag_override(dataset, tmp_path, capsys):
     ("--neg-cap", "-5"), ("--prec", "1.5"), ("--prec", "0"), ("--hits", "0"),
     ("--workers", "-1"), ("--biased-neg-per-pos", "-1"),
     ("--ratios", "nan 0.2 0.2"), ("--ratios", "0.5 0.5 0.5"),
-    ("--ratios", "0.7 0.3 0"), ("--batch-count", "0"),
+    ("--ratios", "0.7 0.3 0"), ("--batch-count", "0"), ("--mode", "x"),
+    ("--phase", "x"), ("--loss", "x"), ("--regime", "x"), ("--dropout", "1"),
+    ("--t", "-1"), ("--alpha", "2"), ("--beta", "-1"),
+    ("--self-loop-mode", "x"),
 ])
 def test_show_config_rejects_invalid_values(capsys, flag, value):
     """`value` holds the flag's space-separated values."""
@@ -471,7 +498,10 @@ def test_checkpoint_non_finite_is_data_error(dataset, tmp_path):
     params = gelato.init_mlp_params(dataset["X"].r, 4)
     params.W2[0] = np.nan
     ck = tmp_path / "nan.gpar"
-    gelato.save_params(ck, params)
+    # written by hand: save_params refuses non-finite values
+    ck.write_bytes(b"GPAR" + struct.pack("<QQ", params.r, params.hidden)
+                   + gelato.enhancer.flatten_params(params).astype(
+                       "<f8").tobytes())
     rc = main(["eval", "--edges", dataset["edges"], "--attributes",
                dataset["attrs"], "--split", dataset["split"],
                "--mode", "gelato", "--hidden", "4", "--checkpoint", str(ck)])
@@ -530,6 +560,58 @@ def test_failed_training_keeps_existing_outputs(dataset, tmp_path,
     assert hist.read_text() == "old history\n"
 
 
+def test_non_finite_trained_parameters_keep_existing_outputs(
+        dataset, tmp_path, monkeypatch, capsys):
+    # a checkpoint eval would refuse is not written
+    def overflow(g, X, *args):
+        params = gelato.init_mlp_params(X.r, 4)
+        params.W1[0, 0] = np.inf
+        return params, [gelato.EpochRecord(1, 1.0, 0.0, 0)]
+
+    monkeypatch.setattr(cli, "train", overflow)
+    ck, hist = tmp_path / "c.gpar", tmp_path / "h.log"
+    ck.write_bytes(b"old checkpoint")
+    hist.write_text("old history\n")
+    assert main(_train_argv(dataset, "--out-checkpoint", str(ck),
+                            "--out-history", str(hist))) == 4
+    assert "non-finite parameter values" in capsys.readouterr().err
+    assert ck.read_bytes() == b"old checkpoint"
+    assert hist.read_text() == "old history\n"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["split", "--out", "{tmp}/x.split"], 2),                   # no --edges
+    (["baseline", "--kind", "cos", "--edges", "{edges}", "--split",
+      "{split}"], 2),                                   # no --attributes
+    (["baseline", "--kind", "cos", "--edges", "{edges}", "--split",
+      "{split}", "--attributes", "{tmp}/short.attrs"], 3),  # 47 rows of 48
+    (["eval", "--mode", "ac-only", "--edges", "{edges}"], 2),  # no --split
+    (["export-scores", "--mode", "ac-only", "--edges", "{edges}", "--split",
+      "{split}", "--nodes", "0", "48", "--out-scores", "{tmp}/s",
+      "--out-weights", "{tmp}/w"], 3),                  # node 48 of 48
+])
+def test_missing_or_mismatched_inputs_are_refused(dataset, tmp_path, args,
+                                                  code):
+    write_attributes_csv(tmp_path / "short.attrs",
+                         AttributeMatrix(dataset["X"].values[1:]))
+    assert main([a.format(tmp=tmp_path, edges=dataset["edges"],
+                          split=dataset["split"]) for a in args]) == code
+    assert not any((tmp_path / name).exists() for name in ("s", "x.split"))
+
+
+def test_an_output_that_fails_while_written_is_config_error(
+        dataset, tmp_path, monkeypatch, capsys):
+    def full(path, split):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "write_split", full)
+    out = tmp_path / "x.split"
+    assert main(["split", "--edges", dataset["edges"], "--out",
+                 str(out)]) == 2
+    assert (f"cannot write {out}: No space left on device"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag, code", [("--edges", 3), ("--split", 3),
                                         ("--config", 2)])
 def test_non_utf8_input_is_an_error(dataset, tmp_path, flag, code):
@@ -560,6 +642,15 @@ def test_split_of_another_graph_is_data_error(tmp_path):
 def test_config_unknown_key():
     with pytest.raises(gelato.ConfigError):
         config_from_text("frobnicate 3\n")
+
+
+@pytest.mark.parametrize("line", ["hits 1.5", "prec", "hits"])
+def test_config_file_refuses_a_bad_value(tmp_path, capsys, line):
+    # an empty prec or hits, like --prec with no value, is refused
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["show-config", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_mlp_only_two_stage_modes(dataset, tmp_path):

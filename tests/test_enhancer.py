@@ -15,10 +15,10 @@ from gelato import (AttributeMatrix, AutocovarianceScorer, EnhancerConfig,
 from gelato.enhancer import (AugmentedPairs, assemble_enhanced,
                              dropout_masks, flatten_params, mlp_forward,
                              pair_features)
-from gelato.errors import ConfigError
+from gelato.errors import ConfigError, NumericError
 from gelato.rng import Stream
 
-from conftest import random_attributes, random_graph
+from conftest import make_attribute_sbm, random_attributes, random_graph
 
 # dropout rates next to the ends of [0, 1) and two in the middle
 _RATES = [2.0 ** -53, 0.1, 0.5, 1.0 - 2.0 ** -53]
@@ -317,10 +317,15 @@ class TestEnhancedGraph:
             load_params(path)
 
     def test_checkpoint_non_finite_values(self, tmp_path):
+        # refused on both sides: save_params before it opens the file
         params = init_mlp_params(3, hidden=4, seed=0)
         params.W1[1, 2] = np.inf
         path = tmp_path / "inf.gpar"
-        save_params(path, params)
+        with pytest.raises(NumericError, match="non-finite"):
+            save_params(path, params)
+        assert not path.exists()
+        path.write_bytes(b"GPAR" + struct.pack("<QQ", 3, 4)
+                         + flatten_params(params).astype("<f8").tobytes())
         with pytest.raises(gelato.DataError, match="non-finite"):
             load_params(path)
 
@@ -440,3 +445,46 @@ class TestPairFeatures:
             pair_features(X, pairs)
         with pytest.raises(gelato.DataError):
             pair_features(X, pairs[:, ::-1])
+
+
+def _train(g, X, split):
+    return gelato.train(g, X, split, EnhancerConfig(),
+                        gelato.TrainConfig(epochs=1, hidden=4))
+
+
+@pytest.mark.parametrize("rows, call, match", [
+    (30, _train, "attribute rows"),
+    (50, _train, "attribute rows"),
+    (30, lambda g, X, split: build_enhanced_graph(
+        g, X, None, EnhancerConfig(beta=0.0)), "attribute rows"),
+    (40, lambda g, X, split: build_enhanced_graph(
+        g, X, init_mlp_params(5, 4, 0), EnhancerConfig()), r"2 \* r"),
+], ids=["train-30-rows", "train-50-rows", "enhance-30-rows",
+        "parameters-of-r-5"])
+def test_attributes_and_parameters_must_fit_the_graph(rows, call, match):
+    # 40 nodes with r = 8 attributes: X cut or padded to `rows` rows
+    g, X = make_attribute_sbm(40, seed=0)
+    split = gelato.split_edges(g, (0.7, 0.1, 0.2), 0)
+    X = AttributeMatrix(np.resize(X.values, (rows, X.r)))
+    with pytest.raises(gelato.DataError, match=match):
+        call(g, X, split)
+
+
+_PATH = build_graph([(0, 1), (1, 2)], 3)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: load_params(tmp / "missing.gpar"), gelato.DataError,
+     "cannot read checkpoint"),
+    (lambda tmp: select_augmentation_pairs(
+        AttributeMatrix(np.eye(3)), _PATH, float("nan")), ConfigError, "eta"),
+    (lambda tmp: build_enhanced_graph(
+        _PATH, AttributeMatrix(np.eye(3)), None, EnhancerConfig(beta=0.5)),
+     ConfigError, "MLP parameters"),
+    (lambda tmp: init_mlp_params(8, 2 ** 62), ConfigError,
+     f"hidden={2 ** 62} on r=8"),
+], ids=["unreadable-checkpoint", "nan-eta", "no-parameters",
+        "hidden-beyond-numpy"])
+def test_refusals(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

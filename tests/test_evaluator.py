@@ -10,8 +10,9 @@ from gelato import (RankSummary, auc, average_precision, biased_sample_metrics,
                     build_graph, compute_report, hits_at_k, precision_at_k,
                     rank_summary, report_to_json, split_edges, write_pr_csv)
 from gelato import scorers
-from gelato.errors import ConfigError, NumericError
-from gelato.evaluator import counts_against, pr_curve, sampled_rank_summary
+from gelato.errors import ConfigError, DataError, NumericError
+from gelato.evaluator import (counts_against, pr_curve, sampled_rank_summary,
+                              top_k)
 from gelato.scorers import AutocovarianceScorer, LocalHeuristicScorer
 from gelato.splits import (PHASES, EdgeSplit, excluded_codes,
                            negative_pool_size, sample_negatives, train_graph)
@@ -289,8 +290,9 @@ class TestRankSummarySupport:
 
 
 class TestAutocovarianceKernels:
-    """One estimate of the fill of P^t picks the rows kernel and whether
-    the support view is offered; every choice gives the same bits."""
+    """One estimate of the fill of P^t, that of its rows for _FILL_ROWS
+    evenly spaced sources, picks the rows kernel and whether classes() is
+    offered; every choice gives the same bits."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("n,m", [(300, 300), (60, 600)])
@@ -332,7 +334,7 @@ class TestAutocovarianceKernels:
         assert picks(make_attribute_sbm(400, 0)[0]) == (False, False)
         assert picks(random_graph(rng, 1000, 30000)) == (False, False)
         # n = 20,000 of average degree 4, unweighted: P^3 under 1% full,
-        # the support view
+        # counted from the sparse rows and the background classes
         sparse_pool = random_graph(rng, 20000, 40000)
         assert picks(sparse_pool) == (True, True)
         assert AutocovarianceScorer(gelato.add_self_loops(sparse_pool, "all"),
@@ -574,3 +576,50 @@ class TestEndToEndScorers:
         rs = rank_summary(scorer, g, split, "test")
         assert rs.total_negatives == gelato.negative_pool_size(g, split, "test")
         assert 0.0 <= average_precision(rs) <= 1.0
+
+
+class _MiscountedRa(LocalHeuristicScorer):
+    """RA whose one background class leaves a node out (tests only)."""
+
+    def classes(self):
+        return np.zeros(1, dtype=np.int64), np.array([self.graph.n - 1])
+
+
+class _NanSelfPairRa(LocalHeuristicScorer):
+    """RA whose background is nan at u == v, a pair that only the class
+    pairs of the background query (tests only)."""
+
+    def background(self, u, v):
+        return np.where(np.asarray(u) == np.asarray(v), np.nan, 0.0)
+
+
+def _ra_summary(cls):
+    g = random_graph(np.random.default_rng(0), 30, 60)
+    split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+    return rank_summary(cls("RA", train_graph(g, split)), g, split, "test")
+
+
+def _biased_with_no_negatives():
+    g = random_graph(np.random.default_rng(0), 30, 60)
+    split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+    return biased_sample_metrics(LocalHeuristicScorer("RA", g), g, split, 0,
+                                 seed=0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: RankSummary([0.5], [2], [0], 1), DataError, "exceed"),
+    (lambda: _ra_summary(_MiscountedRa), NumericError, "counted"),
+    (lambda: _ra_summary(_NanSelfPairRa), NumericError, "non-finite pool"),
+    (lambda: top_k(1.5, 10), ConfigError, "k_fraction"),
+    (lambda: hits_at_k(RankSummary([0.5], [0], [0], 1), 0), ConfigError,
+     "hits@k"),
+    (lambda: average_precision(RankSummary([], [], [], 5)), DataError,
+     "average precision"),
+    (lambda: auc(RankSummary([0.5], [0], [0], 0)), DataError, "AUC"),
+    (_biased_with_no_negatives, ConfigError, "neg_per_pos"),
+], ids=["counts-beyond-pool", "pool-miscounted", "nan-class-background",
+        "k-fraction-above-1", "hits-at-0", "ap-of-no-positives",
+        "auc-of-no-negatives", "no-sampled-negatives"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

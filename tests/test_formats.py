@@ -198,8 +198,10 @@ _CONFIG_VALUES = {
     "regime": st.sampled_from(["unbiased", "biased"]), "lr": _POSITIVE,
     "dropout": st.floats(0.0, 0.999),
     "phase": st.sampled_from(["train", "valid", "test"]),
-    "prec": st.lists(st.floats(1e-3, 1.0), max_size=4).map(tuple),
-    "hits": st.lists(st.integers(1, 10 ** 9), max_size=4).map(tuple),
+    "prec": st.lists(st.floats(1e-3, 1.0), min_size=1,
+                     max_size=4).map(tuple),
+    "hits": st.lists(st.integers(1, 10 ** 9), min_size=1,
+                     max_size=4).map(tuple),
 }
 
 

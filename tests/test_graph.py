@@ -53,6 +53,15 @@ class TestBuildGraph:
         with pytest.raises(DataError, match="nonnegative"):
             build_graph([(0, 1, -0.5)], 3)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: AttributeMatrix(np.ones(3)), "2-dimensional"),
+        (lambda: build_graph([(0, 1)], 3, undirected=False), "directed"),
+        (lambda: build_graph([(0, 1, 1.0, 1.0)], 3), r"\(u, v, w\)"),
+    ], ids=["1-d-attributes", "directed", "four-column-edges"])
+    def test_malformed_input_rejected(self, call, match):
+        with pytest.raises(DataError, match=match):
+            call()
+
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(DataError, match="finite"):
             build_graph([(0, 1, np.inf)], 3)

@@ -63,6 +63,10 @@ class TestLocalHeuristics:
                     assert rows[kind][u, v] == pytest.approx(
                         _local_reference(kind, g, u, v), abs=1e-12)
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown heuristic kind"):
+            LocalHeuristicScorer("JC", self.g).rows([0])
+
     def test_weighted_graph_uses_unweighted_structure(self):
         g1 = build_graph([(0, 1, 5.0), (1, 2, 0.25)], 3)
         g2 = build_graph([(0, 1), (1, 2)], 3)

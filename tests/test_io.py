@@ -108,3 +108,8 @@ def test_attributes_without_rows(tmp_path, text):
 def test_missing_file():
     with pytest.raises(DataError):
         read_edge_list("/nonexistent/file.edges")
+
+
+def test_missing_attribute_file(tmp_path):
+    with pytest.raises(DataError, match="cannot read attributes"):
+        read_attributes(tmp_path / "none.attrs")

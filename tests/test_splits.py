@@ -108,6 +108,11 @@ class TestNegativePools:
             test_pos=np.array([[2, 3]]), seed=0, ratios=(0.5, 0.0, 0.5))
         return g, split
 
+    def test_unknown_phase_is_refused(self):
+        _, split = self._tiny_split()
+        with pytest.raises(ConfigError, match="unknown phase"):
+            split.positives("holdout")
+
     def test_counting_examples(self):
         g, split = self._tiny_split()
         assert negative_pool_size(g, split, "test") == 6 - 2
