@@ -491,6 +491,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
         raise ConfigError(
             "alpha=1 or beta=0 leaves no trainable influence on the "
             "scores; use the ac-only/cos-ac modes instead of training")
+    X.check_rows(g.n)  # the direct-MLP path builds no AugmentedPairs
 
     aug = None
     if not cfg.direct_mlp:

@@ -447,20 +447,24 @@ class TestPairFeatures:
             pair_features(X, pairs[:, ::-1])
 
 
-def _train(g, X, split):
-    return gelato.train(g, X, split, EnhancerConfig(),
-                        gelato.TrainConfig(epochs=1, hidden=4))
+def _train(g, X, split, direct_mlp=False):
+    return gelato.train(g, X, split, EnhancerConfig(), gelato.TrainConfig(
+        epochs=1, hidden=4, direct_mlp=direct_mlp))
 
 
 @pytest.mark.parametrize("rows, call, match", [
     (30, _train, "attribute rows"),
     (50, _train, "attribute rows"),
+    (50, lambda g, X, split: _train(g, X, split, direct_mlp=True),
+     "attribute rows"),
     (30, lambda g, X, split: build_enhanced_graph(
         g, X, None, EnhancerConfig(beta=0.0)), "attribute rows"),
+    (30, lambda g, X, split: AugmentedPairs(g, X, split.train_pos, ()),
+     "attribute rows"),
     (40, lambda g, X, split: build_enhanced_graph(
         g, X, init_mlp_params(5, 4, 0), EnhancerConfig()), r"2 \* r"),
-], ids=["train-30-rows", "train-50-rows", "enhance-30-rows",
-        "parameters-of-r-5"])
+], ids=["train-30-rows", "train-50-rows", "direct-mlp-50-rows",
+        "enhance-30-rows", "pair-set-30-rows", "parameters-of-r-5"])
 def test_attributes_and_parameters_must_fit_the_graph(rows, call, match):
     # 40 nodes with r = 8 attributes: X cut or padded to `rows` rows
     g, X = make_attribute_sbm(40, seed=0)
