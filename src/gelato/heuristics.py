@@ -6,13 +6,12 @@ for a block of sources, and _pt_matrix the whole sparse matrix. The n x n
 dense matrix is never formed.
 
 Every form holds the same bits at every entry it stores. scipy's
-products start each sum at 0 and add its terms in index order, so each
-form walks from its sources' rows of P and keeps every sparse factor's
-rows sorted before a product: each entry then sums the same terms in the
-same order as the dense walk. Starting from P's rows gives the same bits
-as t steps from identity rows, because that first step would only
-multiply by 1 and add +0. A sparse product drops a sum that is exactly 0,
-which the dense rows hold as 0.
+products start each sum at 0 and add its terms in index order. Each form
+starts from its sources' rows of P, the same bits as a first step from
+identity rows, which would only multiply by 1 and add +0; the sparse
+forms keep the rows of every left factor sorted, so each entry sums the
+same terms in the same order as the dense walk. A sparse form stores no
+sum that is exactly 0, where the dense rows hold 0.
 """
 
 from __future__ import annotations

@@ -97,8 +97,8 @@ class AutocovarianceScorer:
         # looked up at each call, so that a tracer that replaces the
         # module attribute sees these walks too
         T = heuristics._walk_hits(self._P, sources, self.t)
-        return autocovariance_from_walk(g, sources[:, None], np.arange(g.n),
-                                        T)
+        return autocovariance_from_walk(g, sources[:, None],
+                                        np.arange(g.n), T)
 
     def sparse_rows(self, sources) -> sparse.csr_matrix:
         """The entries of rows() on the support of P^t's rows, as sparse
@@ -131,10 +131,10 @@ class AutocovarianceScorer:
 class LocalHeuristicScorer:
     """Common Neighbors / Adamic-Adar / Resource Allocation rows of the
     unweighted structure without loops: a common neighbour z of degree
-    d_z adds 1, 1/ln(d_z) (natural log) or 1/d_z. A node of degree <= 1
-    cannot be a common neighbour, so its weight is 0 rather than 1/ln(1)
-    or 1/0. The factors are formed at the first rows, not at
-    construction."""
+    d_z adds 1, 1/ln(d_z) (natural log) or 1/d_z. A node of degree 0, or
+    under AA of degree 1, weighs 0 rather than 1/0 or 1/ln(1); it cannot
+    be a common neighbour, so no score moves. The factors are formed at
+    the first rows, not at construction."""
 
     def __init__(self, kind: str, graph: Graph):
         self.kind = kind.upper()
