@@ -485,10 +485,7 @@ _PATH = build_graph([(0, 1), (1, 2)], 3)
     (lambda tmp: build_enhanced_graph(
         _PATH, AttributeMatrix(np.eye(3)), None, EnhancerConfig(beta=0.5)),
      ConfigError, "MLP parameters"),
-    (lambda tmp: init_mlp_params(8, 2 ** 62), ConfigError,
-     f"hidden={2 ** 62} on r=8"),
-], ids=["unreadable-checkpoint", "nan-eta", "no-parameters",
-        "hidden-beyond-numpy"])
+], ids=["unreadable-checkpoint", "nan-eta", "no-parameters"])
 def test_refusals(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
