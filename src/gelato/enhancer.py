@@ -41,8 +41,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import (AttributeMatrix, Graph, _pair_graph, cosine_pairs,
-                    pair_codes)
+from .graph import (AttributeMatrix, Graph, _pair_graph, _values_at,
+                    cosine_pairs, pair_codes)
 from .rng import Stream, counter_words, derive
 
 PARAM_MAGIC = b"GPAR"
@@ -222,7 +222,7 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     order = np.lexsort((v, u, -s))[:count]
     threshold = float(s[order].min())
     pairs = np.column_stack([u[order], v[order]])
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.argsort(pair_codes(pairs, n))]
     return pairs, threshold
 
 
@@ -322,10 +322,10 @@ class AugmentedPairs:
         if (self.codes[1:] == self.codes[:-1]).any():
             raise ConfigError("the augmentation repeats a base pair")
         self.pairs = pairs[order]
-        self.weights = np.concatenate([g.pair_weights(base),
-                                       np.zeros(len(added))])[order]
-        self.cos = cosine_pairs(X, self.pairs)
         self.added_rows = np.argsort(order)[len(base):]
+        self.weights = _values_at(g.adjacency(), self.codes)
+        self.weights[self.added_rows] = 0.0
+        self.cos = cosine_pairs(X, self.pairs)
         self._masks = None, None  # (hidden, rate, key), the last draw
 
     def ids(self, base) -> np.ndarray:

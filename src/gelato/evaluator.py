@@ -131,7 +131,11 @@ def _counts(vals, pos_scores):
 
 
 def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
-    """Rank positives against an explicit (sampled) negative set."""
+    """Rank positives against an explicit (sampled) negative set; a node
+    beyond the scorer's n is refused."""
+    top = max(np.max(positives, initial=-1), np.max(negatives, initial=-1))
+    if top >= getattr(scorer, "n", np.inf):
+        raise DataError(f"node {top} is beyond the scorer's {scorer.n} nodes")
     classes = scorer.classes() if hasattr(scorer, "classes") else None
     pos_scores = _score_pairs(scorer, positives, classes)
     above, tied = _counts(_score_pairs(scorer, negatives, classes),
@@ -155,6 +159,8 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
         raise ConfigError("block_size must be >= 1")
     positives = split.positives(phase)
     n = split.n
+    if getattr(scorer, "n", n) != n:
+        raise DataError(f"the scorer has {scorer.n} nodes, the split {n}")
     excl = excluded_codes(split, phase)
     pool = negative_pool_size(g, split, phase)
     classes = scorer.classes() if hasattr(scorer, "classes") else None

@@ -136,8 +136,10 @@ class Graph:
         return pairs
 
     def pair_weights(self, pairs: np.ndarray) -> np.ndarray:
-        """Weights of canonical pairs (0.0 where absent), vectorized."""
-        return _values_at(self.adjacency(), pair_codes(pairs, self.n))
+        """Weights of canonical pairs, 0.0 where absent, looked up sorted."""
+        keys, inverse = np.unique(pair_codes(pairs, self.n),
+                                  return_inverse=True)
+        return _values_at(self.adjacency(), keys)[inverse]
 
 
 def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -170,8 +172,9 @@ def _pair_graph(n, u, v, w, loops=None):
     loop of that weight goes on each node without a loop of positive
     weight: under "all" on every such node, under "isolated-only" where
     the weighted degree from `w` is 0. It replaces a loop of weight 0.
-    Arcs are sorted by their unique (row, col) keys, so the arrays do not
-    depend on the order of the pairs."""
+    Pairs must be distinct (a repeat, also as (v, u), is a DataError) and
+    loops go only where none is stored, so one argsort of the unique arc
+    keys row * n + col sorts arcs as a lexsort would, in any pair order."""
     two = u != v
     rows, cols, data = np.r_[u, v[two]], np.r_[v, u[two]], np.r_[w, w[two]]
     if loops is not None:
@@ -183,7 +186,10 @@ def _pair_graph(n, u, v, w, loops=None):
         nodes = np.flatnonzero(add)
         rows, cols = np.r_[rows, nodes], np.r_[cols, nodes]
         data = np.r_[data, np.full(len(nodes), float(loops[1]))]
-    order = np.lexsort((cols, rows))
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys)
+    if (np.diff(keys[order]) == 0).any():
+        raise DataError("duplicate edges in input")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     arcs = np.column_stack([position[:len(u)], position[:len(u)]])
@@ -232,10 +238,6 @@ def build_graph(edges, n: int, undirected: bool = True) -> Graph:
         raise DataError("edge weights must be finite")
     if len(w) and w.min() < 0:
         raise DataError("edge weights must be nonnegative")
-
-    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    if (codes[1:] == codes[:-1]).any():
-        raise DataError("duplicate edges in input")
 
     try:  # its O(n) arrays may not fit for a huge node count
         return _pair_graph(n, u, v, w)[0]

@@ -1,8 +1,8 @@
 """The scores the evaluator and the trainer's validation rank pairs by.
 
-A scorer exposes rows(sources) -> dense (len(sources), n) float64 block:
-Autocovariance of a random walk, CN/AA/RA, attribute cosine, or the
-trained MLP.
+A scorer exposes its node count n and rows(sources) -> dense
+(len(sources), n) float64 block: Autocovariance of a random walk,
+CN/AA/RA, attribute cosine, or the trained MLP.
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
@@ -64,7 +64,7 @@ class AutocovarianceScorer:
     def __init__(self, graph: Graph, t: int = 3):
         if t < 0:
             raise ConfigError("walk length t must be >= 0")
-        self.graph = graph
+        self.graph, self.n = graph, graph.n
         self.t = t
 
     @cached_property
@@ -138,7 +138,7 @@ class LocalHeuristicScorer:
 
     def __init__(self, kind: str, graph: Graph):
         self.kind = kind.upper()
-        self.graph = graph
+        self.graph, self.n = graph, graph.n
 
     @cached_property
     def _factors(self):
@@ -184,7 +184,7 @@ class CosineScorer:
     """Attribute cosine similarity rows."""
 
     def __init__(self, X: AttributeMatrix):
-        self.unit = X.unit_rows()
+        self.unit, self.n = X.unit_rows(), X.n
 
     def rows(self, sources) -> np.ndarray:
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
@@ -196,7 +196,7 @@ class MlpScorer:
 
     def __init__(self, params: MlpParams, X: AttributeMatrix):
         self.params = params
-        self.X = X
+        self.X, self.n = X, X.n
 
     def rows(self, sources) -> np.ndarray:
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)

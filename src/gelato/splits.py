@@ -20,7 +20,9 @@ float representation error in the ratios.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +228,9 @@ def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,
 # -- split file format ----------------------------------------------------
 
 _SECTIONS = ("TRAIN", "VALID", "TEST")  # each once in a split file
+# splits a split file at each line whose first word names a section
+_SECTION_LINE = re.compile(
+    r"\n([^\S\n]*(?:TRAIN|VALID|TEST)(?=[\s#]|\Z)[^\n]*)")
 
 
 def write_split(path, split: EdgeSplit) -> None:
@@ -242,18 +247,16 @@ def write_split(path, split: EdgeSplit) -> None:
 
 
 def read_split(path) -> EdgeSplit:
+    """Read a split file; `#` starts a comment and blank lines may stand
+    anywhere. The rows of each section are read by one numpy text read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
+            text = "\n" + fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read split file {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln]
-    header = {}
-    i = 0
-    while i < len(lines) and lines[i].split()[0] not in _SECTIONS:
-        key, *rest = lines[i].split()
-        header[key] = rest
-        i += 1
+    head, *parts = _SECTION_LINE.split(text)
+    lines = [ln.split("#", 1)[0].split() for ln in head.split("\n")]
+    header = {key: rest for key, *rest in filter(None, lines)}
     try:
         n = int(header["n"][0])
         seed = int(header["seed"][0])
@@ -263,24 +266,19 @@ def read_split(path) -> EdgeSplit:
     check_node_count(n)
     sections = {}
     try:
-        while i < len(lines):
-            name, count = lines[i].split()
+        for line, rows in zip(parts[::2], parts[1::2]):
+            name, count = line.split("#", 1)[0].split()
             count = int(count)
-            if name not in _SECTIONS or name in sections:
-                raise DataError(f"{path}: section {name} is unknown or "
-                                "given twice")
-            if count < 0 or i + 1 + count > len(lines):
+            if name in sections:
+                raise DataError(f"{path}: section {name} is given twice")
+            # a last row "0 0", dropped: loadtxt warns where no row
+            # follows, and refuses any row that is not two ids
+            pairs = np.loadtxt(io.StringIO(rows + "\n0 0"), np.int64,
+                               ndmin=2)[:-1]
+            if len(pairs) != count:
                 raise DataError(f"{path}: section {name} declares {count} "
-                                f"pairs but {len(lines) - i - 1} lines follow")
-            pairs = np.empty((0, 2), dtype=np.int64)
-            if count:  # loadtxt warns on an empty input
-                pairs = np.loadtxt(lines[i + 1:i + 1 + count],
-                                   dtype=np.int64, ndmin=2)
-            if pairs.shape[1] != 2:
-                raise DataError(f"{path}: section {name} has a line that is "
-                                "not two ids")
+                                f"pairs but {len(pairs)} rows follow")
             sections[name] = pairs
-            i += 1 + count
     except ValueError as exc:
         raise DataError(f"bad split section in {path}: {exc}") from exc
     for name in _SECTIONS:

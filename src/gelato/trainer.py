@@ -49,7 +49,7 @@ from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
                        init_mlp_params, mlp_backward, mlp_forward,
                        pair_features, select_augmentation_pairs,
                        unflatten_params)
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evaluator import pair_scores, precision_at_k, rank_summary
 from .graph import AttributeMatrix, Graph, _values_at, pair_codes
 from .heuristics import _product, _pt_matrix, transition_matrix, _walk_hits
@@ -291,7 +291,7 @@ class _DenseWalk:
                               shape=(n, n))
         PT = P.T.tocsr()
         rows = np.repeat(np.arange(n), np.diff(P.indptr))
-        by_col = np.lexsort((rows, P.indices))     # arcs column by column
+        by_col = np.argsort(P.indices.astype(np.int64) * n + rows)  # by column
         col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
         for lo in range(0, n, self.block_size):
             hi = min(n, lo + self.block_size)
@@ -485,7 +485,8 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
     positives|) fresh negatives per epoch (capped by neg_cap); the biased
     regime with exactly one. Model selection: highest validation
     prec@100%, earliest epoch on ties; when the validation set is empty
-    the lowest epoch loss is used instead.
+    the lowest epoch loss is used instead. An Adam step that leaves a
+    non-finite parameter raises NumericError.
     """
     if not cfg.direct_mlp and (enh_cfg.alpha >= 1.0 or enh_cfg.beta <= 0.0):
         raise ConfigError(
@@ -536,7 +537,11 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             gflat = flatten_params(
                 MlpParams(grads["W1"], grads["b1"], grads["W2"], grads["b2"]),
                 None if head is None else [grads["head_a"], grads["head_b"]])
-            flat = adam_update(adam, flat, gflat, cfg.lr)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                flat = adam_update(adam, flat, gflat, cfg.lr)
+            if not np.isfinite(flat).all():
+                raise NumericError(f"epoch {epoch}, batch {bi + 1}: the Adam "
+                                   "step left a non-finite parameter")
             if head is not None:
                 params, head = unflatten_params(flat, X.r, cfg.hidden,
                                                 with_head=True)

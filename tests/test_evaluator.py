@@ -623,3 +623,32 @@ def _biased_with_no_negatives():
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _path_scorer(n):
+    """Autocovariance of the n-node path with a loop on every node."""
+    path = build_graph([(i, i + 1) for i in range(n - 1)], n)
+    return AutocovarianceScorer(gelato.add_self_loops(path, "all"), 3)
+
+
+def _mlp_scorer(n):
+    """An MLP scorer over the attributes of n nodes."""
+    X = gelato.AttributeMatrix(np.random.default_rng(0).normal(size=(n, 8)))
+    return gelato.MlpScorer(gelato.init_mlp_params(8, 4), X)
+
+
+@pytest.mark.parametrize("scorer, sampled, match", [
+    (lambda: _mlp_scorer(50), False, "50 nodes, the split 40"),
+    (lambda: _path_scorer(50), False, "50 nodes, the split 40"),
+    (lambda: _path_scorer(30), False, "30 nodes, the split 40"),
+    (lambda: _path_scorer(30), True, "beyond the scorer's 30 nodes"),
+], ids=["mlp-50-rows", "ac-50-nodes", "ac-30-nodes", "ac-30-nodes-sampled"])
+def test_a_scorer_of_another_node_count_is_refused(scorer, sampled, match):
+    g, _ = make_attribute_sbm(40, seed=0)
+    split = split_edges(g, (0.7, 0.1, 0.2), 0)
+    with pytest.raises(DataError, match=match):
+        if sampled:
+            sampled_rank_summary(scorer(), split.test_pos, sample_negatives(
+                g, split, "test", 3 * len(split.test_pos), 0))
+        else:
+            rank_summary(scorer(), g, split, "test")

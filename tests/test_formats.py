@@ -19,6 +19,7 @@ from gelato import (AttributeMatrix, ExperimentConfig, build_graph,
                     write_attributes_binary, write_edge_list, write_split)
 from gelato.config import MODES
 from gelato.errors import ConfigError, DataError
+from gelato.graph import check_node_count, pair_codes
 from gelato.splits import EdgeSplit
 
 FINITE = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308,
@@ -228,3 +229,124 @@ def test_a_string_value_is_written_exactly_or_refused(value):
     else:
         with pytest.raises(ConfigError):
             config_to_text(cfg)
+
+
+_SECTIONS = ("TRAIN", "VALID", "TEST")
+
+
+def _line_read_split(path) -> EdgeSplit:
+    """A split reader that strips the comment of every line in Python and
+    reads each section's lines by loadtxt: the reference whose accepted
+    files and values read_split must match."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.split("#", 1)[0].strip() for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read split file {path}: {exc}") from exc
+    lines = [ln for ln in lines if ln]
+    header = {}
+    i = 0
+    while i < len(lines) and lines[i].split()[0] not in _SECTIONS:
+        key, *rest = lines[i].split()
+        header[key] = rest
+        i += 1
+    try:
+        n = int(header["n"][0])
+        seed = int(header["seed"][0])
+        ratios = tuple(float(x) for x in header["ratios"])
+    except (KeyError, IndexError, ValueError) as exc:
+        raise DataError(f"bad split header in {path}: {exc}") from exc
+    check_node_count(n)
+    sections = {}
+    try:
+        while i < len(lines):
+            name, count = lines[i].split()
+            count = int(count)
+            if name not in _SECTIONS or name in sections:
+                raise DataError(f"{path}: section {name} is unknown or "
+                                "given twice")
+            if count < 0 or i + 1 + count > len(lines):
+                raise DataError(f"{path}: section {name} declares {count} "
+                                f"pairs but {len(lines) - i - 1} lines follow")
+            pairs = np.empty((0, 2), dtype=np.int64)
+            if count:  # loadtxt warns on an empty input
+                pairs = np.loadtxt(lines[i + 1:i + 1 + count],
+                                   dtype=np.int64, ndmin=2)
+            if pairs.shape[1] != 2:
+                raise DataError(f"{path}: section {name} has a line that is "
+                                "not two ids")
+            sections[name] = pairs
+            i += 1 + count
+    except ValueError as exc:
+        raise DataError(f"bad split section in {path}: {exc}") from exc
+    for name in _SECTIONS:
+        if name not in sections:
+            raise DataError(f"split file {path} missing section {name}")
+    pairs = np.vstack([sections[s] for s in _SECTIONS])
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise DataError(f"{path}: a node id lies outside [0, {n})")
+    if (pairs[:, 0] >= pairs[:, 1]).any():
+        raise DataError(f"{path}: a pair (u, v) has u >= v")
+    codes = np.sort(pair_codes(pairs, n))
+    if (codes[1:] == codes[:-1]).any():
+        raise DataError(f"{path}: a pair is listed twice")
+    return EdgeSplit(n=n, train_pos=sections["TRAIN"],
+                     valid_pos=sections["VALID"], test_pos=sections["TEST"],
+                     seed=seed, ratios=ratios)
+
+
+# ways a split file goes wrong, each applied to one section
+_SPLIT_FAULTS = [None, "unknown", "repeated", "missing", "short", "long",
+                 "negative", "not an integer"]
+# whitespace that both readers strip, line breaks of the text reader among it
+_SPACE = st.text(st.sampled_from(" \t\x0b\x0c\r\x1c\x85 　"),
+                 max_size=2)
+
+
+def _split_outcome(read, path):
+    """The fields of what `read` returns, or DataError where it refuses."""
+    try:
+        s = read(path)
+    except DataError:
+        return DataError
+    return (s.n, s.seed, np.array(s.ratios).view(np.int64).tolist(),
+            *[(p.dtype, p.shape, p.tolist()) for p in
+              (s.train_pos, s.valid_pos, s.test_pos)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(split=splits(), fault=st.sampled_from(_SPLIT_FAULTS), data=st.data())
+def test_split_reader_accepts_what_the_line_reader_accepts(scratch, split,
+                                                           fault, data):
+    write_split(scratch, split)
+    lines = scratch.read_text().splitlines()
+    heads = [i for i, ln in enumerate(lines) if ln.split()[0] in _SECTIONS]
+    at = data.draw(st.sampled_from(heads))
+    name, count = lines[at].split()
+    end = ([i for i in heads if i > at] + [len(lines)])[0]
+    if fault == "unknown":
+        lines[at] = f"{data.draw(st.sampled_from(['FOO', 'TRAINS']))} {count}"
+    elif fault == "repeated":
+        lines += lines[at:end]
+    elif fault == "missing":
+        del lines[at:end]
+    elif fault in ("short", "long", "negative"):
+        shift = {"short": 1, "long": -1, "negative": -int(count) - 1}[fault]
+        lines[at] = f"{name} {int(count) + shift}"
+    elif fault == "not an integer":
+        lines[at] = f"{name} {data.draw(st.sampled_from(['x', '1.0', '']))}"
+    # unknown header keys, ignored, though they begin as section names do
+    lines[1:1] = data.draw(st.lists(st.sampled_from(
+        ["TRAINS 2", "TESTING", "train 1"]), max_size=1))
+    for i in reversed(range(len(lines) + 1)):  # comments and blank lines
+        lines[i:i] = data.draw(st.lists(
+            _SPACE | st.just("# TRAIN 3") | st.just("#"), max_size=1))
+    lines = [data.draw(_SPACE) + ln + data.draw(_SPACE)
+             + data.draw(st.sampled_from(["", " # c", "#VALID 1"]))
+             for ln in lines]
+    scratch.write_text("\n".join(lines) + data.draw(st.sampled_from(
+        ["", "\n"])), encoding="utf-8")
+    want = _split_outcome(_line_read_split, scratch)
+    assert _split_outcome(read_split, scratch) == want
+    if fault is None:  # the decorations keep a valid file valid
+        assert want is not DataError

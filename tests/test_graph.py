@@ -221,3 +221,58 @@ class TestSelfLoops:
         g = build_graph([(0, 1)], 2)
         with pytest.raises(DataError):
             add_self_loops(g, "everything", 1.0)
+
+
+def _lexsort_pair_graph(n, u, v, w, loops=None):
+    """`_pair_graph` with its arcs ordered by np.lexsort over (row, col):
+    the reference whose arrays one argsort of the arc keys must give bit
+    for bit."""
+    two = u != v
+    rows, cols, data = np.r_[u, v[two]], np.r_[v, u[two]], np.r_[w, w[two]]
+    if loops is not None:
+        add = (np.ones(n, dtype=bool) if loops[0] == "all"
+               else np.bincount(rows, weights=data, minlength=n) == 0.0)
+        add[u[~two & (w > 0.0)]] = False
+        data[np.flatnonzero(~two & add[u])] = loops[1]
+        add[u[~two]] = False
+        nodes = np.flatnonzero(add)
+        rows, cols = np.r_[rows, nodes], np.r_[cols, nodes]
+        data = np.r_[data, np.full(len(nodes), float(loops[1]))]
+    order = np.lexsort((cols, rows))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    arcs = np.column_stack([position[:len(u)], position[:len(u)]])
+    arcs[two, 1] = position[len(u):len(u) + two.sum()]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return indptr, cols[order], data[order], arcs
+
+
+class TestPairGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 3000), data=st.data(),
+           loops=st.sampled_from([None, ("all", 1.0),
+                                  ("isolated-only", 0.5)]))
+    def test_arcs_are_ordered_as_by_lexsort(self, n, data, loops):
+        # distinct pairs in either orientation, loops and loops of weight
+        # 0 among them; a few node ids so that pairs share rows
+        ids = st.integers(0, n - 1) | st.integers(0, min(n, 6) - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40,
+                                   unique_by=lambda p: (min(p), max(p))))
+        w = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+            min_size=len(pairs), max_size=len(pairs))), dtype=np.float64)
+        u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        g, arcs = gelato.graph._pair_graph(n, u, v, w, loops)
+        want = _lexsort_pair_graph(n, u, v, w, loops)
+        for got, ref in zip((g.indptr, g.indices, g.data, arcs), want):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (2, 1), (1, 0)],                 # listed both ways
+        [(2, 2), (0, 1), (2, 2)],                 # a repeated loop
+        [(1, 1, 0.0), (1, 1, 2.0)],               # and with other weights
+    ])
+    def test_build_graph_refuses_a_repeat(self, edges):
+        with pytest.raises(DataError, match="duplicate edges in input"):
+            build_graph(edges, 3)

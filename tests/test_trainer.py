@@ -11,7 +11,7 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     adam_update, build_graph, compute_gradients,
                     forward_loss, init_mlp_params, split_edges, train)
 from gelato.enhancer import select_augmentation_pairs
-from gelato.errors import ConfigError
+from gelato.errors import ConfigError, NumericError
 from gelato.evaluator import pair_scores
 from gelato.heuristics import transition_matrix
 from gelato.scorers import autocovariance_from_walk
@@ -790,3 +790,12 @@ print(json.dumps({"notes": notes, "counters": tracer.counters,
     assert {"trainer.ac_backward", "trainer.mlp_backward", "trainer.adam",
             "trainer.validation", "enhancer.augment",
             "splits.sample_negatives"} <= set(out["layers"])
+
+
+def test_a_non_finite_adam_step_is_refused():
+    # the first step at lr 1e308 overflows to inf; the error names the
+    # step instead of returning the parameters it left
+    g, X = make_attribute_sbm(40, seed=0)
+    split = split_edges(g, (0.7, 0.1, 0.2), 0)
+    with pytest.raises(NumericError, match="epoch 1, batch 1: the Adam step"):
+        train(g, X, split, EnhancerConfig(), TrainConfig(epochs=2, lr=1e308))
