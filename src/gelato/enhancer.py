@@ -41,8 +41,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import (AttributeMatrix, Graph, _pair_graph, _values_at,
-                    cosine_pairs, pair_codes)
+from .graph import (AttributeMatrix, Graph, _code_order, _pair_graph,
+                    _values_at, cosine_pairs, pair_codes)
 from .rng import Stream, counter_words, derive
 
 PARAM_MAGIC = b"GPAR"
@@ -222,7 +222,7 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     order = np.lexsort((v, u, -s))[:count]
     threshold = float(s[order].min())
     pairs = np.column_stack([u[order], v[order]])
-    pairs = pairs[np.argsort(pair_codes(pairs, n))]
+    pairs = pairs[_code_order(pair_codes(pairs, n))[1]]
     return pairs, threshold
 
 
@@ -315,10 +315,8 @@ class AugmentedPairs:
         base = np.asarray(base, dtype=np.int64).reshape(-1, 2)
         added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
         pairs = np.vstack([base, added])
-        codes = pair_codes(pairs, g.n)
-        order = np.argsort(codes)
+        self.codes, order = _code_order(pair_codes(pairs, g.n))
         self.n, self.X = g.n, X
-        self.codes = codes[order]
         if (self.codes[1:] == self.codes[:-1]).any():
             raise ConfigError("the augmentation repeats a base pair")
         self.pairs = pairs[order]

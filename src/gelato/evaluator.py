@@ -131,11 +131,13 @@ def _counts(vals, pos_scores):
 
 
 def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
-    """Rank positives against an explicit (sampled) negative set; a node
-    beyond the scorer's n is refused."""
+    """Rank positives against an explicit (sampled) negative set; a
+    negative node id or one beyond the scorer's n is refused."""
     top = max(np.max(positives, initial=-1), np.max(negatives, initial=-1))
     if top >= getattr(scorer, "n", np.inf):
         raise DataError(f"node {top} is beyond the scorer's {scorer.n} nodes")
+    if min(np.min(positives, initial=0), np.min(negatives, initial=0)) < 0:
+        raise DataError("a node id is negative")
     classes = scorer.classes() if hasattr(scorer, "classes") else None
     pos_scores = _score_pairs(scorer, positives, classes)
     above, tied = _counts(_score_pairs(scorer, negatives, classes),
@@ -382,6 +384,8 @@ def biased_sample_metrics(scorer, g, split: EdgeSplit, neg_per_pos: int,
     """
     if neg_per_pos < 1:
         raise ConfigError("neg_per_pos must be >= 1")
+    if getattr(scorer, "n", split.n) != split.n:
+        raise DataError(f"the scorer has {scorer.n} nodes, the split {split.n}")
     positives = split.positives(phase)
     negatives = sample_negatives(g, split, phase,
                                  neg_per_pos * len(positives), seed)

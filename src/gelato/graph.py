@@ -137,15 +137,29 @@ class Graph:
 
     def pair_weights(self, pairs: np.ndarray) -> np.ndarray:
         """Weights of canonical pairs, 0.0 where absent, looked up sorted."""
-        keys, inverse = np.unique(pair_codes(pairs, self.n),
-                                  return_inverse=True)
-        return _values_at(self.adjacency(), keys)[inverse]
+        ranked, order = _code_order(pair_codes(pairs, self.n))
+        out = np.empty(len(order))
+        out[order] = _values_at(self.adjacency(), ranked)
+        return out
 
 
 def pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
     """Encode pairs as u * n + v for set arithmetic and lookups."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0] * n + pairs[:, 1]
+
+
+def _code_order(codes):
+    """(`codes` ascending, their stable argsort): one in-place sort of the
+    keys code * len + position where they fit in int64, else argsort."""
+    k = len(codes)
+    if not k or codes.min() < 0 or codes.max() > (2 ** 63 - k) // k:
+        order = np.argsort(codes, kind="stable")
+        return codes[order], order
+    keys = codes * k
+    keys += np.arange(k)
+    keys.sort()
+    return np.divmod(keys, k, out=(keys, np.empty_like(keys)))
 
 
 def _values_at(M, codes, fill=0.0):
@@ -173,7 +187,7 @@ def _pair_graph(n, u, v, w, loops=None):
     weight: under "all" on every such node, under "isolated-only" where
     the weighted degree from `w` is 0. It replaces a loop of weight 0.
     Pairs must be distinct (a repeat, also as (v, u), is a DataError) and
-    loops go only where none is stored, so one argsort of the unique arc
+    loops go only where none is stored, so one sort of the unique arc
     keys row * n + col sorts arcs as a lexsort would, in any pair order."""
     two = u != v
     rows, cols, data = np.r_[u, v[two]], np.r_[v, u[two]], np.r_[w, w[two]]
@@ -186,9 +200,8 @@ def _pair_graph(n, u, v, w, loops=None):
         nodes = np.flatnonzero(add)
         rows, cols = np.r_[rows, nodes], np.r_[cols, nodes]
         data = np.r_[data, np.full(len(nodes), float(loops[1]))]
-    keys = rows.astype(np.int64) * n + cols
-    order = np.argsort(keys)
-    if (np.diff(keys[order]) == 0).any():
+    keys, order = _code_order(rows.astype(np.int64) * n + cols)
+    if (np.diff(keys) == 0).any():
         raise DataError("duplicate edges in input")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))

@@ -27,7 +27,8 @@ Derived quantities:
   (collisions are ~2**-33 likely at m = 10**6 and resolved stably)
 
 Child streams are namespaced with ``derive(seed, *words)`` as documented
-on that function.
+on that function. ``Stream.at(i)`` reads from output i on: the same words
+as a sequential read there, so a long read can be made in pieces.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ class Stream:
         self.seed = seed & _MASK
         self._next = 0
 
+    def at(self, position: int) -> "Stream":
+        """A new Stream of this seed whose next output is `position`'s."""
+        view = Stream(self.seed)
+        view._next = position
+        return view
+
     def u64(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit outputs."""
         idx = np.arange(self._next + 1, self._next + count + 1, dtype=np.uint64)
@@ -99,10 +106,6 @@ class Stream:
     def permutation(self, m: int) -> np.ndarray:
         """Uniform permutation of range(m): stable argsort of m outputs."""
         return np.argsort(self.u64(m), kind="stable")
-
-    def shuffled(self, arr: np.ndarray) -> np.ndarray:
-        """Copy of `arr` with rows permuted."""
-        return np.asarray(arr)[self.permutation(len(arr))]
 
 
 def counter_words(key: int, counters: np.ndarray) -> np.ndarray:

@@ -28,13 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, _pair_graph, check_node_count, pair_codes
+from .graph import (Graph, _code_order, _pair_graph, check_node_count,
+                    pair_codes)
 from .rng import Stream, derive
 
 PHASES = ("train", "valid", "test")
 
 _NEG_TAG = 0x6E656773  # stream namespace for negative sampling
 _BATCH_TAG = 0x62617463  # stream namespace for batch partitions
+_DRAW_CHUNK = 65536  # stream words per piece of a negative draw
 
 
 @dataclass
@@ -107,7 +109,7 @@ def split_edges(g: Graph, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> EdgeSplit
         raise DataError(f"graph too small to split: ratios {ratios} give "
                         f"{n_valid} valid and {n_test} test of {m} edges")
     n_train = m - n_valid - n_test
-    shuffled = Stream(seed).shuffled(pairs)
+    shuffled = pairs[Stream(seed).permutation(m)]
     return EdgeSplit(
         n=g.n,
         train_pos=shuffled[:n_train],
@@ -153,10 +155,11 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
                      seed: int) -> np.ndarray:
     """Sample `count` pairs uniformly without replacement from the pool.
 
-    Rejection sampling against the excluded positive set: candidate pairs
-    are drawn as two node ids from the seed's stream, canonicalized, and
-    kept in draw order after dropping self-pairs, excluded positives, and
-    repeats. Deterministic per seed. Pools are O(n^2) and never built.
+    Rejection sampling against the excluded positive set, in rounds of k =
+    max(64, int(1.4 * still needed) + 16) candidates: candidate i is words
+    i and k + i of the round's next 2k stream words, modulo n, and is kept
+    in draw order, canonicalized, unless it is a self-pair, an excluded
+    positive or a repeat. Deterministic per seed; pools are never built.
     """
     _check_phase(phase)
     pool = negative_pool_size(g, split, phase)
@@ -170,34 +173,29 @@ def sample_negatives(g: Graph, split: EdgeSplit, phase: str, count: int,
     n = split.n
     excl = excluded_codes(split, phase)
     stream = Stream(derive(seed, _NEG_TAG))
+    word = 0  # the stream position of the round's first word
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
         k = max(64, int((count - len(chosen)) * 1.4) + 16)
-        us = stream.below(n, k)
-        vs = stream.below(n, k)
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        codes = (lo * n + hi)[lo != hi]
-        # one unstable sort groups the repeats; each group whose code is
-        # neither excluded nor chosen before keeps its first draw position
-        order = np.argsort(codes)
-        ranked = codes[order]
-        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-        fresh = ~(_found(ranked[starts], excl)
-                  | _found(ranked[starts], chosen))
+        parts = []
+        for a in range(0, k, _DRAW_CHUNK):  # chunk-sized temporaries
+            us = stream.at(word + a).below(n, min(_DRAW_CHUNK, k - a))
+            vs = stream.at(word + k + a).below(n, len(us))
+            lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+            parts.append((lo * n + hi)[lo != hi])
+        codes = np.concatenate(parts)
+        word += 2 * k
+        # each code's first draw leads its group in the stable order; it is
+        # kept unless a search of the excluded and chosen codes finds it
+        ranked, order = _code_order(codes)
+        fresh = np.diff(ranked, prepend=-1) != 0
+        old = np.r_[excl, chosen]
+        at = np.searchsorted(ranked, old)
+        fresh[at[np.r_[ranked, -1][at] == old]] = False
         keep = np.zeros(len(codes), dtype=bool)
-        keep[np.minimum.reduceat(order, starts)[fresh]] = True
+        keep[order[fresh]] = True
         chosen = np.concatenate([chosen, codes[keep][:count - len(chosen)]])
     return np.column_stack([chosen // n, chosen % n])
-
-
-def _found(distinct, codes):
-    """Mask of the ascending `distinct` codes that occur in `codes`,
-    found by searching each of `codes` in `distinct`, which needs no
-    sort of `codes`."""
-    pos = np.searchsorted(distinct, codes)
-    hit = np.zeros(len(distinct), dtype=bool)
-    hit[pos[np.r_[distinct, -1][pos] == codes]] = True
-    return hit
 
 
 def positive_masking_batches(split: EdgeSplit, batch_count: int = 10,

@@ -51,7 +51,7 @@ from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
                        unflatten_params)
 from .errors import ConfigError, NumericError
 from .evaluator import pair_scores, precision_at_k, rank_summary
-from .graph import AttributeMatrix, Graph, _values_at, pair_codes
+from .graph import AttributeMatrix, Graph, _code_order, _values_at, pair_codes
 from .heuristics import _product, _pt_matrix, transition_matrix, _walk_hits
 from .rng import derive
 from .scorers import AutocovarianceScorer, MlpScorer, autocovariance_from_walk
@@ -201,9 +201,10 @@ class _SparseWalk:
     def __init__(self, P, pairs, t, Pt):
         n = P.shape[0]
         self.P, self.t, self.n = P, t, n
-        # return_inverse sorts; plain np.unique hashes, 10x slower here
-        self.keys, self.inverse = np.unique(pair_codes(pairs, n),
-                                            return_inverse=True)
+        ranked, order = _code_order(pair_codes(pairs, n))
+        first = np.diff(ranked, prepend=-1) != 0  # each code's first pair
+        self.keys, self.inverse = ranked[first], np.empty_like(order)
+        self.inverse[order] = np.cumsum(first) - 1
         # P has no negative entries, so -inf marks the codes P^t lacks
         at = _values_at(Pt, self.keys, fill=-np.inf)
         self.stored = at != -np.inf
@@ -235,14 +236,12 @@ class _SparseWalk:
         # searches of _values_at walk the matrix forward
         R = P[cols]                           # row j of P for arc (i, j)
         arc = np.repeat(np.arange(P.nnz), np.diff(R.indptr))
-        code = rows[arc] * n + R.indices
-        order = np.argsort(code)
-        by_row = arc[order], code[order], R.data[order]
+        code, order = _code_order(rows[arc] * n + R.indices)
+        by_row = arc[order], code, R.data[order]
         R = PT.tocsr()[rows]                  # column i of P for arc (i, j)
         arc = np.repeat(np.arange(P.nnz), np.diff(R.indptr))
-        code = R.indices.astype(np.int64) * n + cols[arc]
-        order = np.argsort(code)
-        by_col = arc[order], code[order], R.data[order]
+        code, order = _code_order(R.indices.astype(np.int64) * n + cols[arc])
+        by_col = arc[order], code, R.data[order]
         out = np.zeros(P.nnz)
         L = G                                 # (P^T)^k G
         for k in range(t - 2):
@@ -291,7 +290,7 @@ class _DenseWalk:
                               shape=(n, n))
         PT = P.T.tocsr()
         rows = np.repeat(np.arange(n), np.diff(P.indptr))
-        by_col = np.argsort(P.indices.astype(np.int64) * n + rows)  # by column
+        by_col = _code_order(P.indices.astype(np.int64) * n + rows)[1]
         col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
         for lo in range(0, n, self.block_size):
             hi = min(n, lo + self.block_size)

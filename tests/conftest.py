@@ -6,10 +6,15 @@ the streamed/blocked implementations they check.
 """
 
 import numpy as np
+from hypothesis import settings
 from scipy.special import expit
 
 import gelato
 from gelato import AttributeMatrix, build_graph
+
+# `pytest --hypothesis-profile=ci` prints, with a failing example, the
+# blob that replays it through @reproduce_failure
+settings.register_profile("ci", print_blob=True)
 
 
 def dense_autocovariance(g, t):
@@ -64,6 +69,35 @@ def enumerate_pool(split, phase):
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)
             if (u, v) not in excluded]
     return np.asarray(pool, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_sample_negatives(split, phase, count, seed):
+    """splits.sample_negatives as it drew before its rounds were read in
+    chunks: each round takes its k first ids, then its k second ids, by
+    sequential reads of the stream, and one argsort of the candidate
+    codes groups the repeats; a group whose code is neither excluded
+    nor chosen before keeps its earliest draw."""
+    from gelato.rng import Stream, derive
+    from gelato.splits import _NEG_TAG, excluded_codes
+    n = split.n
+    excl = excluded_codes(split, phase)
+    stream = Stream(derive(seed, _NEG_TAG))
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < count:
+        k = max(64, int((count - len(chosen)) * 1.4) + 16)
+        us = stream.below(n, k)
+        vs = stream.below(n, k)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        codes = (lo * n + hi)[lo != hi]
+        order = np.argsort(codes)
+        ranked = codes[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        fresh = ~(np.isin(ranked[starts], excl)
+                  | np.isin(ranked[starts], chosen))
+        keep = np.zeros(len(codes), dtype=bool)
+        keep[np.minimum.reduceat(order, starts)[fresh]] = True
+        chosen = np.concatenate([chosen, codes[keep][:count - len(chosen)]])
+    return np.column_stack([chosen // n, chosen % n])
 
 
 def brute_force_counts(pos_scores, neg_scores):

@@ -637,18 +637,30 @@ def _mlp_scorer(n):
     return gelato.MlpScorer(gelato.init_mlp_params(8, 4), X)
 
 
-@pytest.mark.parametrize("scorer, sampled, match", [
-    (lambda: _mlp_scorer(50), False, "50 nodes, the split 40"),
-    (lambda: _path_scorer(50), False, "50 nodes, the split 40"),
-    (lambda: _path_scorer(30), False, "30 nodes, the split 40"),
-    (lambda: _path_scorer(30), True, "beyond the scorer's 30 nodes"),
-], ids=["mlp-50-rows", "ac-50-nodes", "ac-30-nodes", "ac-30-nodes-sampled"])
-def test_a_scorer_of_another_node_count_is_refused(scorer, sampled, match):
+@pytest.mark.parametrize("scorer, mode, match", [
+    (lambda: _mlp_scorer(50), "pool", "50 nodes, the split 40"),
+    (lambda: _path_scorer(50), "pool", "50 nodes, the split 40"),
+    (lambda: _path_scorer(30), "pool", "30 nodes, the split 40"),
+    (lambda: _path_scorer(30), "sampled", "beyond the scorer's 30 nodes"),
+    (lambda: _path_scorer(50), "biased", "50 nodes, the split 40"),
+], ids=["mlp-50-rows", "ac-50-nodes", "ac-30-nodes", "ac-30-nodes-sampled",
+        "ac-50-nodes-biased"])
+def test_a_scorer_of_another_node_count_is_refused(scorer, mode, match):
     g, _ = make_attribute_sbm(40, seed=0)
     split = split_edges(g, (0.7, 0.1, 0.2), 0)
     with pytest.raises(DataError, match=match):
-        if sampled:
+        if mode == "sampled":
             sampled_rank_summary(scorer(), split.test_pos, sample_negatives(
                 g, split, "test", 3 * len(split.test_pos), 0))
+        elif mode == "biased":
+            biased_sample_metrics(scorer(), g, split, 3, seed=0)
         else:
             rank_summary(scorer(), g, split, "test")
+
+
+def test_a_negative_node_id_is_refused_by_the_sampled_summary():
+    # numpy indexing would wrap node -1 to node 4: pair (4, 1) scores 1
+    cycle = build_graph([(i, (i + 1) % 5) for i in range(5)], 5)
+    with pytest.raises(DataError, match="negative"):
+        sampled_rank_summary(LocalHeuristicScorer("CN", cycle), [[-1, 1]],
+                             [[0, 2]])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gelato
 from gelato import (AttributeMatrix, AutocovarianceScorer, add_self_loops,
                     build_graph, cosine_pairs)
 from gelato.errors import DataError
+from gelato.graph import _code_order
 
 from conftest import random_graph
 
@@ -276,3 +277,32 @@ class TestPairGraph:
     def test_build_graph_refuses_a_repeat(self, edges):
         with pytest.raises(DataError, match="duplicate edges in input"):
             build_graph(edges, 3)
+
+
+class TestCodeOrder:
+    @staticmethod
+    def _check(codes):
+        codes = np.asarray(codes, dtype=np.int64)
+        ranked, order = _code_order(codes)
+        want = np.argsort(codes, kind="stable")
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(ranked, codes[want])
+        assert ranked.dtype == order.dtype == np.int64
+
+    # repeats come from the 16 offsets; near 2**62 with 2 or more codes
+    # the packed keys would overflow, so the stable argsort runs, as it
+    # does for a negative code
+    @settings(max_examples=200, deadline=None)
+    @given(offsets=st.lists(st.integers(0, 15), max_size=40),
+           base=st.sampled_from([0, 5000, 2 ** 62, 2 ** 63 - 16, -2 ** 62]))
+    @example(offsets=[3, 1, 3, 0, 1, 3], base=0)
+    @example(offsets=[1, 0, 1], base=2 ** 62)
+    def test_is_the_stable_argsort(self, offsets, base):
+        self._check(np.asarray(offsets, dtype=np.int64) + base)
+
+    @pytest.mark.parametrize("k", [2, 3, 1000])
+    def test_at_the_overflow_bound(self, k):
+        # the largest code whose packed keys fit, then one more
+        top = (2 ** 63 - k) // k
+        for last in (top, top + 1):
+            self._check(np.r_[np.arange(k - 1) % 7 + top - 6, last])

@@ -6,12 +6,13 @@ import gelato
 from gelato import (build_graph, negative_pool_size, positive_masking_batches,
                     rank_summary, read_split, sample_negatives, split_edges,
                     write_split)
+from gelato import splits
 from gelato.errors import ConfigError, DataError
 from gelato.rng import Stream, derive
 from gelato.splits import (PHASES, _NEG_TAG, excluded_codes, pair_codes,
                            train_graph)
 
-from conftest import enumerate_pool, random_graph
+from conftest import enumerate_pool, random_graph, reference_sample_negatives
 
 
 def _codes(pairs, n):
@@ -301,6 +302,53 @@ class TestSampleNegatives:
             out, sample_negatives(g, split, phase, count, seed))
         assert [tuple(p) for p in out.tolist()] == \
             self._one_at_a_time(split, phase, count, seed)
+
+
+class TestSampleNegativesMatchesReference:
+    """sample_negatives, whose rounds read the stream in chunks of
+    _DRAW_CHUNK words, against the sequential reference, bit for bit."""
+
+    @staticmethod
+    def _check(g, split, phase, count, seed):
+        np.testing.assert_array_equal(
+            sample_negatives(g, split, phase, count, seed),
+            reference_sample_negatives(split, phase, count, seed))
+
+    # first rounds of 65535, 65537 and 131072 candidates: below, above
+    # and at a multiple of the 65536-word chunk
+    @pytest.mark.parametrize("count", [46800, 46801, 93612],
+                             ids=["k-below-chunk", "k-above-chunk",
+                                  "k-two-chunks"])
+    def test_round_sizes_about_a_chunk_multiple(self, count):
+        assert splits._DRAW_CHUNK == 65536
+        g = random_graph(np.random.default_rng(12), 1000, 2000,
+                         ensure_positive_degree=False)
+        self._check(g, split_edges(g, seed=0), "train", count, seed=3)
+
+    # a round of 1.4x the pool's size never draws all of it, so a draw of
+    # the whole pool, or nearly, takes several rounds
+    @pytest.mark.parametrize("chunk", [65536, 7])
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_nearly_full_pool_over_several_rounds(self, chunk, phase,
+                                                  monkeypatch):
+        monkeypatch.setattr(splits, "_DRAW_CHUNK", chunk)
+        g = random_graph(np.random.default_rng(13), 40, 150,
+                         ensure_positive_degree=False)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
+        pool = negative_pool_size(g, split, phase)
+        for count in (pool - 2, pool):
+            self._check(g, split, phase, count, seed=count)
+
+    # first rounds of 64 candidates (9 chunks and 1), 70 (10 chunks) and
+    # 296 (42 chunks and 2)
+    @pytest.mark.parametrize("count", [1, 34, 39, 200])
+    def test_small_chunks(self, count, monkeypatch):
+        monkeypatch.setattr(splits, "_DRAW_CHUNK", 7)
+        g = random_graph(np.random.default_rng(14), 30, 60,
+                         ensure_positive_degree=False)
+        split = split_edges(g, seed=0)
+        for phase in PHASES:
+            self._check(g, split, phase, count, seed=count)
 
 
 class TestMaskedBatches:
