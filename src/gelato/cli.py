@@ -56,7 +56,11 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _workers(cfg) -> int:
-    return cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    """cfg.workers, or at 0 the CPUs this process may run on, which a
+    cpuset or affinity mask may make far fewer than os.cpu_count()."""
+    if cfg.workers or not hasattr(os, "sched_getaffinity"):
+        return cfg.workers or os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _load_inputs(cfg, need_attrs: bool):

@@ -107,29 +107,24 @@ TUPLE_TYPES = {"ratios": float, "prec": float, "hits": int}
 def _parse_value(name, kind, text):
     if name in TUPLE_TYPES:
         return tuple(TUPLE_TYPES[name](x) for x in text.split())
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
+    return kind(text) if kind in (int, float) else text
 
 
 def config_from_text(text: str, base: ExperimentConfig | None = None
                      ) -> ExperimentConfig:
     cfg = base if base is not None else ExperimentConfig()
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    names = {f.name for f in fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition(" ")
         value = value.strip()
-        if key not in by_name:
+        if key not in names:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        f = by_name[key]
-        kind = type(getattr(cfg, f.name))
         try:
-            setattr(cfg, key, _parse_value(key, kind, value))
+            setattr(cfg, key, _parse_value(key, type(getattr(cfg, key)),
+                                           value))
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: {exc}") from exc
     return cfg

@@ -14,9 +14,10 @@ never materialized. Two exact paths count it, with the same result:
   background of those entries and of its excluded pairs. The work
   follows the support and the number of classes, not n^2, and every
   count stays an integer.
-* Streaming: for every other scorer. Each block of source nodes
-  materializes the dense rows(sources) and counts its pool pairs. This
-  path is the reference.
+* Streaming: for every other scorer. Each block of source nodes counts
+  its pool pairs (u, v), v > u, from dense rows of the columns from each
+  call's first source lo on: rows_from(sources, lo) where the scorer
+  has it, else rows(sources)[:, lo:]. This path is the reference.
 
 Explicit pairs (positives, sampled negatives) are scored as the pool is,
 from the sparse rows and background or else from the dense rows
@@ -152,8 +153,8 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     Pool pairs are split into blocks of `block_size` source nodes. With
     classes (see gelato.scorers) each block counts its sparse rows and
     other jobs count the background over class pairs;
-    otherwise each block streams the scorer's dense rows(sources) ->
-    (len(sources), n) float64, _DENSE_ROWS sources at a time. Block
+    otherwise each block streams the scorer's dense float64 rows,
+    _DENSE_ROWS sources at a time, from each call's first source on. Block
     results are combined by integer addition, so counts are
     deterministic under any worker schedule.
     """
@@ -207,15 +208,18 @@ def _excluded_in(excl, rows, n):
 
 def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     """Counts over the pool pairs of one block of sources, from the
-    scorer's dense rows, _DENSE_ROWS sources at a time."""
+    scorer's dense rows, _DENSE_ROWS sources a call, each call's columns
+    from its first source lo on (see the module docstring)."""
+    rows_from = getattr(scorer, "rows_from",
+                        lambda sources, lo: scorer.rows(sources)[:, lo:])
     above = tied = counted = 0
     stop = min(start + block_size, n)
     for lo in range(start, stop, _DENSE_ROWS):
         rows = np.arange(lo, min(lo + _DENSE_ROWS, stop))
-        block = scorer.rows(rows)
-        mask = np.arange(n)[None, :] > rows[:, None]
+        block = rows_from(rows, lo)
+        mask = np.arange(lo, n)[None, :] > rows[:, None]
         ex = _excluded_in(excl, rows, n)
-        mask[ex // n - rows[0], ex % n] = False
+        mask[ex // n - lo, ex % n - lo] = False
         vals = block[mask]
         del block, mask
         a, t = _counts(vals, pos_scores)

@@ -11,7 +11,9 @@ starts from its sources' rows of P, the same bits as a first step from
 identity rows, which would only multiply by 1 and add +0; the sparse
 forms keep the rows of every left factor sorted, so each entry sums the
 same terms in the same order as the dense walk. A sparse form stores no
-sum that is exactly 0, where the dense rows hold 0.
+sum that is exactly 0, where the dense rows hold 0. The row forms' column
+start `first` slices only the last product, as P[:, first:], which keeps
+each sum's terms and their order; every earlier product is whole.
 """
 
 from __future__ import annotations
@@ -39,21 +41,22 @@ def transition_matrix(g: Graph) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
-def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int):
-    """Rows of P^t for the given sources: (len(sources), n) dense."""
+def _walk_hits(P: sparse.csr_matrix, sources: np.ndarray, t: int, first=0):
+    """Rows of P^t for the given sources, from column `first` on: dense."""
     X = (P if t else sparse.identity(P.shape[0], format="csr"))[sources]
-    X = X.toarray()
-    for _ in range(t - 1):
-        X = X @ P
+    X = (X if t > 1 else X[:, first:]).toarray()
+    for step in range(1, t):
+        X = X @ (P[:, first:] if first and step == t - 1 else P)
     return X
 
 
-def _pt_rows(P: sparse.csr_matrix, sources: np.ndarray, t: int):
-    """Rows of P^t for the given sources: (len(sources), n) CSR."""
+def _pt_rows(P: sparse.csr_matrix, sources: np.ndarray, t: int, first=0):
+    """Rows of P^t for the given sources, from column `first` on: CSR."""
     T = (P if t else sparse.eye(*P.shape, format="csr"))[sources]
-    for _ in range(t - 1):
+    T = T if t > 1 else T[:, first:]
+    for step in range(1, t):
         T.sort_indices()
-        T = T @ P
+        T = T @ (P[:, first:] if first and step == t - 1 else P)
     return T
 
 

@@ -2,7 +2,9 @@
 
 A scorer exposes its node count n and rows(sources) -> dense
 (len(sources), n) float64 block: Autocovariance of a random walk,
-CN/AA/RA, attribute cosine, or the trained MLP.
+CN/AA/RA, attribute cosine, or the trained MLP. It may also offer
+rows_from(sources, first), equal to rows(sources)[:, first:] bit for
+bit, which the evaluator's stream calls where it exists (Autocovariance).
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
@@ -83,30 +85,42 @@ class AutocovarianceScorer:
         return T.nnz / max(1, len(sources) * n)
 
     def rows(self, sources) -> np.ndarray:
-        """Dense rows R[u, :] for each source u: (len(sources), n). Where
-        P^t is sparse, the background of every pair with sparse_rows()
-        written over it; else from the dense walk."""
-        g = self.graph
+        """Dense rows R[u, :] for each source u: (len(sources), n)."""
+        return self.rows_from(sources, 0)
+
+    def rows_from(self, sources, first: int) -> np.ndarray:
+        """rows(sources)[:, first:], no column before `first` made: sparse
+        rows over the background where P^t is sparse, else the dense walk."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        d, vol = self.graph.degrees, self.graph.volume
+        du = d[sources, None]
+        # autocovariance_from_walk's terms in its order: the walk term, 0
+        # off the support, less the outer term, made after the walk so
+        # that their peaks do not add up. The walk is looked up at each
+        # call, so that a tracer replacing the module attribute sees it.
+        walk = du / vol * 0.0
+        if self._fill > _SPARSE_FILL:
+            walk = heuristics._walk_hits(self._P, sources, self.t, first)
+            walk *= du / vol
+        outer = du * d[first:]
+        outer /= vol ** 2
+        out = np.subtract(walk, outer, out=outer)
         if self._fill <= _SPARSE_FILL:
-            out = self.background(sources[:, None], np.arange(g.n))
-            S = self.sparse_rows(sources)
+            S = self._sparse_from(sources, first)
             out[np.repeat(np.arange(len(sources)), np.diff(S.indptr)),
                 S.indices] = S.data
-            return out
-        # looked up at each call, so that a tracer that replaces the
-        # module attribute sees these walks too
-        T = heuristics._walk_hits(self._P, sources, self.t)
-        return autocovariance_from_walk(g, sources[:, None],
-                                        np.arange(g.n), T)
+        return out
 
     def sparse_rows(self, sources) -> sparse.csr_matrix:
         """The entries of rows() on the support of P^t's rows, as sparse
         (len(sources), n); off them a row holds background()."""
+        return self._sparse_from(sources, 0)
+
+    def _sparse_from(self, sources, first):
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        T = heuristics._pt_rows(self._P, sources, self.t)
-        u = np.repeat(sources, np.diff(T.indptr))
-        T.data = autocovariance_from_walk(self.graph, u, T.indices, T.data)
+        T = heuristics._pt_rows(self._P, sources, self.t, first)
+        u, v = np.repeat(sources, np.diff(T.indptr)), T.indices + first
+        T.data = autocovariance_from_walk(self.graph, u, v, T.data)
         return T
 
     def background(self, u, v) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ class _TableScorer:
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
+        self.n = len(self.table)
 
     def rows(self, sources):
         return self.table[np.asarray(sources, dtype=np.int64)]
@@ -53,10 +55,12 @@ class _SparseTableScorer(_TableScorer):
 
 
 class _Streamed:
-    """A scorer's dense rows alone, so that rank_summary streams them."""
+    """A scorer's n and dense rows alone, so that rank_summary streams
+    them as rows(sources)[:, lo:], the path of a scorer without
+    rows_from()."""
 
     def __init__(self, scorer):
-        self.rows = scorer.rows
+        self.n, self.rows = scorer.n, scorer.rows
 
 
 def _brute_force_summary(scorer, split, phase):
@@ -259,9 +263,10 @@ class TestRankSummarySupport:
         class CountingAc(AutocovarianceScorer):
             calls = 0
 
-            def rows(self, sources):
+            # the stream calls rows_from(); rows() goes through it too
+            def rows_from(self, sources, first):
                 CountingAc.calls += 1
-                return super().rows(sources)
+                return super().rows_from(sources, first)
 
         rng = np.random.default_rng(0)
         g = random_graph(rng, 40, 120, weighted=True)
@@ -296,7 +301,8 @@ class TestAutocovarianceKernels:
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("n,m", [(300, 300), (60, 600)])
-    def test_summaries_equal_across_kernels(self, n, m, weighted):
+    def test_summaries_equal_across_kernels(self, n, m, weighted,
+                                            monkeypatch):
         g = random_graph(np.random.default_rng(n), n, m, weighted=weighted)
         split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
         looped = gelato.add_self_loops(train_graph(g, split), "all")
@@ -309,11 +315,17 @@ class TestAutocovarianceKernels:
                             workers=2)
         want_sampled = sampled_rank_summary(picked, split.valid_pos,
                                             negatives)
+        # four sources a call: blocks of 5 and 6 make a second call,
+        # whose rows start at a source after the block's first
+        monkeypatch.setattr(gelato.evaluator, "_DENSE_ROWS", 4)
         for fill in (0.0, 1.0):
             forced = AutocovarianceScorer(looped, 3)
             forced._fill = fill
-            _assert_same_summary(want, rank_summary(
-                _Streamed(forced), g, split, "valid", block_size=64))
+            # rows_from(sources, lo), then the fallback rows()[:, lo:]
+            for scorer in (forced, _Streamed(forced)):
+                for block_size, workers in product(range(1, 7), (1, 2)):
+                    _assert_same_summary(want, rank_summary(
+                        scorer, g, split, "valid", block_size, workers))
             _assert_same_summary(want_sampled, sampled_rank_summary(
                 _Streamed(forced), split.valid_pos, negatives))
 

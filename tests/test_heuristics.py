@@ -273,9 +273,11 @@ class TestRowsKernels:
     @given(n=st.sampled_from([2, 7, 23, 60, 300]), density=st.floats(0, 0.3),
            weighted=st.booleans(), zero_share=st.sampled_from([0.0, 0.3]),
            loops=st.sampled_from(["all", "isolated-only"]),
-           t=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+           t=st.integers(0, 4), first_share=st.floats(0, 1, exclude_max=True),
+           seed=st.integers(0, 2 ** 16))
     def test_kernels_give_the_same_bits(self, n, density, weighted,
-                                        zero_share, loops, t, seed):
+                                        zero_share, loops, t, first_share,
+                                        seed):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, n, int(density * n * (n - 1) / 2) + 1,
                          weighted=weighted, ensure_positive_degree=False)
@@ -292,6 +294,17 @@ class TestRowsKernels:
             AutocovarianceScorer(g, t), sources).tobytes()
         assert (AutocovarianceScorer(g, t).rows(sources).tobytes()
                 == dense.tobytes())
+        # rows_from(sources, first) is rows(sources)[:, first:] in both
+        # kernels, though it computes no column before `first`
+        first = int(first_share * n)
+        for fill in (0.0, 1.0):
+            part = _forced(AutocovarianceScorer(g, t), fill).rows_from(
+                sources, first)
+            assert part.shape == (len(sources), n - first)
+            assert part.tobytes() == dense[:, first:].tobytes()
+        np.testing.assert_allclose(
+            part, dense_autocovariance(g, t)[sources, first:], rtol=0,
+            atol=1e-12)
 
     def test_a_sum_scipy_drops_reads_the_background(self):
         # the only walk 0 -> 1 -> 2 crosses an arc of weight 0, so the

@@ -462,14 +462,15 @@ class TestWalkKernels:
             assert _fd_check(g, X, params, enh, cfg, batch, added, head) < 1e-4
 
 
-def _identity_walk_hits(P, sources, t):
+def _identity_walk_hits(P, sources, t, first=0):
     """heuristics._walk_hits walking t steps from identity rows: the
-    oracle of the bits of its start from P's rows."""
+    oracle of the bits of its start from P's rows, sliced to the columns
+    from `first` on."""
     X = np.zeros((len(sources), P.shape[0]))
     X[np.arange(len(sources)), sources] = 1.0
     for _ in range(t):
         X = X @ P
-    return X
+    return X[:, first:]
 
 
 def _identity_dense_grad(walk, g):
