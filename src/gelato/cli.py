@@ -19,7 +19,7 @@ from . import __version__
 from .config import (STRUCTURE_MODES, TRAINED_MODES, TUPLE_TYPES,
                      ExperimentConfig, config_to_text, load_config)
 from .enhancer import build_enhanced_graph, load_params, save_params
-from .errors import ConfigError, DataError, GelatoError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaluator import (biased_sample_metrics, compute_report, rank_summary,
                         report_to_json, top_k, write_pr_csv)
 from .graph import add_self_loops
@@ -318,9 +318,6 @@ def main(argv=None) -> int:
         print(f"config error: cannot write {exc.filename or 'output'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
-    except GelatoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

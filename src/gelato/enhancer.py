@@ -49,6 +49,10 @@ PARAM_MAGIC = b"GPAR"
 
 _INIT_TAG = 0x696E6974
 
+# Cosine rows per block of the augmentation scan. Its value sets the
+# selection's bits: a GEMM row's bits depend on how many rows its call holds.
+_SCAN_ROWS = 512
+
 
 @dataclass
 class EnhancerConfig:
@@ -174,14 +178,13 @@ def load_params(path) -> MlpParams:
 
 # -- augmentation -----------------------------------------------------------
 
-def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
-                              block_size: int = 512):
+def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float):
     """Top ceil(eta * m) most cosine-similar non-edges of `g`.
 
     Returns (pairs, threshold) where threshold is the smallest selected
     similarity (+inf when nothing is selected). Ties at the cutoff are
     broken toward lexicographically smaller (u, v). The similarity matrix
-    is scanned in row blocks, never materialized in full.
+    is scanned in blocks of _SCAN_ROWS rows, never materialized in full.
     """
     if not 0.0 <= eta < math.inf:
         raise ConfigError("eta must be finite and >= 0")
@@ -200,8 +203,8 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float,
     cand_s, cand_u, cand_v = [], [], []
     cols = np.arange(n)
     arc_rows = g.row_of_arcs()
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
+    for start in range(0, n, _SCAN_ROWS):
+        stop = min(start + _SCAN_ROWS, n)
         rows = np.arange(start, stop)
         sims = unit[rows] @ unit.T
         mask = cols[None, :] > rows[:, None]

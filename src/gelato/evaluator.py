@@ -14,10 +14,10 @@ never materialized. Two exact paths count it, with the same result:
   background of those entries and of its excluded pairs. The work
   follows the support and the number of classes, not n^2, and every
   count stays an integer.
-* Streaming: for every other scorer. Each block of source nodes counts
-  its pool pairs (u, v), v > u, from dense rows of the columns from each
-  call's first source lo on: rows_from(sources, lo) where the scorer
-  has it, else rows(sources)[:, lo:]. This path is the reference.
+* Streaming: for every other scorer, and the reference. Each job counts
+  the pool pairs (u, v), v > u, of at most _DENSE_ROWS sources from lo
+  on, from one call for their dense rows from column lo on:
+  rows_from(sources, lo) where the scorer has it, else rows(sources)[:, lo:].
 
 Explicit pairs (positives, sampled negatives) are scored as the pool is,
 from the sparse rows and background or else from the dense rows
@@ -75,7 +75,14 @@ def counts_against(sorted_neg_scores: np.ndarray,
     return above.astype(np.int64), (right - left).astype(np.int64)
 
 
-def pair_scores(rows, pairs, block_size: int = 256,
+# Sources per call of a scorer's dense rows, for explicit pairs, for each
+# job of the pool stream and per block of the trainer's dense walk: a
+# call returns a _DENSE_ROWS x n array, and 256 took less time than
+# fewer, larger calls.
+_DENSE_ROWS = 256
+
+
+def pair_scores(rows, pairs, block_size: int = _DENSE_ROWS,
                 background=None) -> np.ndarray:
     """Scores of explicit pairs from a rows(sources) function.
 
@@ -101,13 +108,6 @@ def pair_scores(rows, pairs, block_size: int = 256,
             out[sel] = _values_at(M, row * M.shape[1] + v,
                                   fill=background(pairs[sel, 0], v))
     return out
-
-
-# Sources per call of a scorer's dense rows, for explicit pairs and for
-# each streamed block of the pool: a call returns a _DENSE_ROWS x n
-# array, so a worker holds a few of them whatever the block size, and
-# 256 took less time than fewer, larger calls.
-_DENSE_ROWS = 256
 
 
 def _score_pairs(scorer, pairs: np.ndarray, classes=None) -> np.ndarray:
@@ -150,13 +150,13 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
                  block_size: int = 1024, workers: int = 1) -> RankSummary:
     """Count (above, tied) per positive over the phase's negative pool.
 
-    Pool pairs are split into blocks of `block_size` source nodes. With
-    classes (see gelato.scorers) each block counts its sparse rows and
-    other jobs count the background over class pairs;
-    otherwise each block streams the scorer's dense float64 rows,
-    _DENSE_ROWS sources at a time, from each call's first source on. Block
-    results are combined by integer addition, so counts are
-    deterministic under any worker schedule.
+    With classes (see gelato.scorers), each block of `block_size`
+    source nodes counts its sparse rows and other jobs count the
+    background over class pairs; otherwise each job streams the scorer's
+    dense float64 rows in one call of min(block_size, _DENSE_ROWS)
+    sources, from its first source on. Job results are combined by
+    integer addition, so counts are deterministic under any worker
+    schedule.
     """
     if block_size < 1:
         raise ConfigError("block_size must be >= 1")
@@ -168,14 +168,14 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     pool = negative_pool_size(g, split, phase)
     classes = scorer.classes() if hasattr(scorer, "classes") else None
     pos_scores = _score_pairs(scorer, positives, classes)
-    block = partial(_stream_block if classes is None else _support_block,
-                    scorer)
-    # the blocks count against the positives in ascending order: sorted
-    # keys make each block's searches several times faster
+    block = _stream_block if classes is None else _support_block
+    step = min(block_size, _DENSE_ROWS) if classes is None else block_size
+    # the jobs count against the positives in ascending order: sorted
+    # keys make each job's searches several times faster
     order = np.argsort(pos_scores)
     ranked = pos_scores[order]
-    jobs = [partial(block, ranked, excl, n, start, block_size)
-            for start in range(0, n, block_size)]
+    jobs = [partial(block, scorer, ranked, excl, n, start, step)
+            for start in range(0, n, step)]
     if classes is not None:
         jobs += [partial(_background_classes, scorer, classes, ranked,
                          start, block_size)
@@ -207,24 +207,18 @@ def _excluded_in(excl, rows, n):
 
 
 def _stream_block(scorer, pos_scores, excl, n, start, block_size):
-    """Counts over the pool pairs of one block of sources, from the
-    scorer's dense rows, _DENSE_ROWS sources a call, each call's columns
-    from its first source lo on (see the module docstring)."""
-    rows_from = getattr(scorer, "rows_from",
-                        lambda sources, lo: scorer.rows(sources)[:, lo:])
-    above = tied = counted = 0
-    stop = min(start + block_size, n)
-    for lo in range(start, stop, _DENSE_ROWS):
-        rows = np.arange(lo, min(lo + _DENSE_ROWS, stop))
-        block = rows_from(rows, lo)
-        mask = np.arange(lo, n)[None, :] > rows[:, None]
-        ex = _excluded_in(excl, rows, n)
-        mask[ex // n - lo, ex % n - lo] = False
-        vals = block[mask]
-        del block, mask
-        a, t = _counts(vals, pos_scores)
-        above, tied, counted = above + a, tied + t, counted + len(vals)
-    return above, tied, counted
+    """Counts over the pool pairs of one job's sources, from one call of
+    the scorer's dense rows of the columns from its first source on (see
+    the module docstring)."""
+    rows = np.arange(start, min(start + block_size, n))
+    block = (scorer.rows_from(rows, start) if hasattr(scorer, "rows_from")
+             else scorer.rows(rows)[:, start:])
+    mask = np.arange(start, n)[None, :] > rows[:, None]
+    ex = _excluded_in(excl, rows, n)
+    mask[ex // n - start, ex % n - start] = False
+    vals = block[mask]
+    del block, mask
+    return (*_counts(vals, pos_scores), len(vals))
 
 
 def _support_block(scorer, pos_scores, excl, n, start, block_size):

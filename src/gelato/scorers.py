@@ -8,8 +8,8 @@ bit, which the evaluator's stream calls where it exists (Autocovariance).
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
-* sparse_rows(sources) -> CSR (len(sources), n), equal to rows() at
-  its stored entries;
+* sparse_rows(sources, first=0) -> CSR (len(sources), n - first),
+  equal to rows(sources)[:, first:] at its stored entries;
 * background(u, v) for node arrays, symmetric, equal to rows() at every
   other pair;
 * classes() -> (class_nodes, class_sizes), one node and the size of
@@ -29,6 +29,7 @@ kernel and whether classes() is offered.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy import sparse
 
 from . import heuristics
 from .enhancer import MlpParams, mlp_forward, pair_features
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import AttributeMatrix, Graph
 
 
@@ -55,8 +56,16 @@ def autocovariance_from_walk(g: Graph, u, v, T):
     co-visit probabilities of a random walk: R_uv = (d_u / vol) * T -
     d_u * d_v / vol^2 from the walk term T = (P^t)_uv, for broadcastable
     node arrays u, v."""
-    d, vol = g.degrees, g.volume
-    return (d[u] / vol) * T - d[u] * d[v] / vol ** 2
+    d, vol, vol2 = g.degrees, g.volume, _volume_power(g, 2)
+    return (d[u] / vol) * T - d[u] * d[v] / vol2
+
+
+def _volume_power(g: Graph, k: int) -> float:
+    """vol^k of g, a NumericError where it is not a finite float64."""
+    with suppress(OverflowError):  # Python's float ** raises it, not inf
+        if np.isfinite(out := g.volume ** k):
+            return out
+    raise NumericError(f"the graph's volume {g.volume:.3g} ** {k} overflows")
 
 
 class AutocovarianceScorer:
@@ -93,6 +102,7 @@ class AutocovarianceScorer:
         rows over the background where P^t is sparse, else the dense walk."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
         d, vol = self.graph.degrees, self.graph.volume
+        vol2 = _volume_power(self.graph, 2)
         du = d[sources, None]
         # autocovariance_from_walk's terms in its order: the walk term, 0
         # off the support, less the outer term, made after the walk so
@@ -103,20 +113,17 @@ class AutocovarianceScorer:
             walk = heuristics._walk_hits(self._P, sources, self.t, first)
             walk *= du / vol
         outer = du * d[first:]
-        outer /= vol ** 2
+        outer /= vol2
         out = np.subtract(walk, outer, out=outer)
         if self._fill <= _SPARSE_FILL:
-            S = self._sparse_from(sources, first)
+            S = self.sparse_rows(sources, first)
             out[np.repeat(np.arange(len(sources)), np.diff(S.indptr)),
                 S.indices] = S.data
         return out
 
-    def sparse_rows(self, sources) -> sparse.csr_matrix:
-        """The entries of rows() on the support of P^t's rows, as sparse
-        (len(sources), n); off them a row holds background()."""
-        return self._sparse_from(sources, 0)
-
-    def _sparse_from(self, sources, first):
+    def sparse_rows(self, sources, first: int = 0) -> sparse.csr_matrix:
+        """rows(sources)[:, first:] on the support of P^t's rows, as sparse
+        (len(sources), n - first); off them a row holds background()."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
         T = heuristics._pt_rows(self._P, sources, self.t, first)
         u, v = np.repeat(sources, np.diff(T.indptr)), T.indices + first

@@ -25,8 +25,8 @@ is formed by sparse products sampled on P's arcs from the pairs on the
 support of P^t alone (a pair off it has no t-step path and feeds no
 arc), so its work follows the on-support pairs and the support of the
 products, not n. Once P fills 1.5% of n^2, the walk runs as dense rows
-per block of 256 sources, and the gradient per block of 256 columns
-from G's columns and P's rows; memory stays at a few block x n arrays.
+per block of evaluator._DENSE_ROWS sources, and the gradient per block
+of as many columns; memory stays at a few block x n arrays.
 
 Adam steps on the flat layout of enhancer.flatten_params. Batches whose
 loss or gradient has any non-finite component are skipped and counted
@@ -50,11 +50,12 @@ from .enhancer import (AugmentedPairs, EnhancerConfig, MlpParams,
                        pair_features, select_augmentation_pairs,
                        unflatten_params)
 from .errors import ConfigError, NumericError
-from .evaluator import pair_scores, precision_at_k, rank_summary
+from .evaluator import _DENSE_ROWS, pair_scores, precision_at_k, rank_summary
 from .graph import AttributeMatrix, Graph, _code_order, _values_at, pair_codes
 from .heuristics import _product, _pt_matrix, transition_matrix, _walk_hits
 from .rng import derive
-from .scorers import AutocovarianceScorer, MlpScorer, autocovariance_from_walk
+from .scorers import (AutocovarianceScorer, MlpScorer, _volume_power,
+                      autocovariance_from_walk)
 from .splits import (EdgeSplit, MaskedBatch, negative_pool_size,
                      positive_masking_batches, sample_negatives, train_graph)
 
@@ -182,7 +183,7 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
 # 1.2% fill, where P^3 holds nearly every pair, this picks sparse, but
 # a batch took 0.99 s dense against 2.07 s sparse with 45k pairs, and
 # 2.02 against 2.75 s with 366k. A cost estimate from n, the arcs of P,
-# t and the scored pairs is to replace it (ROADMAP item 6).
+# t and the scored pairs is to replace it (ROADMAP item 7).
 _DENSE_FILL = 0.015
 
 
@@ -260,17 +261,14 @@ class _SparseWalk:
 
 
 class _DenseWalk:
-    """The walk as dense rows per block of `block_size` nodes, for a P too
-    full for the sparse side. Scored pairs are read off rows of P^t,
-    walked from each block of sources; the gradient is built one block
-    of columns at a time and needs no n x n array."""
-
-    block_size = 256
+    """The walk as dense rows per block of the evaluator's _DENSE_ROWS
+    nodes, for a P too full for the sparse side. Scored pairs are read
+    off rows of P^t, walked from each block of sources; the gradient is
+    built one block of columns at a time and needs no n x n array."""
 
     def __init__(self, P, pairs, t):
         self.P, self.t, self.pairs = P, t, pairs
-        self.values = pair_scores(lambda blk: _walk_hits(P, blk, t), pairs,
-                                  self.block_size)
+        self.values = pair_scores(lambda blk: _walk_hits(P, blk, t), pairs)
 
     def grad(self, g):
         """dL/dP on P's arcs for the loss gradient g at the pairs.
@@ -292,8 +290,8 @@ class _DenseWalk:
         rows = np.repeat(np.arange(n), np.diff(P.indptr))
         by_col = _code_order(P.indices.astype(np.int64) * n + rows)[1]
         col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
-        for lo in range(0, n, self.block_size):
-            hi = min(n, lo + self.block_size)
+        for lo in range(0, n, _DENSE_ROWS):
+            hi = min(n, lo + _DENSE_ROWS)
             acc = G[:, lo:hi].toarray()
             for m in range(1, t):
                 W = P[lo:hi].toarray() if m == 1 else W @ P
@@ -340,6 +338,7 @@ class Tape:
         eg = self.eg
         graph = eg.graph
         n, d, vol = graph.n, graph.degrees, graph.volume
+        vol3 = _volume_power(graph, 3)
         u, v = self.scored[:, 0], self.scored[:, 1]
         du, dv, T = d[u], d[v], self.walk.values
 
@@ -348,7 +347,7 @@ class Tape:
                + np.bincount(v, weights=g_raw * (-du / vol ** 2),
                              minlength=n))
         g_vol = float(np.sum(g_raw * (-du * T / vol ** 2
-                                      + 2.0 * du * dv / vol ** 3)))
+                                      + 2.0 * du * dv / vol3)))
         gP_data = self.walk.grad(g_raw * du / vol)
 
         arc_rows = graph.row_of_arcs()

@@ -693,3 +693,42 @@ def test_cos_ac_mode_needs_no_checkpoint(dataset, tmp_path):
                "--t", "2", "--report", str(report)])
     assert rc == 0
     assert 0.0 <= json.loads(report.read_text())["ap"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def huge_volume(tmp_path_factory):
+    """A 30-node graph and its split, and the same edges weighted 1e200."""
+    root = tmp_path_factory.mktemp("huge")
+    g, X = make_attribute_sbm(30, seed=0, p_in=0.4, p_out=0.05)
+    pairs = g.edge_pairs()
+    paths = {name: str(root / name) for name in
+             ("edges", "heavy", "attrs", "split")}
+    write_edge_list(paths["edges"], g)
+    write_edge_list(paths["heavy"], gelato.build_graph(
+        np.column_stack([pairs, np.full(len(pairs), 1e200)]), g.n))
+    write_attributes_csv(paths["attrs"], X)
+    assert main(["split", "--edges", paths["edges"], "--out",
+                 paths["split"], "--ratios", "0.7", "0.1", "0.2"]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv, power", [
+    # vol^2 of the heavy graph's Autocovariance overflows float64
+    (["baseline", "--kind", "ac", "--edges", "{heavy}"], 2),
+    (["eval", "--mode", "cos-ac", "--self-loop-weight", "1e300"], 2),
+    # the forward pass's vol^2, then the AC backward's vol^3
+    (["train", "--self-loop-mode", "all", "--self-loop-weight", "1e300"], 2),
+    (["train", "--self-loop-mode", "all", "--self-loop-weight", "1e120"], 3),
+])
+def test_an_overflowing_volume_is_a_numeric_failure(huge_volume, tmp_path,
+                                                    capsys, argv, power):
+    ck = tmp_path / "c.gpar"
+    ck.write_bytes(b"old checkpoint")
+    command, *flags = [a.format(**huge_volume) for a in argv]
+    if command == "train":
+        flags += ["--epochs", "1", "--out-checkpoint", str(ck)]
+    assert main([command, "--edges", huge_volume["edges"], "--attributes",
+                 huge_volume["attrs"], "--split", huge_volume["split"],
+                 *flags]) == 4
+    assert f"** {power} overflows" in capsys.readouterr().err
+    assert ck.read_bytes() == b"old checkpoint"

@@ -67,12 +67,14 @@ class TestAugmentation:
         sims = gelato.cosine_pairs(X, pairs)
         assert threshold == pytest.approx(sims.min(), abs=1e-15)
 
-    def test_blockwise_matches_single_block(self):
+    def test_blockwise_matches_single_block(self, monkeypatch):
         rng = np.random.default_rng(4)
         g = random_graph(rng, 25, 40, ensure_positive_degree=False)
         X = random_attributes(rng, 25, 5)
-        a, ta = select_augmentation_pairs(X, g, 0.75, block_size=3)
-        b, tb = select_augmentation_pairs(X, g, 0.75, block_size=1000)
+        monkeypatch.setattr(gelato.enhancer, "_SCAN_ROWS", 3)
+        a, ta = select_augmentation_pairs(X, g, 0.75)
+        monkeypatch.setattr(gelato.enhancer, "_SCAN_ROWS", 1000)
+        b, tb = select_augmentation_pairs(X, g, 0.75)
         np.testing.assert_array_equal(a, b)
         assert ta == tb
 

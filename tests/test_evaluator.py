@@ -63,6 +63,19 @@ class _Streamed:
         self.n, self.rows = scorer.n, scorer.rows
 
 
+class _Recorded(_Streamed):
+    """A scorer's n, dense rows and rows_from(), recording each
+    rows_from() call as (sources, first)."""
+
+    def __init__(self, scorer):
+        super().__init__(scorer)
+        self.scorer, self.calls = scorer, []
+
+    def rows_from(self, sources, first):
+        self.calls.append((np.asarray(sources).tolist(), first))
+        return self.scorer.rows_from(sources, first)
+
+
 def _brute_force_summary(scorer, split, phase):
     """(pos_scores, above, tied) from the dense rows of every node."""
     table = scorer.rows(np.arange(split.n))
@@ -315,17 +328,26 @@ class TestAutocovarianceKernels:
                             workers=2)
         want_sampled = sampled_rank_summary(picked, split.valid_pos,
                                             negatives)
-        # four sources a call: blocks of 5 and 6 make a second call,
-        # whose rows start at a source after the block's first
+        # four sources a call: block sizes 5 and 6 stream in jobs of four
         monkeypatch.setattr(gelato.evaluator, "_DENSE_ROWS", 4)
         for fill in (0.0, 1.0):
             forced = AutocovarianceScorer(looped, 3)
             forced._fill = fill
-            # rows_from(sources, lo), then the fallback rows()[:, lo:]
-            for scorer in (forced, _Streamed(forced)):
+            recorded = _Recorded(forced)
+            # the support path where classes() allows it; rows_from(sources,
+            # lo), recorded; then the fallback rows()[:, lo:]
+            for scorer in (forced, recorded, _Streamed(forced)):
                 for block_size, workers in product(range(1, 7), (1, 2)):
+                    recorded.calls.clear()
                     _assert_same_summary(want, rank_summary(
                         scorer, g, split, "valid", block_size, workers))
+                    if scorer is recorded:
+                        # one call per job, of min(block_size, _DENSE_ROWS)
+                        # sources, from the job's first source on
+                        step = min(block_size, 4)
+                        assert sorted(recorded.calls) == [
+                            (list(range(lo, min(lo + step, n))), lo)
+                            for lo in range(0, n, step)]
             _assert_same_summary(want_sampled, sampled_rank_summary(
                 _Streamed(forced), split.valid_pos, negatives))
 

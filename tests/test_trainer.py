@@ -12,7 +12,7 @@ from gelato import (AdamState, EnhancerConfig, MlpParams, TrainConfig,
                     forward_loss, init_mlp_params, split_edges, train)
 from gelato.enhancer import select_augmentation_pairs
 from gelato.errors import ConfigError, NumericError
-from gelato.evaluator import pair_scores
+from gelato.evaluator import _DENSE_ROWS, pair_scores
 from gelato.heuristics import transition_matrix
 from gelato.scorers import autocovariance_from_walk
 from gelato.splits import MaskedBatch
@@ -487,8 +487,8 @@ def _identity_dense_grad(walk, g):
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
     by_col = np.lexsort((rows, P.indices))
     col_start = np.r_[0, np.cumsum(np.bincount(P.indices, minlength=n))]
-    for lo in range(0, n, walk.block_size):
-        hi = min(n, lo + walk.block_size)
+    for lo in range(0, n, _DENSE_ROWS):
+        hi = min(n, lo + _DENSE_ROWS)
         W = np.zeros((hi - lo, n))
         W[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
         acc = G @ W.T
@@ -535,7 +535,7 @@ class TestDenseWalkStart:
         gvals = rng.normal(size=len(pairs))
         walk = _DenseWalk(P, pairs, t)
         want_values = pair_scores(lambda blk: _identity_walk_hits(P, blk, t),
-                                  pairs, walk.block_size)
+                                  pairs, _DENSE_ROWS)
         np.testing.assert_array_equal(_bits(walk.values), _bits(want_values))
         np.testing.assert_array_equal(_bits(walk.grad(gvals)),
                                       _bits(_identity_dense_grad(walk, gvals)))
