@@ -227,9 +227,9 @@ def cmd_export_scores(args) -> int:
     _check_writable(args.out_scores, args.out_weights)
     g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
     split = _load_split(cfg, g)
-    nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)
-    if nodes.min() < 0 or nodes.max() >= g.n:
+    if not 0 <= min(args.nodes) <= max(args.nodes) < g.n:  # before int64
         raise DataError("node id out of range")
+    nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)
     if len(nodes) > cfg.block_size:
         raise ConfigError(
             f"subset of {len(nodes)} exceeds the memory budget "

@@ -41,17 +41,14 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, NumericError
+from .evaluator import _DENSE_ROWS, _pool_mask
 from .graph import (AttributeMatrix, Graph, _code_order, _pair_graph,
-                    _values_at, cosine_pairs, pair_codes)
+                    _values_at, cosine_pairs, cosine_rows, pair_codes)
 from .rng import Stream, counter_words, derive
 
 PARAM_MAGIC = b"GPAR"
 
 _INIT_TAG = 0x696E6974
-
-# Cosine rows per block of the augmentation scan. Its value sets the
-# selection's bits: a GEMM row's bits depend on how many rows its call holds.
-_SCAN_ROWS = 512
 
 
 @dataclass
@@ -183,35 +180,29 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float):
 
     Returns (pairs, threshold) where threshold is the smallest selected
     similarity (+inf when nothing is selected). Ties at the cutoff are
-    broken toward lexicographically smaller (u, v). The similarity matrix
-    is scanned in blocks of _SCAN_ROWS rows, never materialized in full.
+    broken toward lexicographically smaller (u, v). The scan makes the
+    cosine baseline's pool-stream calls, cosine_rows of each aligned
+    block of _DENSE_ROWS sources under the evaluator's pool mask, over the
+    non-edges of `g`: the selection is the top of that pool, bit for bit.
     """
     if not 0.0 <= eta < math.inf:
         raise ConfigError("eta must be finite and >= 0")
     X.check_rows(g.n)
     n = g.n
-    m = g.num_edges
-    count = int(math.ceil(eta * m))
+    count = int(math.ceil(eta * g.num_edges))
     if count == 0:
         return np.empty((0, 2), dtype=np.int64), math.inf
-    non_edges = n * (n - 1) // 2 - len(g.edge_pairs())
+    non_edges = n * (n - 1) // 2 - len(g.edge_codes)
     if count > non_edges:
         raise ConfigError(
             f"eta={eta} asks for {count} pairs but only {non_edges} "
             "non-edges exist")
-    unit = X.unit_rows()
     cand_s, cand_u, cand_v = [], [], []
-    cols = np.arange(n)
-    arc_rows = g.row_of_arcs()
-    for start in range(0, n, _SCAN_ROWS):
-        stop = min(start + _SCAN_ROWS, n)
-        rows = np.arange(start, stop)
-        sims = unit[rows] @ unit.T
-        mask = cols[None, :] > rows[:, None]
-        arcs = slice(g.indptr[start], g.indptr[stop])  # the block's arcs
-        mask[arc_rows[arcs] - start, g.indices[arcs]] = False
-        ru, cu = np.nonzero(mask)
-        s = sims[ru, cu]
+    for start in range(0, n, _DENSE_ROWS):
+        rows = np.arange(start, min(start + _DENSE_ROWS, n))
+        ru, cu = np.nonzero(_pool_mask(g.edge_codes, n, rows))
+        cu += start
+        s = cosine_rows(X, rows)[ru, cu]
         if len(s) > count:
             kth = np.partition(s, len(s) - count)[len(s) - count]
             keep = s >= kth
@@ -219,9 +210,7 @@ def select_augmentation_pairs(X: AttributeMatrix, g: Graph, eta: float):
         cand_s.append(s)
         cand_u.append(rows[ru])
         cand_v.append(cu)
-    s = np.concatenate(cand_s)
-    u = np.concatenate(cand_u)
-    v = np.concatenate(cand_v)
+    s, u, v = map(np.concatenate, (cand_s, cand_u, cand_v))
     order = np.lexsort((v, u, -s))[:count]
     threshold = float(s[order].min())
     pairs = np.column_stack([u[order], v[order]])
@@ -276,10 +265,14 @@ def mlp_forward(params: MlpParams, Z: np.ndarray,
     if Z.shape[1] != 2 * params.r:
         raise DataError(f"pair encoding width {Z.shape[1]} != 2 * r of the "
                         f"parameters ({2 * params.r})")
-    Hpre = Z @ params.W1.T + params.b1
-    H = np.maximum(Hpre, 0.0)
-    Hd = H if mask is None else H * (mask / (1.0 - rate))
-    w = expit(Hd @ params.W2 + params.b2)
+    try:  # finite parameters whose pass overflows give no usable weight
+        with np.errstate(over="raise", invalid="raise"):
+            Hpre = Z @ params.W1.T + params.b1
+            H = np.maximum(Hpre, 0.0)
+            Hd = H if mask is None else H * (mask / (1.0 - rate))
+            w = expit(Hd @ params.W2 + params.b2)
+    except FloatingPointError as exc:
+        raise NumericError(f"the MLP's forward pass overflows ({exc})") from exc
     if cache is not None:
         cache.update(Z=Z, relu_support=Hpre > 0.0, Hd=Hd, keep_mask=mask,
                      rate=rate, w=w)

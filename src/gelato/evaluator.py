@@ -20,8 +20,9 @@ never materialized. Two exact paths count it, with the same result:
   rows_from(sources, lo) where the scorer has it, else rows(sources)[:, lo:].
 
 Explicit pairs (positives, sampled negatives) are scored as the pool is,
-from the sparse rows and background or else from the dense rows
-(pair_scores), so pair and pool scores agree bitwise.
+from sparse rows and background or dense rows (pair_scores), bitwise
+alike where rows are made row by row (Autocovariance, CN/AA/RA, MLP),
+but not by the cosine's GEMM, whose bits depend on a call's row count.
 
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
@@ -206,18 +207,22 @@ def _excluded_in(excl, rows, n):
                 np.searchsorted(excl, (rows[-1] + 1) * n)]
 
 
+def _pool_mask(excl, n, rows):
+    """Mask over the columns from rows[0] on of the consecutive `rows`:
+    the pairs (u, v), v > u, less the ascending excluded codes `excl`."""
+    mask = np.arange(rows[0], n)[None, :] > rows[:, None]
+    ex = _excluded_in(excl, rows, n)
+    mask[ex // n - rows[0], ex % n - rows[0]] = False
+    return mask
+
+
 def _stream_block(scorer, pos_scores, excl, n, start, block_size):
     """Counts over the pool pairs of one job's sources, from one call of
     the scorer's dense rows of the columns from its first source on (see
     the module docstring)."""
     rows = np.arange(start, min(start + block_size, n))
-    block = (scorer.rows_from(rows, start) if hasattr(scorer, "rows_from")
-             else scorer.rows(rows)[:, start:])
-    mask = np.arange(start, n)[None, :] > rows[:, None]
-    ex = _excluded_in(excl, rows, n)
-    mask[ex // n - start, ex % n - start] = False
-    vals = block[mask]
-    del block, mask
+    vals = (scorer.rows_from(rows, start) if hasattr(scorer, "rows_from")
+            else scorer.rows(rows)[:, start:])[_pool_mask(excl, n, rows)]
     return (*_counts(vals, pos_scores), len(vals))
 
 

@@ -66,6 +66,13 @@ def cosine_pairs(X: AttributeMatrix, pairs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", unit[pairs[:, 0]], unit[pairs[:, 1]])
 
 
+def cosine_rows(X: AttributeMatrix, sources) -> np.ndarray:
+    """Dense (len(sources), n) cosines of each source's attribute row with
+    every row, from one GEMM, whose rows' bits depend on the call's size."""
+    unit = X.unit_rows()
+    return unit[np.asarray(sources, dtype=np.int64).reshape(-1)] @ unit.T
+
+
 class Graph:
     """Immutable weighted graph in CSR form.
 

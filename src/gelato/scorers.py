@@ -8,8 +8,8 @@ bit, which the evaluator's stream calls where it exists (Autocovariance).
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
-* sparse_rows(sources, first=0) -> CSR (len(sources), n - first),
-  equal to rows(sources)[:, first:] at its stored entries;
+* sparse_rows(sources) -> CSR (len(sources), n), equal to rows(sources)
+  at its stored entries (Autocovariance's takes `first` as rows_from);
 * background(u, v) for node arrays, symmetric, equal to rows() at every
   other pair;
 * classes() -> (class_nodes, class_sizes), one node and the size of
@@ -38,7 +38,7 @@ from scipy import sparse
 from . import heuristics
 from .enhancer import MlpParams, mlp_forward, pair_features
 from .errors import ConfigError, NumericError
-from .graph import AttributeMatrix, Graph
+from .graph import AttributeMatrix, Graph, cosine_rows
 
 
 # The estimate of the fill of P^t reads this many evenly spaced rows.
@@ -61,11 +61,12 @@ def autocovariance_from_walk(g: Graph, u, v, T):
 
 
 def _volume_power(g: Graph, k: int) -> float:
-    """vol^k of g, a NumericError where it is not a finite float64."""
+    """vol^k of g, a NumericError where it is not a positive finite float64."""
     with suppress(OverflowError):  # Python's float ** raises it, not inf
-        if np.isfinite(out := g.volume ** k):
+        if 0.0 < (out := g.volume ** k) < np.inf:
             return out
-    raise NumericError(f"the graph's volume {g.volume:.3g} ** {k} overflows")
+    word = "underflows" if g.volume < 1.0 else "overflows"
+    raise NumericError(f"the graph's volume {g.volume:.3g} ** {k} {word}")
 
 
 class AutocovarianceScorer:
@@ -205,11 +206,10 @@ class CosineScorer:
     """Attribute cosine similarity rows."""
 
     def __init__(self, X: AttributeMatrix):
-        self.unit, self.n = X.unit_rows(), X.n
+        self.X, self.n = X, X.n
 
     def rows(self, sources) -> np.ndarray:
-        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        return self.unit[sources] @ self.unit.T
+        return cosine_rows(self.X, sources)
 
 
 class MlpScorer:

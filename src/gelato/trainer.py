@@ -484,7 +484,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
     regime with exactly one. Model selection: highest validation
     prec@100%, earliest epoch on ties; when the validation set is empty
     the lowest epoch loss is used instead. An Adam step that leaves a
-    non-finite parameter raises NumericError.
+    non-finite parameter, or one whose MLP overflows, raises NumericError.
     """
     if not cfg.direct_mlp and (enh_cfg.alpha >= 1.0 or enh_cfg.beta <= 0.0):
         raise ConfigError(

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import pathlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gelato
 from gelato import AttributeMatrix, cli, write_attributes_csv, write_edge_list
 from gelato.cli import build_parser, main
-from gelato.config import ExperimentConfig, config_from_text, config_to_text
+from gelato.config import (MODES, ExperimentConfig, config_from_text,
+                           config_to_text)
 from gelato.errors import NumericError
 
 from conftest import make_attribute_sbm
@@ -613,6 +619,28 @@ def test_missing_or_mismatched_inputs_are_refused(dataset, tmp_path, args,
     assert not any((tmp_path / name).exists() for name in ("s", "x.split"))
 
 
+def test_an_overflowing_mlp_is_a_numeric_failure(dataset, tmp_path,
+                                                  capsys):
+    # one Adam step of lr 1e300 leaves finite parameters near 1e300, whose
+    # forward pass overflows: the run is refused, where it skipped the
+    # later batches and wrote that checkpoint
+    ck = tmp_path / "c.gpar"
+    ck.write_bytes(b"old checkpoint")
+    assert main(_train_argv(dataset, "--out-checkpoint", str(ck),
+                            "--lr", "1e300")) == 4
+    assert "the MLP's forward pass overflows" in capsys.readouterr().err
+    assert ck.read_bytes() == b"old checkpoint"
+
+
+def test_a_node_id_beyond_int64_is_a_data_error(dataset, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["export-scores", "--mode", "ac-only", "--edges",
+                 dataset["edges"], "--split", dataset["split"], "--nodes",
+                 "0", str(2 ** 64), "--out-scores", str(out),
+                 "--out-weights", str(tmp_path / "w.csv")]) == 3
+    assert not out.exists()
+
+
 def test_an_output_that_fails_while_written_is_config_error(
         dataset, tmp_path, monkeypatch, capsys):
     def full(path, split):
@@ -695,17 +723,22 @@ def test_cos_ac_mode_needs_no_checkpoint(dataset, tmp_path):
     assert 0.0 <= json.loads(report.read_text())["ap"] <= 1.0
 
 
+def _weighted_edges(g, weight):
+    """The edges of g, each weighing `weight`."""
+    pairs = g.edge_pairs()
+    return gelato.build_graph(
+        np.column_stack([pairs, np.full(len(pairs), weight)]), g.n)
+
+
 @pytest.fixture(scope="module")
 def huge_volume(tmp_path_factory):
     """A 30-node graph and its split, and the same edges weighted 1e200."""
     root = tmp_path_factory.mktemp("huge")
     g, X = make_attribute_sbm(30, seed=0, p_in=0.4, p_out=0.05)
-    pairs = g.edge_pairs()
     paths = {name: str(root / name) for name in
              ("edges", "heavy", "attrs", "split")}
     write_edge_list(paths["edges"], g)
-    write_edge_list(paths["heavy"], gelato.build_graph(
-        np.column_stack([pairs, np.full(len(pairs), 1e200)]), g.n))
+    write_edge_list(paths["heavy"], _weighted_edges(g, 1e200))
     write_attributes_csv(paths["attrs"], X)
     assert main(["split", "--edges", paths["edges"], "--out",
                  paths["split"], "--ratios", "0.7", "0.1", "0.2"]) == 0
@@ -732,3 +765,201 @@ def test_an_overflowing_volume_is_a_numeric_failure(huge_volume, tmp_path,
                  *flags]) == 4
     assert f"** {power} overflows" in capsys.readouterr().err
     assert ck.read_bytes() == b"old checkpoint"
+
+
+@pytest.mark.parametrize("weight, code", [(1e-160, 0), (1e-170, 4),
+                                          (1e-200, 4), (1e-300, 4)])
+@pytest.mark.parametrize("command", [["baseline", "--kind", "ac"],
+                                     ["eval", "--mode", "ac-only"]])
+def test_an_underflowing_volume_is_a_numeric_failure(huge_volume, tmp_path,
+                                                     capsys, command, weight,
+                                                     code):
+    # every edge and loop weighing 1e-170 or less makes vol^2 round to 0,
+    # which was 0/0 in d_u d_v / vol^2; at 1e-160 vol^2 is subnormal
+    tiny = tmp_path / "tiny.edges"
+    write_edge_list(tiny, _weighted_edges(
+        gelato.load_graph(huge_volume["edges"]), weight))
+    assert main([*command, "--edges", str(tiny), "--split",
+                 huge_volume["split"], "--self-loop-weight",
+                 repr(weight)]) == code
+    assert ("** 2 underflows" in capsys.readouterr().err) == (code == 4)
+
+
+# -- config-space fuzz ----------------------------------------------------------
+
+# Per flag, values at the edges of its field: 0, negatives, nan, inf,
+# 1e300 and counts far beyond any graph, next to a valid value or two.
+# Counts that set the amount of work (epochs, t, workers) stay small:
+# there a huge value runs long or starts many threads, which is no escape.
+_EDGE_VALUES = {
+    "--eta": ["0", "-1", "nan", "inf", "1e300", "0.5", "3"],
+    "--alpha": ["0", "-0.5", "nan", "1", "1e300", "0.5"],
+    "--beta": ["0", "-0.5", "nan", "1", "1e300", "0.5"],
+    "--self-loop-mode": ["all", "isolated-only", "none"],
+    "--self-loop-weight": ["0", "-1", "nan", "inf", "1e300", "1e-170",
+                           "1e-300"],
+    "--hidden": ["0", "-1", "1", str(2 ** 62), str(2 ** 64)],
+    "--loss": ["npair", "bce", "hinge"],
+    "--regime": ["unbiased", "biased", "none"],
+    "--lr": ["0", "-1", "nan", "inf", "1e300"],
+    "--epochs": ["0", "-1", "2"],
+    "--batch-count": ["0", "-1", "1", "2", str(2 ** 62)],
+    "--neg-cap": ["0", "-1", "1", str(2 ** 62)],
+    "--dropout": ["0", "-1", "nan", "1", "0.999"],
+    "--t": ["0", "-1", "1", "5"],
+    "--seed": ["0", "-1", str(2 ** 64)],
+    "--split-seed": ["-1", str(2 ** 64)],
+    "--ratios": ["0.7 0.1 0.2", "nan 0.5 0.5", "-1 1 1", "1 0 0", "0 0 1",
+                 "1e300 0 0"],
+    "--phase": ["train", "valid", "test", "all"],
+    "--prec": ["0", "-1", "nan", "1e-300", "1", "1.5", "inf"],
+    "--hits": ["0", "-1", "1", str(2 ** 62), str(2 ** 64)],
+    "--biased-neg-per-pos": ["0", "-1", "1", "5", str(2 ** 62)],
+    "--eval-seed": ["-1", str(2 ** 64)],
+    "--block-size": ["0", "-1", "1", str(2 ** 62)],
+    "--workers": ["0", "-1", "1", "3"],
+    "--nodes": ["0", "-1", "36", "3 3", str(2 ** 62), str(2 ** 64)],
+}
+
+
+def _split_of_another_graph(path, g, X):
+    """Make the first training edge of the split one that g lacks."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("TRAIN"))
+    iu, iv = np.triu_indices(g.n, 1)
+    lacks = ~np.isin(iu * g.n + iv, g.edge_codes)
+    lines[at + 1] = f"{iu[lacks][0]} {iv[lacks][0]}\n"
+    path.write_text("".join(lines))
+
+
+# one file mutation: (input it replaces, its new content from the graph
+# and attributes)
+_MUTATIONS = {
+    "tiny weights": ("edges", lambda p, g, X: write_edge_list(
+        p, _weighted_edges(g, 1e-170))),
+    "huge weights": ("edges", lambda p, g, X: write_edge_list(
+        p, _weighted_edges(g, 1e200))),
+    "no edges": ("edges", lambda p, g, X: p.write_text(f"n {g.n}\n")),
+    "id beyond n": ("edges", lambda p, g, X: p.write_text(
+        p.read_text() + f"0 {g.n}\n")),
+    "duplicate edge": ("edges", lambda p, g, X: p.write_text(
+        p.read_text() + "{} {}\n".format(*g.edge_pairs()[0][::-1]))),
+    "small header": ("edges", lambda p, g, X: p.write_text(
+        p.read_text().replace(f"n {g.n}", "n 10"))),
+    "garbled edges": ("edges", lambda p, g, X: p.write_text("0 one\n")),
+    "nan weight": ("edges", lambda p, g, X: p.write_text(
+        p.read_text().replace("\n", " nan\n", 2).replace(" nan", "", 1))),
+    "zero attributes": ("attrs", lambda p, g, X: write_attributes_csv(
+        p, AttributeMatrix(np.zeros((g.n, X.r))))),
+    "no attributes": ("attrs", lambda p, g, X: p.write_text("")),
+    "nan attribute": ("attrs", lambda p, g, X: p.write_text(
+        "nan" + p.read_text().split(",", 1)[1])),
+    "attribute header": ("attrs", lambda p, g, X: p.write_bytes(
+        b"GATR" + struct.pack("<QQ", 2 ** 63, 2 ** 63))),
+    "truncated split": ("split", lambda p, g, X: p.write_text(
+        p.read_text().rsplit("\n", 3)[0] + "\n")),
+    "split of another graph": ("split", _split_of_another_graph),
+    "split seed": ("split", lambda p, g, X: p.write_text(
+        p.read_text().replace("seed 0", f"seed {2 ** 64}"))),
+    "truncated checkpoint": ("model", lambda p, g, X: p.write_bytes(
+        p.read_bytes()[:30])),
+    "checkpoint of another r": ("model", lambda p, g, X: gelato.save_params(
+        p, gelato.init_mlp_params(X.r + 1, 4))),
+    "no hidden units": ("model", lambda p, g, X: p.write_bytes(
+        b"GPAR" + struct.pack("<QQd", X.r, 0, 0.0))),
+    "config": ("config", lambda p, g, X: p.write_text(
+        "workers -1\nhidden 1e3\n")),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The inputs of a 36-node graph, and a checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    g, X = make_attribute_sbm(36, seed=2, p_in=0.4, p_out=0.05)
+    files = {name: root / name for name in ("edges", "attrs", "split",
+                                             "model", "config")}
+    files["config"].write_text("# no settings\n")
+    write_edge_list(files["edges"], g)
+    write_attributes_csv(files["attrs"], X)
+    assert main(["split", "--edges", str(files["edges"]), "--out",
+                 str(files["split"])]) == 0
+    assert main(["train", "--edges", str(files["edges"]), "--attributes",
+                 str(files["attrs"]), "--split", str(files["split"]),
+                 "--epochs", "1", "--hidden", "4", "--out-checkpoint",
+                 str(files["model"])]) == 0
+    return g, X, {name: path.read_bytes() for name, path in files.items()}
+
+
+def _fuzz_argv(command, mode, ins, outs):
+    """The argv of a run of `command` that reads `ins` and writes `outs`."""
+    reads = ["--config", ins["config"], "--edges", ins["edges"],
+             "--attributes", ins["attrs"], "--split", ins["split"]]
+    if command == "split":
+        return ["split", *reads[:4], "--out", outs["split"]]
+    if command == "train":
+        return ["train", *reads, "--mode", mode, "--epochs", "1",
+                "--batch-count", "3", "--neg-cap", "2", "--hidden", "4",
+                "--out-checkpoint", outs["ck"], "--out-history", outs["h"]]
+    if command == "baseline":
+        return ["baseline", *reads, "--kind", mode, "--report",
+                outs["report"], "--pr-csv", outs["pr"]]
+    if command == "eval":
+        return ["eval", *reads, "--mode", mode, "--checkpoint", ins["model"],
+                "--report", outs["report"], "--pr-csv", outs["pr"]]
+    return ["export-scores", *reads, "--mode", mode, "--checkpoint",
+            ins["model"], "--nodes", "0", "35", "--out-scores",
+            outs["scores"], "--out-weights", outs["weights"]]
+
+
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data())
+def test_config_space_fuzz(fuzz_inputs, data):
+    """A run with edge-case flag values and at most one bad input file
+    exits 0, 2, 3 or 4; a refusal leaves existing outputs untouched, and a
+    report's counts fit the pool."""
+    g, X, contents = fuzz_inputs
+    command = data.draw(st.sampled_from(
+        ["split", "train", "eval", "baseline", "export-scores"]))
+    mode = data.draw(st.sampled_from(
+        ["cn", "aa", "ra", "cos", "ac"] if command == "baseline" else MODES))
+    names = data.draw(st.lists(st.sampled_from(
+        [name for name in sorted(_EDGE_VALUES)
+         if name != "--nodes" or command == "export-scores"]),
+        max_size=8, unique=True))
+    flags = [word for name in names for word in
+             [name, *data.draw(st.sampled_from(_EDGE_VALUES[name])).split()]]
+    mutation = data.draw(st.sampled_from([None, *sorted(_MUTATIONS)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        ins = {name: root / name for name in contents}
+        for name, path in ins.items():
+            path.write_bytes(contents[name])
+        if mutation:
+            name, write = _MUTATIONS[mutation]
+            write(ins[name], g, X)
+        outs = {name: root / f"out.{name}" for name in
+                ("split", "ck", "h", "report", "pr", "scores", "weights")}
+        for path in outs.values():
+            path.write_bytes(b"old output")
+        argv = _fuzz_argv(command, mode, {k: str(p) for k, p in ins.items()},
+                          {k: str(p) for k, p in outs.items()}) + flags
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag's value
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert all(p.read_bytes() == b"old output"
+                       for p in outs.values()), argv
+        elif command in ("eval", "baseline"):
+            meta = json.loads(outs["report"].read_text())["meta"]
+            split = gelato.read_split(ins["split"])
+            phase = meta["phase"]
+            pool = gelato.negative_pool_size(
+                gelato.load_graph(ins["edges"]), split, phase)
+            assert meta["num_positives"] == len(split.positives(phase))
+            biased = meta.get("neg_per_pos", 0) * meta["num_positives"]
+            assert meta["num_negatives"] == (biased or pool) <= pool, argv

@@ -71,12 +71,37 @@ class TestAugmentation:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 25, 40, ensure_positive_degree=False)
         X = random_attributes(rng, 25, 5)
-        monkeypatch.setattr(gelato.enhancer, "_SCAN_ROWS", 3)
+        monkeypatch.setattr(gelato.enhancer, "_DENSE_ROWS", 3)
         a, ta = select_augmentation_pairs(X, g, 0.75)
-        monkeypatch.setattr(gelato.enhancer, "_SCAN_ROWS", 1000)
+        monkeypatch.setattr(gelato.enhancer, "_DENSE_ROWS", 1000)
         b, tb = select_augmentation_pairs(X, g, 0.75)
         np.testing.assert_array_equal(a, b)
         assert ta == tb
+
+    def test_is_the_top_of_the_cosine_baselines_pool(self):
+        # 300 nodes make two aligned pool-stream calls; two groups of 15
+        # nodes share attributes, so the cutoff falls inside a tie
+        rng = np.random.default_rng(11)
+        g = random_graph(rng, 300, 900, ensure_positive_degree=False)
+        values = rng.normal(size=(300, 6))
+        values[::20] = values[0]
+        values[10::20] = values[0] + 0.2 * values[1]
+        X = AttributeMatrix(values)
+        pairs, threshold = select_augmentation_pairs(X, g, 0.2)
+        edges = set(map(tuple, g.edge_pairs().tolist()))
+        pool, step = [], gelato.evaluator._DENSE_ROWS  # (-s, u, v), v > u
+        for lo in range(0, 300, step):
+            rows = np.arange(lo, min(lo + step, 300))
+            block = gelato.CosineScorer(X).rows(rows)
+            pool += [(-float(block[i, v]), u, v)
+                     for i, u in enumerate(rows.tolist())
+                     for v in range(u + 1, 300) if (u, v) not in edges]
+        top = sorted(pool)[:int(np.ceil(0.2 * g.num_edges))]
+        assert len(pairs) == len(top) == 180
+        assert sum(-s == threshold for s, _, _ in pool) > sum(
+            -s == threshold for s, _, _ in top)
+        np.testing.assert_array_equal(pairs, sorted((u, v) for _, u, v in top))
+        assert threshold.hex() == (-top[-1][0]).hex()
 
     def test_count_exceeds_non_edges(self):
         g = build_graph([(0, 1)], 3)
