@@ -63,25 +63,25 @@ def _workers(cfg) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _load_inputs(cfg, need_attrs: bool):
+def _load_graph(cfg):
     if not cfg.edges:
         raise ConfigError("no edge-list file configured (--edges)")
-    g = load_graph(cfg.edges)
-    X = None
-    if need_attrs:
+    return load_graph(cfg.edges)
+
+
+def _load_run(cfg):
+    """(graph, attributes, split); no attributes for a mode that reads none."""
+    g, X = _load_graph(cfg), None
+    if cfg.mode not in STRUCTURE_MODES:
         if not cfg.attributes:
             raise ConfigError("this mode needs --attributes")
         X = read_attributes(cfg.attributes)
         X.check_rows(g.n)
-    return g, X
-
-
-def _load_split(cfg, g):
     if not cfg.split:
         raise ConfigError("no split file configured (--split)")
     split = read_split(cfg.split)
     check_split(g, split)
-    return split
+    return g, X, split
 
 
 def _check_writable(*paths) -> None:
@@ -132,7 +132,7 @@ def _build_scorer(cfg, g, X, split, checkpoint):
 def cmd_split(args) -> int:
     cfg = _resolve_config(args)
     _check_writable(args.out)
-    g, _ = _load_inputs(cfg, need_attrs=False)
+    g = _load_graph(cfg)
     split = split_edges(g, cfg.ratios, cfg.split_seed)
     write_split(args.out, split)
     print(f"wrote {args.out}")
@@ -151,8 +151,7 @@ def cmd_train(args) -> int:
               "(run eval directly)")
         return 0
     _check_writable(args.out_checkpoint, args.out_history)
-    g, X = _load_inputs(cfg, need_attrs=True)
-    split = _load_split(cfg, g)
+    g, X, split = _load_run(cfg)
     params, history = train(g, X, split, cfg.enhancer(), cfg.trainer())
     save_params(args.out_checkpoint, params)
     lines = ["# epoch loss valid_prec skipped"]
@@ -186,9 +185,11 @@ def _check_reportable(cfg, split):
 def _report(cfg, g, X, split, checkpoint):
     scorer, _ = _build_scorer(cfg, g, X, split, checkpoint)
     if cfg.biased_neg_per_pos > 0:
-        return biased_sample_metrics(
+        report = biased_sample_metrics(
             scorer, g, split, cfg.biased_neg_per_pos, cfg.eval_seed,
             phase=cfg.phase, prec_fractions=cfg.prec, hits_ks=cfg.hits)
+        report.meta["mode"] = cfg.mode
+        return report
     rs = rank_summary(scorer, g, split, cfg.phase,
                       block_size=cfg.block_size, workers=_workers(cfg))
     return compute_report(rs, cfg.prec, cfg.hits,
@@ -198,8 +199,7 @@ def _report(cfg, g, X, split, checkpoint):
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     _check_writable(args.report, args.pr_csv)
-    g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
-    split = _load_split(cfg, g)
+    g, X, split = _load_run(cfg)
     _check_reportable(cfg, split)
     report = _report(cfg, g, X, split, args.checkpoint)
     if report.biased:
@@ -225,8 +225,7 @@ def cmd_baseline(args) -> int:
 def cmd_export_scores(args) -> int:
     cfg = _resolve_config(args)
     _check_writable(args.out_scores, args.out_weights)
-    g, X = _load_inputs(cfg, need_attrs=cfg.mode not in STRUCTURE_MODES)
-    split = _load_split(cfg, g)
+    g, X, split = _load_run(cfg)
     if not 0 <= min(args.nodes) <= max(args.nodes) < g.n:  # before int64
         raise DataError("node id out of range")
     nodes = np.asarray(sorted(set(args.nodes)), dtype=np.int64)

@@ -1,9 +1,9 @@
 """Experiment configuration: key-value text files with CLI-flag overrides.
 
-A config file holds one "key value" pair per line ('#' comments allowed).
-Unknown keys are rejected. Flags given on the command line win over file
-values. parse -> serialize -> parse is the identity; serializing refuses
-a string with a '#', a line break or surrounding whitespace.
+One "key value" pair a line, split at the first whitespace, '#' starting
+a comment; unknown and repeated keys are refused and flags win. parse ->
+serialize -> parse is the identity; serializing refuses a string with a
+'#', a line break or surrounding whitespace.
 ExperimentConfig declares every field once: the CLI flags and the
 enhancer and trainer settings are derived from its fields by name.
 """
@@ -113,15 +113,17 @@ def _parse_value(name, kind, text):
 def config_from_text(text: str, base: ExperimentConfig | None = None
                      ) -> ExperimentConfig:
     cfg = base if base is not None else ExperimentConfig()
-    names = {f.name for f in fields(ExperimentConfig)}
+    names, seen = {f.name for f in fields(ExperimentConfig)}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition(" ")
-        value = value.strip()
+        key, value = (line.split(None, 1) + [""])[:2]
         if key not in names:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"config line {lineno}: key {key!r} repeats "
+                              f"line {seen[key]}")
         try:
             setattr(cfg, key, _parse_value(key, type(getattr(cfg, key)),
                                            value))

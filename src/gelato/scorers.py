@@ -21,10 +21,10 @@ follows it. Autocovariance (background -d_u d_v / vol^2, one class per
 distinct degree) and CN/AA/RA (background 0, one class) have them;
 cosine and MLP scores are dense and do not.
 
-Autocovariance has two rows kernels with the same bits: the dense walk,
-and the background block with its sparse rows written over it. One
-estimate per scorer, the fill of P^t over a few sampled rows, picks the
-kernel and whether classes() is offered.
+Autocovariance has two rows kernels with the same bits, each one
+autocovariance_from_walk call: the dense walk, or the background (a walk
+of 0) with the sparse rows written over it. The fill of P^t over a few
+sampled rows picks the kernel and whether classes() is offered.
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ def autocovariance_from_walk(g: Graph, u, v, T):
     """Autocovariance R = diag(d)/vol @ P^t - d d^T / vol^2 of a graph of
     degrees d and volume vol, the gap between the t-step and stationary
     co-visit probabilities of a random walk: R_uv = (d_u / vol) * T -
-    d_u * d_v / vol^2 from the walk term T = (P^t)_uv, for broadcastable
-    node arrays u, v."""
+    d_u * d_v / vol^2 from the walk term T = (P^t)_uv, left unwritten, for
+    broadcastable node arrays u, v; the result is the outer term's array."""
     d, vol, vol2 = g.degrees, g.volume, _volume_power(g, 2)
-    return (d[u] / vol) * T - d[u] * d[v] / vol2
+    walk, outer = (d[u] / vol) * T, d[u] * d[v]
+    outer /= vol2
+    return np.subtract(walk, outer, out=outer)
 
 
 def _volume_power(g: Graph, k: int) -> float:
@@ -99,24 +101,17 @@ class AutocovarianceScorer:
         return self.rows_from(sources, 0)
 
     def rows_from(self, sources, first: int) -> np.ndarray:
-        """rows(sources)[:, first:], no column before `first` made: sparse
-        rows over the background where P^t is sparse, else the dense walk."""
+        """rows(sources)[:, first:], no column before `first` made: one
+        autocovariance_from_walk call on the dense walk, or where P^t is
+        sparse on a walk of 0, with the sparse rows written over it.
+        _walk_hits is looked up at each call, for a tracer replacing it."""
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        d, vol = self.graph.degrees, self.graph.volume
-        vol2 = _volume_power(self.graph, 2)
-        du = d[sources, None]
-        # autocovariance_from_walk's terms in its order: the walk term, 0
-        # off the support, less the outer term, made after the walk so
-        # that their peaks do not add up. The walk is looked up at each
-        # call, so that a tracer replacing the module attribute sees it.
-        walk = du / vol * 0.0
-        if self._fill > _SPARSE_FILL:
-            walk = heuristics._walk_hits(self._P, sources, self.t, first)
-            walk *= du / vol
-        outer = du * d[first:]
-        outer /= vol2
-        out = np.subtract(walk, outer, out=outer)
-        if self._fill <= _SPARSE_FILL:
+        dense = self._fill > _SPARSE_FILL
+        walk = heuristics._walk_hits(self._P, sources, self.t,
+                                     first) if dense else 0.0
+        out = autocovariance_from_walk(self.graph, sources[:, None],
+                                       np.arange(first, self.n), walk)
+        if not dense:
             S = self.sparse_rows(sources, first)
             out[np.repeat(np.arange(len(sources)), np.diff(S.indptr)),
                 S.indices] = S.data

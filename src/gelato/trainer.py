@@ -338,15 +338,15 @@ class Tape:
         eg = self.eg
         graph = eg.graph
         n, d, vol = graph.n, graph.degrees, graph.volume
-        vol3 = _volume_power(graph, 3)
+        vol2, vol3 = _volume_power(graph, 2), _volume_power(graph, 3)
         u, v = self.scored[:, 0], self.scored[:, 1]
         du, dv, T = d[u], d[v], self.walk.values
 
-        g_d = (np.bincount(u, weights=g_raw * (T / vol - dv / vol ** 2),
+        g_d = (np.bincount(u, weights=g_raw * (T / vol - dv / vol2),
                            minlength=n)
-               + np.bincount(v, weights=g_raw * (-du / vol ** 2),
+               + np.bincount(v, weights=g_raw * (-du / vol2),
                              minlength=n))
-        g_vol = float(np.sum(g_raw * (-du * T / vol ** 2
+        g_vol = float(np.sum(g_raw * (-du * T / vol2
                                       + 2.0 * du * dv / vol3)))
         gP_data = self.walk.grad(g_raw * du / vol)
 

@@ -264,14 +264,19 @@ def test_train_ac_only_is_notice(dataset, tmp_path, capsys):
 
 
 def test_biased_eval_banner_and_flag(dataset, tmp_path, capsys):
-    rc = main(["eval", "--edges", dataset["edges"], "--split",
-               dataset["split"], "--mode", "ac-only",
-               "--biased-neg-per-pos", "1", "--eval-seed", "3"])
+    argv = ["eval", "--edges", dataset["edges"], "--split", dataset["split"],
+            "--mode", "ac-only"]
+    rc = main(argv + ["--biased-neg-per-pos", "1", "--eval-seed", "3"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "BIASED" in out
     payload = json.loads(out[out.index("{"):])
     assert payload["biased"] is True
+    # the unbiased report's meta, plus the draw's size and seed
+    assert main(argv) == 0
+    unbiased = json.loads(capsys.readouterr().out)["meta"]
+    assert payload["meta"]["mode"] == unbiased["mode"] == "ac-only"
+    assert set(payload["meta"]) ^ set(unbiased) == {"neg_per_pos", "seed"}
 
 
 def test_eval_reports_are_reproducible(dataset, tmp_path):
@@ -327,6 +332,11 @@ def test_config_round_trip():
     cfg2 = config_from_text(text)
     assert cfg2 == cfg
     assert config_to_text(cfg2) == text
+    # a key and its value may be split by any run of whitespace
+    tabbed = "".join(line.replace(" ", "\t \t", 1) + "\n"
+                     for line in text.splitlines())
+    assert "eta\t \t0.5\n" in tabbed
+    assert config_from_text(tabbed) == cfg
 
 
 @pytest.mark.parametrize("value", ["data#1/g.edges", " g.edges",
@@ -686,13 +696,18 @@ def test_config_unknown_key():
         config_from_text("frobnicate 3\n")
 
 
-@pytest.mark.parametrize("line", ["hits 1.5", "prec", "hits"])
+@pytest.mark.parametrize("line", ["hits 1.5", "prec", "hits",
+                                  "eta 0.5\n# again\neta 0.7"])
 def test_config_file_refuses_a_bad_value(tmp_path, capsys, line):
-    # an empty prec or hits, like --prec with no value, is refused
+    # an empty prec or hits, like --prec with no value, is refused, and
+    # so is a key set twice, naming both lines
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")
     assert main(["show-config", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    if "\n" in line:
+        assert "config line 3: key 'eta' repeats line 1" in err
 
 
 def test_mlp_only_two_stage_modes(dataset, tmp_path):

@@ -176,6 +176,22 @@ def _dense_walk_rows(scorer, sources):
                                     np.arange(scorer.graph.n), T)
 
 
+def test_autocovariance_from_walk_broadcasts_and_keeps_the_walk():
+    # a (sources[:, None], columns) block holds the bits of the same pairs
+    # flattened, and T is not written: the training backward reads the
+    # walk after the forward
+    g = random_graph(np.random.default_rng(3), 40, 60, weighted=True)
+    sources, columns = np.array([3, 0, 39, 17, 17, 8]), np.arange(5, g.n)
+    T = _walk_hits(AutocovarianceScorer(g)._P, sources, 3, 5)
+    walk = T.copy()
+    block = autocovariance_from_walk(g, sources[:, None], columns, T)
+    flat = autocovariance_from_walk(g, np.repeat(sources, len(columns)),
+                                    np.tile(columns, len(sources)), T.ravel())
+    assert block.shape == T.shape
+    assert block.tobytes() == flat.tobytes()
+    assert T.tobytes() == walk.tobytes()
+
+
 class TestSupportRows:
     """Sparse rows equal the dense rows bit for bit where they store an
     entry, and the background gives the dense rows everywhere else."""
