@@ -10,10 +10,10 @@ never materialized. Two exact paths count it, with the same result:
   gelato.scorers for sparse_rows, background and classes). Two kinds of
   job: the background is counted once over all unordered pairs, as
   pairs of node classes weighted by their multiplicities; each block of
-  source nodes counts the pool pairs among its sparse rows, less the
-  background of those entries and of its excluded pairs. The work
-  follows the support and the number of classes, not n^2, and every
-  count stays an integer.
+  sources from lo on counts the pool pairs (u, v), v > u, stored in
+  sparse_rows(sources, lo), less the background of those entries and of
+  its excluded pairs. The work follows the support and the number of
+  classes, not n^2, and every count stays an integer.
 * Streaming: for every other scorer, and the reference. Each job counts
   the pool pairs (u, v), v > u, of at most _DENSE_ROWS sources from lo
   on, from one call for their dense rows from column lo on:
@@ -155,9 +155,9 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     source nodes counts its sparse rows and other jobs count the
     background over class pairs; otherwise each job streams the scorer's
     dense float64 rows in one call of min(block_size, _DENSE_ROWS)
-    sources, from its first source on. Job results are combined by
-    integer addition, so counts are deterministic under any worker
-    schedule.
+    sources. Either call holds the columns from its first source on.
+    Job results are combined by integer addition, so counts are
+    deterministic under any worker schedule.
     """
     if block_size < 1:
         raise ConfigError("block_size must be >= 1")
@@ -227,20 +227,22 @@ def _stream_block(scorer, pos_scores, excl, n, start, block_size):
 
 
 def _support_block(scorer, pos_scores, excl, n, start, block_size):
-    """Counts over the pool pairs stored in one block's sparse rows, less
-    their background and that of the block's excluded pairs, both of
-    which _background_classes counts."""
+    """Counts over the pool pairs stored in one block's sparse rows from
+    its first source's column on, less their background and that of the
+    block's excluded pairs, both of which _background_classes counts."""
     rows = np.arange(start, min(start + block_size, n))
-    M = scorer.sparse_rows(rows)
+    M = scorer.sparse_rows(rows, start)
     u = np.repeat(rows, np.diff(M.indptr))
-    v = M.indices.astype(np.int64)
+    v = M.indices + np.int64(start)
     keep = v > u
     ex = _excluded_in(excl, rows, n)
-    keep[keep] = ~_in_sorted(ex, u[keep] * n + v[keep])
+    if len(ex):
+        keep &= ~_in_sorted(ex, u * n + v)
+    u, v = u[keep], v[keep]
     above, tied = _counts(M.data[keep], pos_scores)
     bg_above, bg_tied = _counts(np.concatenate([
-        scorer.background(u[keep], v[keep]),
-        scorer.background(ex // n, ex % n)]), pos_scores)
+        scorer.background(u, v), scorer.background(ex // n, ex % n)]),
+        pos_scores)
     return above - bg_above, tied - bg_tied, -len(ex)
 
 

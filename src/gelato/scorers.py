@@ -8,8 +8,9 @@ bit, which the evaluator's stream calls where it exists (Autocovariance).
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
-* sparse_rows(sources) -> CSR (len(sources), n), equal to rows(sources)
-  at its stored entries (Autocovariance's takes `first` as rows_from);
+* sparse_rows(sources, first=0) -> CSR (len(sources), n - first),
+  equal to rows(sources)[:, first:] at its stored entries, bit for bit
+  with the columns from `first` of sparse_rows(sources);
 * background(u, v) for node arrays, symmetric, equal to rows() at every
   other pair;
 * classes() -> (class_nodes, class_sizes), one node and the size of
@@ -178,12 +179,13 @@ class LocalHeuristicScorer:
             raise ConfigError(f"unknown heuristic kind {self.kind!r}")
         return adj, adj.multiply(w[None, :]).tocsr().T.tocsr()
 
-    def sparse_rows(self, sources) -> sparse.csr_matrix:
-        """The rows as sparse (len(sources), n): the pairs with a common
-        neighbour; every other score is exactly 0."""
+    def sparse_rows(self, sources, first: int = 0) -> sparse.csr_matrix:
+        """rows(sources)[:, first:] as sparse (len(sources), n - first):
+        the pairs with a common neighbour; every other score is exactly 0.
+        It slices the product: slicing its right factor took longer."""
         adj, weighted_t = self._factors
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-        return adj[sources] @ weighted_t
+        return (adj[sources] @ weighted_t)[:, first:]
 
     def rows(self, sources) -> np.ndarray:
         return self.sparse_rows(sources).toarray()

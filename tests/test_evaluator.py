@@ -42,10 +42,10 @@ class _SparseTableScorer(_TableScorer):
         self.stored = stored
         self.fill = fill
 
-    def sparse_rows(self, sources):
-        r, c = np.nonzero(self.stored[sources])
-        return sparse.csr_matrix((self.table[sources][r, c], (r, c)),
-                                 shape=(len(sources), len(self.table)))
+    def sparse_rows(self, sources, first=0):
+        r, c = np.nonzero(self.stored[sources, first:])
+        return sparse.csr_matrix((self.table[sources, first:][r, c], (r, c)),
+                                 shape=(len(sources), len(self.table) - first))
 
     def background(self, u, v):
         return np.full(len(u), self.fill)
@@ -248,6 +248,31 @@ class TestRankSummarySupport:
         _assert_same_summary(rs, RankSummary(
             *_brute_force_summary(scorer, split, phase),
             len(enumerate_pool(split, phase))))
+
+    @pytest.mark.parametrize("kind", ["AC", "RA"])
+    def test_each_block_asks_for_the_columns_from_its_first_source(
+            self, kind, monkeypatch):
+        n, block_size = 47, 10     # the last block holds 7 sources
+        g = random_graph(np.random.default_rng(3), n, 60)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=3)
+        looped = gelato.add_self_loops(train_graph(g, split), "all")
+        scorer = AutocovarianceScorer(looped, 2) if kind == "AC" \
+            else LocalHeuristicScorer(kind, looped)
+        assert scorer.classes() is not None
+        calls, sparse_rows = [], scorer.sparse_rows
+
+        def spy(sources, first=0):
+            calls.append((np.asarray(sources).tolist(), first))
+            return sparse_rows(sources, first)
+
+        monkeypatch.setattr(scorer, "sparse_rows", spy)
+        rs = rank_summary(scorer, g, split, "test", block_size=block_size)
+        # the positives' calls come first, then one per pool block
+        blocks = [list(range(lo, min(lo + block_size, n)))
+                  for lo in range(0, n, block_size)]
+        assert calls[-len(blocks):] == [(b, b[0]) for b in blocks]
+        _assert_same_summary(rs, rank_summary(
+            _Streamed(scorer), g, split, "test", block_size=block_size))
 
     @pytest.mark.parametrize("kind", ["CN", "AA", "RA"])
     def test_no_common_neighbour_ties_with_the_zero_background(self, kind):

@@ -321,16 +321,18 @@ class TestRowsKernels:
         np.testing.assert_allclose(
             part, dense_autocovariance(g, t)[sources, first:], rtol=0,
             atol=1e-12)
-        # so is sparse_rows(sources, first) to sparse_rows(sources)[:, first:]
-        scorer = AutocovarianceScorer(g, t)
-        part = scorer.sparse_rows(sources, first)
-        whole = scorer.sparse_rows(sources)[:, first:]
-        part.sort_indices()
-        whole.sort_indices()
-        assert part.shape == whole.shape == (len(sources), n - first)
-        assert part.indptr.tolist() == whole.indptr.tolist()
-        assert part.indices.tolist() == whole.indices.tolist()
-        assert part.data.tobytes() == whole.data.tobytes()
+        # so is sparse_rows(sources, first) to sparse_rows(sources)[:, first:],
+        # for every scorer with sparse rows
+        for scorer in [AutocovarianceScorer(g, t)] + [
+                LocalHeuristicScorer(kind, g) for kind in ("CN", "AA", "RA")]:
+            part = scorer.sparse_rows(sources, first)
+            whole = scorer.sparse_rows(sources)[:, first:]
+            part.sort_indices()
+            whole.sort_indices()
+            assert part.shape == whole.shape == (len(sources), n - first)
+            assert part.indptr.tolist() == whole.indptr.tolist()
+            assert part.indices.tolist() == whole.indices.tolist()
+            assert part.data.tobytes() == whole.data.tobytes()
 
     def test_a_sum_scipy_drops_reads_the_background(self):
         # the only walk 0 -> 1 -> 2 crosses an arc of weight 0, so the
