@@ -234,10 +234,8 @@ def _support_block(scorer, pos_scores, excl, n, start, block_size):
     M = scorer.sparse_rows(rows, start)
     u = np.repeat(rows, np.diff(M.indptr))
     v = M.indices + np.int64(start)
-    keep = v > u
     ex = _excluded_in(excl, rows, n)
-    if len(ex):
-        keep &= ~_in_sorted(ex, u * n + v)
+    keep = (v > u) & ~_in_sorted(ex, u * n + v)
     u, v = u[keep], v[keep]
     above, tied = _counts(M.data[keep], pos_scores)
     bg_above, bg_tied = _counts(np.concatenate([
