@@ -55,14 +55,6 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _workers(cfg) -> int:
-    """cfg.workers, or at 0 the CPUs this process may run on, which a
-    cpuset or affinity mask may make far fewer than os.cpu_count()."""
-    if cfg.workers or not hasattr(os, "sched_getaffinity"):
-        return cfg.workers or os.cpu_count() or 1
-    return len(os.sched_getaffinity(0))
-
-
 def _load_graph(cfg):
     if not cfg.edges:
         raise ConfigError("no edge-list file configured (--edges)")
@@ -191,7 +183,7 @@ def _report(cfg, g, X, split, checkpoint):
         report.meta["mode"] = cfg.mode
         return report
     rs = rank_summary(scorer, g, split, cfg.phase,
-                      block_size=cfg.block_size, workers=_workers(cfg))
+                      block_size=cfg.block_size, workers=cfg.workers)
     return compute_report(rs, cfg.prec, cfg.hits,
                           meta={"phase": cfg.phase, "mode": cfg.mode})
 

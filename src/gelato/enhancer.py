@@ -95,10 +95,6 @@ class MlpParams:
         """Total trainable parameters: 2r*h + h + h + 1, graph-size free."""
         return self.W1.size + self.b1.size + self.W2.size + 1
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(),
-                         float(self.b2))
-
 
 def flatten_params(params: MlpParams, head=None) -> np.ndarray:
     """Flat layout for Adam and checkpoints: W1 (row-major), b1, W2, b2,

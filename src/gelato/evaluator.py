@@ -34,6 +34,7 @@ fraction of the positive count, rounded half-up.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -157,10 +158,15 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     dense float64 rows in one call of min(block_size, _DENSE_ROWS)
     sources. Either call holds the columns from its first source on.
     Job results are combined by integer addition, so counts are
-    deterministic under any worker schedule.
+    deterministic under any worker schedule. `workers` = 0 runs as many
+    threads as the CPUs this process may run on, which a cpuset or
+    affinity mask may make far fewer than os.cpu_count().
     """
-    if block_size < 1:
-        raise ConfigError("block_size must be >= 1")
+    if block_size < 1 or workers < 0:
+        raise ConfigError("block_size must be >= 1 and workers >= 0")
+    if workers == 0:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else os.cpu_count() or 1)
     positives = split.positives(phase)
     n = split.n
     if getattr(scorer, "n", n) != n:
@@ -182,7 +188,7 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
                          start, block_size)
                  for start in range(0, len(classes[0]), block_size)]
 
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(lambda job: job(), jobs))
     else:

@@ -28,7 +28,9 @@ products, not n. Once P fills 1.5% of n^2, the walk runs as dense rows
 per block of evaluator._DENSE_ROWS sources, and the gradient per block
 of as many columns; memory stays at a few block x n arrays.
 
-Adam steps on the flat layout of enhancer.flatten_params. Batches whose
+Adam steps on the flat layout of enhancer.flatten_params, followed by the
+BCE head (a, b), which N-pair gives no gradient and so leaves at (1, 0)
+(an Adam coordinate moves only by its own gradients). Batches whose
 loss or gradient has any non-finite component are skipped and counted
 rather than applied. The best epoch is selected by prec@100% counted
 exactly over the whole unbiased validation pool, as `gelato eval --phase
@@ -499,7 +501,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
         aug = AugmentedPairs(g, X, split.train_pos, added_pairs)
 
     params = init_mlp_params(X.r, cfg.hidden, cfg.seed)
-    head = np.array([1.0, 0.0]) if cfg.loss == "bce" else None
+    head = (1.0, 0.0)
     flat = flatten_params(params, head)
     adam = AdamState.zeros(len(flat))
 
@@ -513,7 +515,7 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
 
     history = []
     best_key = None
-    best_params = params.copy()
+    best_params = params
     for epoch in range(1, cfg.epochs + 1):
         batches = positive_masking_batches(
             split, cfg.batch_count, derive(cfg.seed, _EPOCH_TAG, epoch))
@@ -534,17 +536,14 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
                 continue
             gflat = flatten_params(
                 MlpParams(grads["W1"], grads["b1"], grads["W2"], grads["b2"]),
-                None if head is None else [grads["head_a"], grads["head_b"]])
+                [grads.get("head_a", 0.0), grads.get("head_b", 0.0)])
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 flat = adam_update(adam, flat, gflat, cfg.lr)
             if not np.isfinite(flat).all():
                 raise NumericError(f"epoch {epoch}, batch {bi + 1}: the Adam "
                                    "step left a non-finite parameter")
-            if head is not None:
-                params, head = unflatten_params(flat, X.r, cfg.hidden,
-                                                with_head=True)
-            else:
-                params = unflatten_params(flat, X.r, cfg.hidden)
+            params, head = unflatten_params(flat, X.r, cfg.hidden,
+                                            with_head=True)
             losses.append(loss)
 
         mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -556,5 +555,5 @@ def train(g: Graph, X: AttributeMatrix, split: EdgeSplit,
             key = vprec
         if best_key is None or key > best_key:
             best_key = key
-            best_params = params.copy()
+            best_params = params
     return best_params, history

@@ -431,20 +431,6 @@ SEED_FLAGS = {
 }
 
 
-def test_zero_workers_counts_the_cpus_the_process_may_use(monkeypatch):
-    import os
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert cli._workers(ExperimentConfig(workers=0)) == 1
-    assert cli._workers(ExperimentConfig(workers=3)) == 3
-    # a platform without affinity masks counts every CPU
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._workers(ExperimentConfig(workers=0)) == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._workers(ExperimentConfig(workers=0)) == 1
-
-
 def test_parser_flags_are_the_config_fields():
     sub = build_parser()._subparsers._group_actions[0].choices
     for name, parser in sub.items():

@@ -652,10 +652,11 @@ class _NanSelfPairRa(LocalHeuristicScorer):
         return np.where(np.asarray(u) == np.asarray(v), np.nan, 0.0)
 
 
-def _ra_summary(cls):
+def _ra_summary(cls, workers=1):
     g = random_graph(np.random.default_rng(0), 30, 60)
     split = split_edges(g, (0.6, 0.2, 0.2), seed=0)
-    return rank_summary(cls("RA", train_graph(g, split)), g, split, "test")
+    return rank_summary(cls("RA", train_graph(g, split)), g, split, "test",
+                        workers=workers)
 
 
 def _biased_with_no_negatives():
@@ -676,12 +677,55 @@ def _biased_with_no_negatives():
      "average precision"),
     (lambda: auc(RankSummary([0.5], [0], [0], 0)), DataError, "AUC"),
     (_biased_with_no_negatives, ConfigError, "neg_per_pos"),
+    (lambda: _ra_summary(LocalHeuristicScorer, workers=-1), ConfigError,
+     "workers"),
 ], ids=["counts-beyond-pool", "pool-miscounted", "nan-class-background",
         "k-fraction-above-1", "hits-at-0", "ap-of-no-positives",
-        "auc-of-no-negatives", "no-sampled-negatives"])
+        "auc-of-no-negatives", "no-sampled-negatives", "negative-workers"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_zero_workers_counts_the_cpus_the_process_may_use(monkeypatch):
+    import os
+    asked = []
+
+    class Serial:
+        """Records the pool size asked for and runs the jobs in turn."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def pool_size(workers):
+        asked.clear()
+        _assert_same_summary(_ra_summary(LocalHeuristicScorer, workers),
+                             serial)
+        return asked[0] if asked else 1
+
+    serial = _ra_summary(LocalHeuristicScorer)
+    monkeypatch.setattr(gelato.evaluator, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert pool_size(0) == 3
+    assert pool_size(5) == 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert pool_size(0) == 1
+    # a platform without affinity masks counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pool_size(0) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(0) == 1
 
 
 def _path_scorer(n):

@@ -101,6 +101,21 @@ class TestAdam:
         p = np.array([1.0, -2.0, 0.5])
         p2 = adam_update(state, p, np.zeros(3), lr=0.1)
         np.testing.assert_array_equal(p, p2)
+        # over many steps, coordinates whose gradient is always exactly 0
+        # (the BCE head under N-pair) come back bit for bit with m = v = 0,
+        # and the others step as if the zero ones were not there
+        rng = np.random.default_rng(0)
+        zero = np.array([False, True, False, False, True])
+        p = rng.normal(size=5)
+        state, alone = AdamState.zeros(5), AdamState.zeros(3)
+        x, y = p, p[~zero]
+        for _ in range(20):
+            g = np.where(zero, 0.0, rng.normal(size=5) * 10.0)
+            x = adam_update(state, x, g, lr=0.01)
+            y = adam_update(alone, y, g[~zero], lr=0.01)
+        assert x[zero].tobytes() == p[zero].tobytes()
+        assert not state.m[zero].any() and not state.v[zero].any()
+        assert x[~zero].tobytes() == y.tobytes()
 
     def test_first_step_is_signed_lr(self):
         state = AdamState.zeros(2)
