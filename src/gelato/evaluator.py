@@ -19,10 +19,10 @@ never materialized. Two exact paths count it, with the same result:
   on, from one call for their dense rows from column lo on:
   rows_from(sources, lo) where the scorer has it, else rows(sources)[:, lo:].
 
-Explicit pairs (positives, sampled negatives) are scored as the pool is,
-from sparse rows and background or dense rows (pair_scores), bitwise
-alike where rows are made row by row (Autocovariance, CN/AA/RA, MLP),
-but not by the cosine's GEMM, whose bits depend on a call's row count.
+Explicit pairs (positives, sampled negatives) are scored by the scorer's
+scores(u, v) where it has one, else off its dense rows (pair_scores), the
+pool's bits where rows are made row by row (Autocovariance, CN/AA/RA,
+MLP), but not by the cosine's GEMM, whose bits depend on a call's rows.
 
 Tie policy: prec@k, hits@k, and AP rank positives *below* equal-scored
 negatives (pessimistic, deterministic); equal-scored positives are
@@ -42,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .graph import _in_sorted, _values_at
+from .graph import _in_sorted
 from .splits import EdgeSplit, excluded_codes, negative_pool_size, \
     sample_negatives
 
@@ -84,41 +84,28 @@ def counts_against(sorted_neg_scores: np.ndarray,
 _DENSE_ROWS = 256
 
 
-def pair_scores(rows, pairs, block_size: int = _DENSE_ROWS,
-                background=None) -> np.ndarray:
-    """Scores of explicit pairs from a rows(sources) function.
-
-    One rows() call is shared by all pairs with the same source, in
-    blocks of `block_size` distinct sources, which bounds the rows at
-    block_size * n. rows() returns dense (len(sources), n) rows; with a
-    `background`, CSR rows instead, and a pair (u, v) that its row does
-    not store scores background(u, v).
-    """
+def pair_scores(rows, pairs, block_size: int = _DENSE_ROWS) -> np.ndarray:
+    """Scores of explicit pairs off rows(sources), block_size per call."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    uniq, inverse = np.unique(pairs[:, 0], return_inverse=True)
-    out = np.empty(len(pairs))
+    return _by_source(*pairs.T, block_size, lambda s, r, v: rows(s)[r, v])
+
+
+def _by_source(u, v, block_size, at) -> np.ndarray:
+    """Values at the node pairs (u, v): at(sources, row, v) gives those of
+    the pairs (sources[row], v) of each block of block_size sources u."""
+    uniq, row = np.unique(u, return_inverse=True)
+    out, block = np.empty(len(u)), row // block_size
     for start in range(0, len(uniq), block_size):
-        block = uniq[start:start + block_size]
-        sel = np.flatnonzero((inverse >= start)
-                             & (inverse < start + len(block)))
-        row, v = inverse[sel] - start, pairs[sel, 1]
-        M = rows(block)
-        if background is None:
-            out[sel] = M[row, v]
-        else:
-            M.sort_indices()
-            out[sel] = _values_at(M, row * M.shape[1] + v,
-                                  fill=background(pairs[sel, 0], v))
+        sel = np.flatnonzero(block == start // block_size)
+        out[sel] = at(uniq[start:start + block_size], row[sel] - start, v[sel])
     return out
 
 
-def _score_pairs(scorer, pairs: np.ndarray, classes=None) -> np.ndarray:
-    """Scores of explicit pairs, grouped by source: from the sparse rows
-    and background where there are `classes`, in blocks of 1024 sources,
-    else from the scorer's dense rows, _DENSE_ROWS sources at a time."""
-    out = (pair_scores(scorer.rows, pairs, _DENSE_ROWS) if classes is None
-           else pair_scores(scorer.sparse_rows, pairs, 1024,
-                            scorer.background))
+def _score_pairs(scorer, pairs: np.ndarray) -> np.ndarray:
+    """Scores of explicit pairs: scorer.scores(u, v), else off rows()."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    out = (scorer.scores(*pairs.T) if hasattr(scorer, "scores")
+           else pair_scores(scorer.rows, pairs, _DENSE_ROWS))
     if not np.isfinite(out).all():
         raise NumericError("scorer returned non-finite pair scores")
     return out
@@ -141,10 +128,8 @@ def sampled_rank_summary(scorer, positives, negatives) -> RankSummary:
         raise DataError(f"node {top} is beyond the scorer's {scorer.n} nodes")
     if min(np.min(positives, initial=0), np.min(negatives, initial=0)) < 0:
         raise DataError("a node id is negative")
-    classes = scorer.classes() if hasattr(scorer, "classes") else None
-    pos_scores = _score_pairs(scorer, positives, classes)
-    above, tied = _counts(_score_pairs(scorer, negatives, classes),
-                          pos_scores)
+    pos_scores = _score_pairs(scorer, positives)
+    above, tied = _counts(_score_pairs(scorer, negatives), pos_scores)
     return RankSummary(pos_scores, above, tied, len(negatives))
 
 
@@ -174,7 +159,7 @@ def rank_summary(scorer, g, split: EdgeSplit, phase: str,
     excl = excluded_codes(split, phase)
     pool = negative_pool_size(g, split, phase)
     classes = scorer.classes() if hasattr(scorer, "classes") else None
-    pos_scores = _score_pairs(scorer, positives, classes)
+    pos_scores = _score_pairs(scorer, positives)
     block = _stream_block if classes is None else _support_block
     step = min(block_size, _DENSE_ROWS) if classes is None else block_size
     # the jobs count against the positives in ascending order: sorted
@@ -241,7 +226,9 @@ def _support_block(scorer, pos_scores, excl, n, start, block_size):
     u = np.repeat(rows, np.diff(M.indptr))
     v = M.indices + np.int64(start)
     ex = _excluded_in(excl, rows, n)
-    keep = (v > u) & ~_in_sorted(ex, u * n + v)
+    keep = v > u    # search only the entries in an excluded pair's column
+    near = np.flatnonzero(keep & np.isin(M.indices, ex % n - start))
+    keep[near] = ~_in_sorted(ex, u[near] * n + v[near])
     u, v = u[keep], v[keep]
     above, tied = _counts(M.data[keep], pos_scores)
     bg_above, bg_tied = _counts(np.concatenate([

@@ -1,17 +1,17 @@
 """The random walk's transition matrix P = D^-1 A and the forms of P^t.
 
-Three forms of P^t serve the scorers and the trainer, all float64:
-_walk_hits gives dense rows for a block of sources, _pt_rows sparse rows
-for a block of sources, and _pt_matrix the whole sparse matrix. The n x n
-dense matrix is never formed.
+Four forms of P^t serve the scorers and the trainer, all float64: dense
+(_walk_hits) and sparse (_pt_rows) rows for a block of sources, the whole
+sparse matrix (_pt_matrix), and, from rows of P^(t-1) and P, entries at
+explicit pairs (_product_at). The n x n dense matrix is never formed.
 
 Every form holds the same bits at every entry it stores. scipy's
 products start each sum at 0 and add its terms in index order. Each form
 starts from its sources' rows of P, the same bits as a first step from
 identity rows, which would only multiply by 1 and add +0; the sparse
 forms keep the rows of every left factor sorted, so each entry sums the
-same terms in the same order as the dense walk. A sparse form stores no
-sum that is exactly 0, where the dense rows hold 0. The row forms' column
+same terms in the same order as the dense walk. The sparse forms store
+no sum that is exactly 0, where the others hold 0. The row forms' column
 start `first` slices only the last product, as P[:, first:], which keeps
 each sum's terms and their order; every earlier product is whole.
 """
@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericError
-from .graph import Graph
+from .graph import Graph, _values_at
 
 
 def transition_matrix(g: Graph) -> sparse.csr_matrix:
@@ -72,3 +72,17 @@ def _pt_matrix(P: sparse.csr_matrix, t: int) -> sparse.csr_matrix:
     for _ in range(t - 1):
         Pt = _product(Pt, P)
     return Pt
+
+
+def _product_at(W, B, Bc, rows, cols):
+    """(W @ B)[rows, cols] for CSR W (rows sorted here) and B as CSR and as
+    CSC Bc, by the route of fewer multiply-adds: the whole product, or B's
+    columns at the pairs, whose terms np.bincount adds in order (one W
+    lacks adds a zero, which moves no finite sum)."""
+    W.sort_indices()
+    if np.diff(Bc.indptr)[cols].sum() > np.diff(B.indptr)[W.indices].sum():
+        return _values_at((W @ B).sorted_indices(), rows * B.shape[1] + cols)
+    S = Bc[:, cols]    # column c of B for each pair (r, c)
+    pair = np.repeat(np.arange(len(rows)), np.diff(S.indptr))
+    terms = _values_at(W, rows[pair] * W.shape[1] + S.indices) * S.data
+    return np.bincount(pair, terms, minlength=len(rows))

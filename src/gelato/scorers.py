@@ -2,9 +2,10 @@
 
 A scorer exposes its node count n and rows(sources) -> dense
 (len(sources), n) float64 block: Autocovariance of a random walk,
-CN/AA/RA, attribute cosine, or the trained MLP. It may also offer
-rows_from(sources, first), equal to rows(sources)[:, first:] bit for
-bit, which the evaluator's stream calls where it exists (Autocovariance).
+CN/AA/RA, attribute cosine, or the trained MLP. It may also offer, bit
+for bit, rows_from(sources, first) = rows(sources)[:, first:], which the
+pool stream calls, and scores(u, v) = rows(u)[v] pair by pair, which
+scores explicit pairs; where it lacks them, both read rows().
 
 A scorer whose rows are sparse over a closed-form background also has
 three methods that hold the same scores in two parts:
@@ -25,7 +26,10 @@ cosine and MLP scores are dense and do not.
 Autocovariance has two rows kernels with the same bits, each one
 autocovariance_from_walk call: the dense walk, or the background (a walk
 of 0) with the sparse rows written over it. The fill of P^t over a few
-sampled rows picks the kernel and whether classes() is offered.
+sampled rows picks the kernel, whether classes() is offered, and whether
+scores() reads dense rows or, as CN/AA/RA do, forms the last product at
+the pairs alone, per 1024 distinct sources, by the route the index
+pointers count fewer multiply-adds for (heuristics._product_at).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from scipy import sparse
 
 from . import heuristics
 from .enhancer import MlpParams, mlp_forward, pair_features
+from .evaluator import _by_source, pair_scores
 from .errors import ConfigError, NumericError
 from .graph import AttributeMatrix, Graph, cosine_rows
 
@@ -89,9 +94,9 @@ class AutocovarianceScorer:
     @cached_property
     def _fill(self) -> float:
         """Estimated fill of P^t: that of its rows for _FILL_ROWS evenly
-        spaced sources. It picks the rows kernel and whether classes() is
-        offered; every choice gives the same bits, so a wrong estimate
-        costs time only."""
+        spaced sources. It picks the kernels of rows() and scores(), and
+        whether classes() is offered; every choice gives the same bits, so
+        a wrong estimate costs time only."""
         n = self.graph.n
         sources = np.linspace(0, n - 1, min(n, _FILL_ROWS)).astype(np.int64)
         T = heuristics._pt_rows(self._P, sources, self.t)
@@ -117,6 +122,18 @@ class AutocovarianceScorer:
             out[np.repeat(np.arange(len(sources)), np.diff(S.indptr)),
                 S.indices] = S.data
         return out
+
+    def scores(self, u, v) -> np.ndarray:
+        """rows(u)[v] for node arrays, bit for bit: where P^t is sparse, from
+        the walk terms (P^(t-1) P)_uv (a 0.0 gives the background)."""
+        if self._fill > _SPARSE_FILL:
+            return pair_scores(self.rows, np.column_stack([u, v]))
+        P, t = self._P, self.t
+        B = P if t else sparse.identity(self.n, format="csr")
+        Bc = B.tocsc()
+        return autocovariance_from_walk(self.graph, u, v, _by_source(
+            u, v, 1024, lambda s, r, c: heuristics._product_at(
+                heuristics._pt_rows(P, s, max(t - 1, 0)), B, Bc, r, c)))
 
     def sparse_rows(self, sources, first: int = 0) -> sparse.csr_matrix:
         """rows(sources)[:, first:] on the support of P^t's rows, as sparse
@@ -189,6 +206,13 @@ class LocalHeuristicScorer:
 
     def rows(self, sources) -> np.ndarray:
         return self.sparse_rows(sources).toarray()
+
+    def scores(self, u, v) -> np.ndarray:
+        """rows(u)[v] for node arrays, pair by pair, bit for bit."""
+        adj, B = self._factors
+        Bc = B.tocsc()
+        return _by_source(u, v, 1024, lambda s, r, c: (
+            heuristics._product_at(adj[s], B, Bc, r, c)))
 
     def background(self, u, v) -> np.ndarray:
         """Pairs without a common neighbour score 0."""

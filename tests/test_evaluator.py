@@ -197,6 +197,72 @@ class TestRankSummarySupport:
                 _assert_same_summary(rs, rank_summary(
                     _Streamed(scorer), g, split, phase, block_size=5))
 
+    def test_a_support_scorer_without_scores_reads_rows(self):
+        # the toy scorer has sparse rows, a background and classes but no
+        # scores(): its explicit pairs come from rows(), and both modes
+        # count as the brute force does
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 16, 26)
+        split = split_edges(g, (0.6, 0.2, 0.2), seed=5)
+        calls = []
+
+        class Recording(_SparseTableScorer):
+            def rows(self, sources):
+                calls.append(len(sources))
+                return super().rows(sources)
+
+        scorer = Recording(_symmetric_table(rng, 16, quantize=2),
+                           rng.random((16, 16)) < 0.3, 0.5)
+        assert not hasattr(scorer, "scores")
+        rs = rank_summary(scorer, g, split, "test", block_size=5)
+        assert calls == [len(np.unique(split.test_pos[:, 0]))]
+        pool = enumerate_pool(split, "test")
+        _assert_same_summary(rs, RankSummary(
+            *_brute_force_summary(scorer, split, "test"), len(pool)))
+        # the whole pool as explicit negatives gives the same counts
+        _assert_same_summary(
+            rs, sampled_rank_summary(scorer, split.test_pos, pool))
+
+    @pytest.mark.parametrize("kind", ["AC", "RA"])
+    def test_many_excluded_pairs_in_a_column(self, kind, monkeypatch):
+        # columns 37-39 each hold 30 valid and test positives, those from
+        # nodes 0-14 on the support (a common neighbour among the hubs
+        # 30-34), those from nodes 15-29 off it
+        rng = np.random.default_rng(11)
+        hubs, columns = range(30, 35), (37, 38, 39)
+        train = {(min(a, b), max(a, b))
+                 for a, b in rng.integers(0, 30, (40, 2)).tolist() if a != b}
+        train |= {(u, h) for u in range(15)
+                  for h in rng.choice(hubs, 2, replace=False).tolist()}
+        train |= {(h, c) for h in hubs for c in columns}
+        held = [(u, c) for c in columns for u in range(30)]
+        rng.shuffle(held)
+        split = EdgeSplit(n=40, train_pos=np.array(sorted(train)),
+                          valid_pos=np.array(sorted(held[:45])),
+                          test_pos=np.array(sorted(held[45:])), seed=0,
+                          ratios=(0.6, 0.2, 0.2))
+        g = build_graph(np.vstack([split.train_pos, split.valid_pos,
+                                   split.test_pos]), 40)
+        looped = gelato.add_self_loops(train_graph(g, split), "all")
+        scorer = AutocovarianceScorer(looped, 2) if kind == "AC" \
+            else LocalHeuristicScorer(kind, train_graph(g, split))
+        # take the support path whatever the number of distinct degrees
+        monkeypatch.setattr(scorers.AutocovarianceScorer, "classes",
+                            lambda self: np.unique(self.graph.degrees,
+                                                   return_index=True,
+                                                   return_counts=True)[1:])
+        S = scorer.sparse_rows(np.arange(30))
+        stored = np.zeros((30, 40), dtype=bool)
+        stored[np.repeat(np.arange(30), np.diff(S.indptr)), S.indices] = True
+        for c in columns:
+            assert stored[:15, c].all() and not stored[15:, c].any()
+        for phase in ("valid", "test"):
+            for block_size in (1, 4, 7, 40):
+                _assert_same_summary(
+                    rank_summary(scorer, g, split, phase, block_size),
+                    rank_summary(_Streamed(scorer), g, split, phase,
+                                 block_size))
+
     @pytest.mark.parametrize("where", ["pool", "positive"])
     def test_nonfinite_support_rejected(self, where):
         rng = np.random.default_rng(5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelato import (AutocovarianceScorer, LocalHeuristicScorer,
-                    add_self_loops, build_graph)
+                    add_self_loops, build_graph, heuristics)
 from gelato.evaluator import pair_scores
 from gelato.heuristics import _walk_hits
 from gelato.scorers import autocovariance_from_walk
@@ -344,3 +344,78 @@ class TestRowsKernels:
         sources = np.array([0, 2, 0, 1])
         assert (_forced(AutocovarianceScorer(g, 2), 0.0).rows(sources)
                 .tobytes() == _dense_walk_rows(scorer, sources).tobytes())
+
+
+def _support_scores(scorer, u, v):
+    """The scores of the pairs (u, v) from sparse_rows() where the row of
+    u stores v, else from background()."""
+    uniq, row = np.unique(u, return_inverse=True)
+    S = scorer.sparse_rows(uniq)
+    held = np.zeros(S.shape, dtype=bool)
+    held[np.repeat(np.arange(len(uniq)), np.diff(S.indptr)), S.indices] = True
+    return np.where(held[row, v], S.toarray()[row, v],
+                    scorer.background(u, v))
+
+
+class TestScoresAtPairs:
+    """scores(u, v) of Autocovariance and CN/AA/RA: rows(u)[v], and the
+    sparse rows' entries or the background, bit for bit, whichever route
+    heuristics._product_at takes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 7, 23, 60]), density=st.floats(0, 0.3),
+           zero_share=st.sampled_from([0.0, 0.3]),
+           loops=st.sampled_from(["all", "isolated-only"]),
+           count=st.integers(0, 150), seed=st.integers(0, 2 ** 16))
+    def test_scores_equal_rows(self, n, density, zero_share, loops, count,
+                               seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, int(density * n * (n - 1) / 2) + 1,
+                         weighted=True, ensure_positive_degree=False)
+        pairs, w = g.edge_pairs(return_weights=True)
+        w[rng.random(len(w)) < zero_share] = 0.0   # explicit zeros in P
+        g = add_self_loops(build_graph(np.column_stack([pairs, w]), n),
+                           loops)
+        # u > v, u == v and repeated pairs; few sources hold many pairs
+        u = rng.integers(0, max(1, n // 4), count)
+        v = np.where(rng.random(count) < 0.1, u, rng.integers(0, n, count))
+        u, v = np.r_[u, v[:count // 4]], np.r_[v, u[:count // 4]]
+        u, v = np.r_[u, u[:count // 4]], np.r_[v, v[:count // 4]]
+        scorers = [_forced(AutocovarianceScorer(g, t), fill)
+                   for t in range(5) for fill in (0.0, 1.0)]
+        scorers += [LocalHeuristicScorer(kind, g)
+                    for kind in ("CN", "AA", "RA")]
+        for scorer in scorers:
+            got = scorer.scores(u, v)
+            assert got.dtype == np.float64 and got.shape == u.shape
+            assert got.tobytes() == scorer.rows(u)[
+                np.arange(len(u)), v].tobytes()
+            assert got.tobytes() == _support_scores(scorer, u, v).tobytes()
+            assert scorer.scores(np.zeros(0, dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["AC", "RA"])
+    def test_both_routes_of_the_count_rule(self, kind, monkeypatch):
+        g = add_self_loops(random_graph(np.random.default_rng(5), 300, 600,
+                                        weighted=True), "all")
+        scorer = _forced(AutocovarianceScorer(g, 3), 0.0) if kind == "AC" \
+            else LocalHeuristicScorer(kind, g)
+        # the sampled route looks its terms up in W, the whole route its
+        # pairs in the product
+        Ws, looked_in = [], []
+        product_at, values_at = heuristics._product_at, heuristics._values_at
+        monkeypatch.setattr(heuristics, "_product_at",
+                            lambda W, *a: Ws.append(W) or product_at(W, *a))
+        monkeypatch.setattr(heuristics, "_values_at", lambda M, codes: (
+            looked_in.append(M) or values_at(M, codes)))
+        rng = np.random.default_rng(6)
+        few = rng.integers(0, 300, 40), rng.integers(0, 300, 40)
+        many = np.repeat([7, 250], 300), np.tile(np.arange(300), 2)
+        for (u, v), route in ((few, "sampled"), (many, "whole")):
+            Ws.clear()
+            looked_in.clear()
+            got = scorer.scores(u, v)
+            assert [("sampled" if M is W else "whole")
+                    for W, M in zip(Ws, looked_in)] == [route]
+            assert got.tobytes() == scorer.rows(u)[
+                np.arange(len(u)), v].tobytes()
